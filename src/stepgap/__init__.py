@@ -7,7 +7,6 @@ from .pauli import (  # noqa: F401
     GateSpec,
     OperatorSum,
     PauliString,
-    apply_operator,
     basis_state,
     blend,
     conjugate,
@@ -15,7 +14,6 @@ from .pauli import (  # noqa: F401
     parity_apply,
     parity_expectation,
     parity_operator,
-    to_dense,
     uniform_superposition,
 )
 from .models import (  # noqa: F401
@@ -32,7 +30,6 @@ from .models import (  # noqa: F401
     ising_step_hamiltonian,
     lattice_build_order,
     make_path,
-    path_hamiltonian,
     penalty_term,
 )
 from .spectra import (  # noqa: F401

@@ -7,6 +7,10 @@ Gauss nodes of each substep.  Substeps are halved until the final fidelity
 is stable, which pins the observable accuracy without committing to a step
 size.  Krylov exponentials are unitary up to orthogonalization error, so
 the norm is conserved to near machine precision.
+
+There is one propagation route at every size: each exponential applies
+the segment blend (:func:`stepgap.pauli.blend`) matrix-free, which for Pauli
+sums is the compiled flip-mask form; no dense matrix is built.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ import numpy as np
 from .models import InterpolationPath
 from .pauli import blend, n_qubits, parity_expectation, uniform_superposition
 from .spectra import ConvergenceError, sector_ground_state
-
-#: Segments with at most this dimension are propagated with dense matvecs.
-DENSE_PROPAGATION_DIM = 2048
 
 #: Initial substep density (substeps per unit time) before refinement.
 BASE_STEPS_PER_TIME = 1.0
@@ -110,23 +111,6 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float,
     return norm0 * (basis @ coeff)
 
 
-def _segment_matvec_factory(op_a, op_b):
-    """Returns s -> matvec for (1-s) op_a + s op_b, densified when small."""
-    dim = 1 << op_a.n
-    if dim <= DENSE_PROPAGATION_DIM:
-        mat_a = op_a.to_dense()
-        diff = op_b.to_dense() - mat_a
-
-        def factory(s: float):
-            h_mid = mat_a + s * diff
-            return lambda v: h_mid @ v
-    else:
-        def factory(s: float):
-            h_mid = blend(op_a, op_b, s)
-            return h_mid.apply
-    return factory
-
-
 def _propagate(path: InterpolationPath, psi0: np.ndarray,
                steps_per_segment: list[int], track_parity: bool):
     psi = psi0.astype(complex)
@@ -134,7 +118,6 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
     total_steps = 0
     for k in range(path.segment_count):
         op_a, op_b = path.segment(k)
-        factory = _segment_matvec_factory(op_a, op_b)
         m_seg = steps_per_segment[k]
         seg_dt = path.durations[k] / m_seg
         for j in range(m_seg):
@@ -144,8 +127,10 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
             # H evaluated at an effective parameter, over half the substep
             s_eff_first = 2.0 * (_CF4_BETA * s1 + _CF4_ALPHA * s2)
             s_eff_second = 2.0 * (_CF4_ALPHA * s1 + _CF4_BETA * s2)
-            psi = _krylov_expm_apply(factory(s_eff_first), psi, 0.5 * seg_dt)
-            psi = _krylov_expm_apply(factory(s_eff_second), psi, 0.5 * seg_dt)
+            psi = _krylov_expm_apply(blend(op_a, op_b, s_eff_first).apply,
+                                     psi, 0.5 * seg_dt)
+            psi = _krylov_expm_apply(blend(op_a, op_b, s_eff_second).apply,
+                                     psi, 0.5 * seg_dt)
             total_steps += 1
             if track_parity:
                 p = parity_expectation(psi)

@@ -63,12 +63,6 @@ class LatticeGraph:
         return LatticeGraph(self.node_count,
                             self.links | _normalize_links(extra))
 
-    def adjacency(self) -> np.ndarray:
-        mat = np.zeros((self.node_count, self.node_count), dtype=np.uint8)
-        for a, b in self.links:
-            mat[a - 1, b - 1] = mat[b - 1, a - 1] = 1
-        return mat
-
 
 def chain_lattice(n: int, link_count: int | None = None) -> LatticeGraph:
     """Open chain on n nodes with the first `link_count` bonds (default all)."""
@@ -151,9 +145,6 @@ class BuildOrder:
 
     def two_link_steps(self) -> list[int]:
         return [k for k, s in enumerate(self.steps) if len(s.new_links) == 2]
-
-    def one_link_steps(self) -> list[int]:
-        return [k for k, s in enumerate(self.steps) if len(s.new_links) == 1]
 
 
 def lattice_build_order(width: int, height: int) -> BuildOrder:
@@ -429,11 +420,6 @@ class InterpolationPath:
         return InterpolationPath(
             self.operators, tuple(d * factor for d in self.durations),
             self.family)
-
-
-def path_hamiltonian(path: InterpolationPath, t: float):
-    """Operator at time t along the path (half-open segment ownership)."""
-    return path.at_time(t)
 
 
 def make_path(family: str, *, n: int | None = None, width: int | None = None,

@@ -6,12 +6,18 @@ Conventions used throughout the package:
   bit of a computational-basis index, i.e. basis state ``|z_1 z_2 ... z_n>``
   has index ``z = z_1*2^(n-1) + ... + z_n``.
 * State vectors are plain complex or real numpy arrays of length ``2**n``.
-* Operators are real-weighted sums of Pauli strings (:class:`OperatorSum`),
-  applied matrix-free or materialized as dense matrices for small ``n``.
+* Operators are real-weighted sums of Pauli strings (:class:`OperatorSum`).
+  Each one is compiled once, on first use, into flip-mask groups: every
+  Pauli string moves basis state ``i`` to ``i ^ flip``, so the terms that
+  share a flip mask fold into one amplitude vector ``d`` (coefficient, Y
+  phase and Z signs included) and ``(H psi)[i] = sum_f d_f[i] psi[i ^ f]``.
+  The matrix-free action, the dense matrix and the straight-line blend of
+  two operators all read this compiled form.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping
 
@@ -25,24 +31,12 @@ DENSE_QUBIT_CAP = 14
 #: Coefficients below this magnitude are dropped during canonicalization.
 COEFF_CUTOFF = 1e-15
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
+#: Phase ``i**y`` of a Pauli string with y factors Y, indexed by ``y % 4``.
+_Y_PHASES = (1.0, 1j, -1.0, -1j)
 
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _indices(n: int) -> np.ndarray:
-    """Cached ``arange(2**n)`` used for index permutations."""
-    arr = _INDEX_CACHE.get(n)
-    if arr is None:
-        arr = np.arange(1 << n, dtype=np.uint64)
-        if n <= 22:
-            _INDEX_CACHE[n] = arr
-    return arr
+# Guards the lazily built compiled forms and blend terms that gap-scan threads
+# share; reentrant, as blend terms are built from possibly lazy parents.
+_BUILD_LOCK = threading.RLock()
 
 
 def _bit(n: int, qubit: int) -> int:
@@ -99,11 +93,6 @@ class PauliString:
     def y_count(self) -> int:
         return sum(1 for f in self.factors if f == "Y")
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return sum(1 for f in self.factors if f != "I")
-
     def factor(self, qubit: int) -> str:
         """Pauli symbol acting on 1-based `qubit`."""
         return self.factors[qubit - 1]
@@ -122,16 +111,7 @@ class PauliString:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Return ``coefficient * (tensor Pauli action) @ psi``."""
-        return _apply_terms([self], self.n, psi)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix; real when the Y count is even."""
-        mat = np.array([[self.coefficient]], dtype=complex)
-        for f in self.factors:
-            mat = np.kron(mat, _PAULI_MATRICES[f])
-        if self.y_count % 2 == 0:
-            return mat.real.copy()
-        return mat
+        return OperatorSum(self.n, [self]).apply(psi)
 
     def __mul__(self, scalar: float) -> "PauliString":
         return PauliString(self.n, self.factors, self.coefficient * scalar)
@@ -145,28 +125,29 @@ class PauliString:
         return f"{self.coefficient:+g}*{''.join(self.factors)}"
 
 
-def _apply_terms(terms: Iterable[PauliString], n: int,
-                 psi: np.ndarray) -> np.ndarray:
-    if psi.shape != (1 << n,):
-        raise ValueError(
-            f"state has shape {psi.shape}, expected ({1 << n},)")
-    idx = _indices(n)
-    complex_out = np.iscomplexobj(psi) or any(t.y_count % 2 for t in terms)
-    out = np.zeros(1 << n, dtype=complex if complex_out else float)
+def _compile(n: int, terms: tuple[PauliString, ...]) -> tuple:
+    """Flip-mask groups ``(flip, gather, amps)`` of a Pauli sum, by flip.
+
+    ``(H psi)[i] = sum over groups of amps[i] * psi[gather[i]]`` with
+    ``gather = i ^ flip``; the diagonal group (flip 0) has ``gather=None``.
+    A group of one string without Z or Y factors has a constant amplitude,
+    kept as one number.  Amplitudes of strings with an odd Y count are
+    complex.
+    """
+    idx = np.arange(1 << n)
+    amps: dict[int, np.ndarray | float | complex] = {}
     for term in terms:
         flip, zmask = term.masks()
-        phase = 1j ** term.y_count
-        if term.y_count % 2 == 0:
-            phase = phase.real
-        # signs evaluated at y^flip equal signs at y up to a constant parity
-        phase *= -1.0 if bin(flip & zmask).count("1") % 2 else 1.0
-        contrib = psi[(idx ^ np.uint64(flip)).astype(np.intp)]
+        # P|j> = c i^y (-1)^popcount(j & zmask) |j ^ flip>, taken at j = i^flip
+        weight = term.coefficient * _Y_PHASES[term.y_count % 4]
+        if (flip & zmask).bit_count() % 2:
+            weight = -weight
         if zmask:
-            signs = 1 - 2 * (np.bitwise_count(idx & np.uint64(zmask))
-                             .astype(np.int8) & 1)
-            contrib = contrib * signs
-        out += (term.coefficient * phase) * contrib
-    return out
+            weight = np.where(np.bitwise_count(idx & zmask) & 1,
+                              -weight, weight)
+        amps[flip] = amps.get(flip, 0.0) + weight
+    return tuple((flip, idx ^ flip if flip else None, amp)
+                 for flip, amp in sorted(amps.items()))
 
 
 class OperatorSum:
@@ -174,11 +155,14 @@ class OperatorSum:
 
     Terms are canonicalized on construction: duplicate factor patterns are
     merged, coefficients below :data:`COEFF_CUTOFF` dropped, and the term
-    order fixed, so equal operators compare equal.  Instances are immutable
-    and safe to share across threads.
+    order fixed, so equal operators compare equal.  The flip-mask groups
+    that :meth:`apply` and :meth:`to_dense` read are compiled on first use
+    and kept.  A :func:`blend` of two sums is built from their groups and
+    canonicalizes its terms only when they are read.  Instances are
+    immutable and safe to share across threads.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms", "_groups", "_blend_of")
 
     def __init__(self, n: int, terms: Iterable[PauliString] = ()):
         merged: dict[tuple[str, ...], float] = {}
@@ -192,11 +176,36 @@ class OperatorSum:
             PauliString(n, factors, coeff)
             for factors, coeff in sorted(merged.items())
             if abs(coeff) > COEFF_CUTOFF)
+        self._init(n, canon, None, None)
+
+    def _init(self, n, terms, groups, blend_of) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_blend_of", blend_of)
 
     def __setattr__(self, *_):
         raise AttributeError("OperatorSum is immutable")
+
+    @property
+    def terms(self) -> tuple[PauliString, ...]:
+        """Canonical terms; for a blend, built on first read."""
+        if self._terms is None:
+            with _BUILD_LOCK:
+                if self._terms is None:
+                    op_a, op_b, s = self._blend_of
+                    object.__setattr__(
+                        self, "_terms", ((1.0 - s) * op_a + s * op_b).terms)
+        return self._terms
+
+    def _compiled(self) -> tuple:
+        """The flip-mask groups of :func:`_compile`, built once."""
+        if self._groups is None:
+            with _BUILD_LOCK:
+                if self._groups is None:
+                    object.__setattr__(self, "_groups",
+                                       _compile(self.n, self.terms))
+        return self._groups
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorSum) and self.n == other.n
@@ -232,27 +241,31 @@ class OperatorSum:
     @property
     def is_real(self) -> bool:
         """True when the dense matrix is real (every term has even Y count)."""
-        return all(t.y_count % 2 == 0 for t in self.terms)
+        return not any(np.iscomplexobj(amp) for _, _, amp in self._compiled())
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Matrix-free ``H @ psi``; no normalization is applied."""
-        return _apply_terms(self.terms, self.n, psi)
+        """Matrix-free, unnormalized ``H @ psi``: a gather-multiply-add per
+        flip group."""
+        if psi.shape != (1 << self.n,):
+            raise ValueError(
+                f"state has shape {psi.shape}, expected ({1 << self.n},)")
+        complex_out = np.iscomplexobj(psi) or not self.is_real
+        out = np.zeros(1 << self.n, dtype=complex if complex_out else float)
+        for _, gather, amp in self._compiled():
+            out += amp * (psi if gather is None else psi[gather])
+        return out
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        """Dense ``2**n x 2**n`` matrix.  Refuses n above `cap`."""
+        """Dense matrix ``M[i, i ^ f] = d_f[i]``; refuses n above `cap`."""
         if self.n > cap:
             raise ValueError(
                 f"dense materialization capped at {cap} qubits, got {self.n}")
         dim = 1 << self.n
-        dtype = float if self.is_real else complex
-        mat = np.zeros((dim, dim), dtype=dtype)
-        for term in self.terms:
-            block = term.to_matrix()
-            mat += block if dtype is complex else block.real
+        mat = np.zeros((dim, dim), dtype=float if self.is_real else complex)
+        rows = np.arange(dim)
+        for _, gather, amp in self._compiled():
+            mat[rows, rows if gather is None else gather] = amp
         return mat
-
-    def conjugated(self, gate: "GateSpec") -> "OperatorSum":
-        return conjugate(self, gate)
 
 
 @dataclass(frozen=True)
@@ -378,17 +391,25 @@ class DenseOperator:
 
 
 def blend(op_a, op_b, s: float):
-    """Straight-line combination ``(1-s)*op_a + s*op_b``."""
-    return (1.0 - s) * op_a + s * op_b
+    """Straight-line combination ``(1-s)*op_a + s*op_b``.
 
-
-def apply_operator(op, psi: np.ndarray) -> np.ndarray:
-    """Apply an operator to a state vector, matrix-free where possible."""
-    return op.apply(psi)
-
-
-def to_dense(op, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    return op.to_dense(cap)
+    Two Pauli sums combine group by group, ``(1-s) d_a + s d_b`` over the
+    union of their flip masks, without rebuilding terms; other operators
+    (:class:`DenseOperator`) use their own arithmetic.
+    """
+    if not (isinstance(op_a, OperatorSum) and isinstance(op_b, OperatorSum)):
+        return (1.0 - s) * op_a + s * op_b
+    if op_a.n != op_b.n:
+        raise ValueError("qubit counts differ")
+    gathers, amps = {}, {}
+    for weight, op in ((1.0 - s, op_a), (s, op_b)):
+        for flip, gather, amp in op._compiled():
+            gathers[flip] = gather
+            amps[flip] = amps.get(flip, 0.0) + weight * amp
+    out = object.__new__(OperatorSum)
+    groups = tuple((flip, gathers[flip], amps[flip]) for flip in sorted(amps))
+    out._init(op_a.n, None, groups, (op_a, op_b, s))
+    return out
 
 
 def n_qubits(psi: np.ndarray) -> int:
@@ -427,10 +448,9 @@ def ghz_state(n: int) -> np.ndarray:
 
 
 def parity_apply(psi: np.ndarray) -> np.ndarray:
-    """Apply the full bit-flip string (sigma^x on every qubit)."""
-    n = n_qubits(psi)
-    idx = (_indices(n) ^ np.uint64((1 << n) - 1)).astype(np.intp)
-    return psi[idx]
+    """Apply the full bit-flip string (sigma^x on every qubit): a reversal."""
+    n_qubits(psi)  # rejects a length that is not a power of two
+    return psi[::-1].copy()
 
 
 def parity_expectation(psi: np.ndarray) -> float:

@@ -4,6 +4,11 @@ Low-lying spectra come from dense diagonalization for small registers and
 from a matrix-free Lanczos solver (ARPACK) above that.  Parity sectors are
 resolved after the fact by classifying eigenvectors with the bit-flip
 string, diagonalizing it first inside degenerate clusters.
+
+Every operator along a path, at a global progress value or inside one
+segment (:func:`segment_minimum`), is a :func:`stepgap.pauli.blend` of the
+segment endpoints; only the eigensolver picks the dense or the matrix-free
+route.
 """
 
 from __future__ import annotations
@@ -288,23 +293,11 @@ def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",
     if not 0 <= k < path.segment_count:
         raise ValueError(f"segment {k} outside 0..{path.segment_count - 1}")
     op_a, op_b = path.segment(k)
-    n = op_a.n
-    if method != "lanczos" and n <= DENSE_QUBIT_CAP \
-            and (1 << n) <= DENSE_SOLVE_DIM:
-        # the solver will go dense anyway; blend matrices, not term sums
-        from .pauli import DenseOperator
-        mat_a = op_a.to_dense()
-        diff = op_b.to_dense() - mat_a
 
-        def eval_gap(s_local: float) -> float:
-            op = DenseOperator(n, mat_a + float(s_local) * diff)
-            return sector_gap(op, sector, method=method, seed=seed,
-                              **solver_kwargs)[0]
-    else:
-        def eval_gap(s_local: float) -> float:
-            from .pauli import blend
-            return sector_gap(blend(op_a, op_b, float(s_local)), sector,
-                              method=method, seed=seed, **solver_kwargs)[0]
+    def eval_gap(s_local: float) -> float:
+        from .pauli import blend
+        return sector_gap(blend(op_a, op_b, float(s_local)), sector,
+                          method=method, seed=seed, **solver_kwargs)[0]
 
     grid = np.linspace(0.0, 1.0, points)
     gaps = [eval_gap(s) for s in grid]

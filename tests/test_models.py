@@ -19,7 +19,6 @@ from stepgap.models import (
     ising_step_hamiltonian,
     lattice_build_order,
     make_path,
-    path_hamiltonian,
     penalty_term,
 )
 from stepgap.pauli import (
@@ -354,7 +353,7 @@ def test_path_midpoint_matches_hand_built_operator():
     path = make_path("ising-stepwise", n=n)
     k = 2
     t = (k + 0.5) * path.durations[0]
-    got = path_hamiltonian(path, t)
+    got = path.at_time(t)
     s = 0.5
     want = OperatorSum(n, [
         PauliString.from_ops(n, {1: "Z", 2: "Z"}, -1.0),

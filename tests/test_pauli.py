@@ -8,7 +8,6 @@ from stepgap.pauli import (
     GateSpec,
     OperatorSum,
     PauliString,
-    apply_operator,
     basis_state,
     conjugate,
     ghz_state,
@@ -85,12 +84,12 @@ def test_mixed_qubit_counts_rejected():
 
 
 # ---------------------------------------------------------------------------
-# apply_operator
+# apply
 # ---------------------------------------------------------------------------
 
 def test_apply_minus_sigma_x_flips_single_qubit():
     op = OperatorSum(1, [PauliString.from_ops(1, {1: "X"}, -1.0)])
-    out = apply_operator(op, basis_state(1, [0]))
+    out = op.apply(basis_state(1, [0]))
     assert np.allclose(out, -basis_state(1, [1]))
 
 
@@ -99,7 +98,7 @@ def test_apply_field_hamiltonian_on_plus_state():
     h_i = OperatorSum(n, [PauliString.from_ops(n, {i: "X"}, -1.0)
                           for i in range(1, n + 1)])
     psi = uniform_superposition(n)
-    assert np.allclose(apply_operator(h_i, psi), -n * psi)
+    assert np.allclose(h_i.apply(psi), -n * psi)
 
 
 def test_apply_kink_counting_on_antiferromagnetic_state():
@@ -113,7 +112,7 @@ def test_apply_kink_counting_on_antiferromagnetic_state():
     bits = [0, 1, 0, 1]
     energy = -sum((-1) ** (bits[a - 1] ^ bits[b - 1]) for a, b in bonds)
     assert energy == 4
-    assert np.allclose(apply_operator(h_f, psi), energy * psi)
+    assert np.allclose(h_f.apply(psi), energy * psi)
 
 
 def test_apply_matches_dense_on_random_states():

@@ -1,0 +1,189 @@
+"""Compiled Pauli sums against the term-by-term reference implementation.
+
+`reference_dense` (a chain of Kronecker products per term) and
+`reference_apply` (one index permutation and sign vector per term, on every
+call) are the straightforward implementations the compiled flip-mask form
+replaced.  They share no code with it, so the comparisons below check the
+compiled `apply`, `to_dense` and `blend` independently.
+"""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stepgap.pauli import OperatorSum, PauliString, blend
+
+_PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def reference_term_matrix(term: PauliString) -> np.ndarray:
+    """Dense matrix of one term; real when the Y count is even."""
+    mat = np.array([[term.coefficient]], dtype=complex)
+    for f in term.factors:
+        mat = np.kron(mat, _PAULI_MATRICES[f])
+    if term.y_count % 2 == 0:
+        return mat.real.copy()
+    return mat
+
+
+def reference_dense(op: OperatorSum) -> np.ndarray:
+    """Sum of the per-term Kronecker matrices, real for a real operator."""
+    dim = 1 << op.n
+    dtype = float if all(t.y_count % 2 == 0 for t in op.terms) else complex
+    mat = np.zeros((dim, dim), dtype=dtype)
+    for term in op.terms:
+        block = reference_term_matrix(term)
+        mat += block if dtype is complex else block.real
+    return mat
+
+
+def reference_apply(op: OperatorSum, psi: np.ndarray) -> np.ndarray:
+    """``op @ psi`` one term at a time, masks and signs rebuilt per call."""
+    n = op.n
+    idx = np.arange(1 << n, dtype=np.uint64)
+    complex_out = np.iscomplexobj(psi) or any(t.y_count % 2 for t in op.terms)
+    out = np.zeros(1 << n, dtype=complex if complex_out else float)
+    for term in op.terms:
+        flip, zmask = term.masks()
+        phase = 1j ** term.y_count
+        if term.y_count % 2 == 0:
+            phase = phase.real
+        # signs evaluated at y^flip equal signs at y up to a constant parity
+        phase *= -1.0 if bin(flip & zmask).count("1") % 2 else 1.0
+        contrib = psi[(idx ^ np.uint64(flip)).astype(np.intp)]
+        if zmask:
+            signs = 1 - 2 * (np.bitwise_count(idx & np.uint64(zmask))
+                             .astype(np.int8) & 1)
+            contrib = contrib * signs
+        out += (term.coefficient * phase) * contrib
+    return out
+
+
+def flip_groups(op: OperatorSum) -> dict[int, np.ndarray]:
+    """{flip mask: amplitude vector} of the compiled form."""
+    return {flip: amp for flip, _, amp in op._compiled()}
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+coefficients = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pauli_sums(draw, n=None):
+    """Random Pauli sums on 1-8 qubits, Y factors and duplicates included."""
+    if n is None:
+        n = draw(st.integers(1, 8))
+    factors = st.tuples(*[st.sampled_from("IXYZ")] * n)
+    terms = draw(st.lists(st.tuples(factors, coefficients), max_size=12))
+    return OperatorSum(n, [PauliString(n, f, c) for f, c in terms])
+
+
+@st.composite
+def sums_with_state(draw):
+    op = draw(pauli_sums())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=1 << op.n)
+    if draw(st.booleans()):
+        psi = psi + 1j * rng.normal(size=1 << op.n)
+    return op, psi / np.linalg.norm(psi)
+
+
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(1, 8))
+    return draw(pauli_sums(n)), draw(pauli_sums(n)), draw(
+        st.floats(0.0, 1.0, allow_nan=False))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(pauli_sums())
+def test_to_dense_equals_kron_reference_exactly(op):
+    got = op.to_dense()
+    want = reference_dense(op)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(deadline=None)
+@given(sums_with_state())
+def test_apply_matches_per_term_reference(case):
+    op, psi = case
+    got = op.apply(psi)
+    want = reference_apply(op, psi)
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+
+@settings(deadline=None)
+@given(sum_pairs())
+def test_blend_of_compiled_forms_equals_compiled_blend(case):
+    op_a, op_b, s = case
+    got = blend(op_a, op_b, s)
+    want = (1.0 - s) * op_a + s * op_b
+    assert got.terms == want.terms
+    groups_got, groups_want = flip_groups(got), flip_groups(want)
+    # a flip group whose terms cancel is dropped from the canonical sum only
+    assert set(groups_want) <= set(groups_got)
+    for flip, amp in groups_got.items():
+        ref = groups_want.get(flip, 0.0)
+        assert np.abs(amp - ref).max() < 1e-12
+    dim = 1 << op_a.n
+    for flip, gather, _ in got._compiled():
+        if flip:
+            assert np.array_equal(gather, np.arange(dim) ^ flip)
+        else:
+            assert gather is None
+
+
+def test_pauli_string_apply_matches_reference():
+    rng = np.random.default_rng(3)
+    term = PauliString(3, ("Y", "Z", "X"), -0.7)
+    psi = rng.normal(size=8)
+    want = reference_apply(OperatorSum(3, [term]), psi)
+    assert np.abs(term.apply(psi) - want).max() < 1e-15
+
+
+def test_compiled_form_built_once_across_threads():
+    """Threads racing on a fresh operator all see one compiled form."""
+    n = 8
+    rng = np.random.default_rng(11)
+    terms = [PauliString(n, tuple(rng.choice(list("IXYZ"), size=n)),
+                         float(rng.normal())) for _ in range(16)]
+    psi = rng.normal(size=1 << n)
+    want = reference_apply(OperatorSum(n, terms), psi)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            op = OperatorSum(n, terms)
+            barrier = threading.Barrier(8)
+
+            def worker(_):
+                barrier.wait(timeout=10)
+                out = op.apply(psi)
+                return op._compiled(), out
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=30)
+                           for f in [pool.submit(worker, i)
+                                     for i in range(8)]]
+            assert all(groups is results[0][0] for groups, _ in results)
+            for _, out in results:
+                assert np.abs(out - want).max() < 1e-12
+    finally:
+        sys.setswitchinterval(old_interval)
