@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .pauli import (  # noqa: F401
-    DenseOperator,
     GateSpec,
     OperatorSum,
     PauliString,
+    ProjectorSum,
     basis_state,
     blend,
     conjugate,

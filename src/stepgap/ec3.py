@@ -2,9 +2,12 @@
 
 A clause over three bit positions is satisfied when exactly one of the
 bits is set.  Solution counting is exhaustive over bitmasks (vectorized,
-capped), and the projector Hamiltonians built from uniform superpositions
-of partial solutions are held densely since they have no useful sparse
-form.
+capped at :data:`BRUTE_FORCE_CAP` bits), one running AND over the clauses
+of an order giving every prefix at once.  The projector Hamiltonians
+``1 - |Psi_k><Psi_k|``, built from the uniform superpositions Psi_k of
+partial solutions, have no useful sparse Pauli form; they are held
+matrix-free as :class:`stepgap.pauli.ProjectorSum` operators, one vector
+each.
 """
 
 from __future__ import annotations
@@ -14,13 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import DenseOperator, OperatorSum, PauliString
+from .pauli import OperatorSum, PauliString, ProjectorSum
 
-#: Exhaustive enumeration refuses instances above this bit count.
+#: Exhaustive enumeration, and with it every projector path, refuses
+#: instances above this bit count.
 BRUTE_FORCE_CAP = 24
-
-#: Projector Hamiltonians are dense; refuse above this bit count.
-PROJECTOR_DENSE_CAP = 10
 
 ORDER_STRATEGIES = ("given", "greedy-max-r", "random")
 
@@ -124,18 +125,18 @@ def clause_hamiltonian(n: int, clause: Sequence[int]) -> OperatorSum:
     return OperatorSum(n, terms)
 
 
-def _bit_columns(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    return np.stack([(idx >> (n - p)) & 1 for p in range(1, n + 1)], axis=1)
+def _clause_masks(instance: Ec3Instance, clauses):
+    """Lazily, per clause, which basis states set exactly one of its bits.
 
-
-def _clause_masks(instance: Ec3Instance) -> list[np.ndarray]:
+    Refuses instances above :data:`BRUTE_FORCE_CAP` bits before anything
+    is allocated.
+    """
     if instance.n > BRUTE_FORCE_CAP:
         raise ValueError(
             f"enumeration capped at {BRUTE_FORCE_CAP} bits, got {instance.n}")
-    bits = _bit_columns(instance.n)
-    return [bits[:, [p - 1 for p in clause]].sum(axis=1) == 1
-            for clause in instance.clauses]
+    idx = np.arange(1 << instance.n)
+    return (np.bitwise_count(idx & sum(1 << (instance.n - p) for p in c)) == 1
+            for c in clauses)
 
 
 def _check_order(instance: Ec3Instance, order) -> tuple[int, ...]:
@@ -145,6 +146,29 @@ def _check_order(instance: Ec3Instance, order) -> tuple[int, ...]:
     if sorted(order) != list(range(instance.m)):
         raise ValueError("order must be a permutation of the clause indices")
     return order
+
+
+def _prefix_masks(instance: Ec3Instance, order: tuple[int, ...], last: int):
+    """Solutions of the first k clauses of a checked `order`, as boolean
+    masks for k = 0..last, from one running AND over the clause masks."""
+    if not 0 <= last <= instance.m:
+        raise ValueError(f"k={last} outside 0..{instance.m}")
+    masks = _clause_masks(instance,
+                          [instance.clauses[i] for i in order[:last]])
+    current = np.ones(1 << instance.n, dtype=bool)
+    yield current
+    for mask in masks:
+        current = current & mask
+        yield current
+
+
+def _superposition(mask: np.ndarray, k: int) -> np.ndarray:
+    """Uniform superposition over the set entries of a prefix-k mask."""
+    count = np.count_nonzero(mask)
+    if count == 0:
+        raise UnsatisfiablePrefixError(
+            f"clause prefix of length {k} has no solutions")
+    return mask / np.sqrt(count)
 
 
 @dataclass(frozen=True)
@@ -172,28 +196,17 @@ def solution_counts(instance: Ec3Instance,
                     order: Sequence[int] | None = None) -> SolutionCountChain:
     """Exhaustive N_k for every clause prefix of the given order."""
     order = _check_order(instance, order)
-    masks = _clause_masks(instance)
-    current = np.ones(1 << instance.n, dtype=bool)
-    counts = [1 << instance.n]
-    for idx in order:
-        current &= masks[idx]
-        counts.append(int(current.sum()))
-    return SolutionCountChain(instance.n, tuple(counts), order)
+    counts = tuple(int(np.count_nonzero(mask))
+                   for mask in _prefix_masks(instance, order, instance.m))
+    return SolutionCountChain(instance.n, counts, order)
 
 
 def solution_indices(instance: Ec3Instance, k: int | None = None,
                      order: Sequence[int] | None = None) -> np.ndarray:
     """Basis indices satisfying the first k clauses (all of them by default)."""
     order = _check_order(instance, order)
-    if k is None:
-        k = instance.m
-    if not 0 <= k <= instance.m:
-        raise ValueError(f"k={k} outside 0..{instance.m}")
-    masks = _clause_masks(instance)
-    current = np.ones(1 << instance.n, dtype=bool)
-    for idx in order[:k]:
-        current &= masks[idx]
-    return np.nonzero(current)[0]
+    *_, mask = _prefix_masks(instance, order, instance.m if k is None else k)
+    return np.nonzero(mask)[0]
 
 
 def path_gaps(chain: SolutionCountChain) -> np.ndarray:
@@ -209,25 +222,23 @@ def path_gaps(chain: SolutionCountChain) -> np.ndarray:
 def solution_superposition(instance: Ec3Instance, order, k: int
                            ) -> np.ndarray:
     """Uniform superposition of all solutions to the first k clauses."""
-    sols = solution_indices(instance, k, order)
-    if len(sols) == 0:
-        raise UnsatisfiablePrefixError(
-            f"clause prefix of length {k} has no solutions")
-    psi = np.zeros(1 << instance.n)
-    psi[sols] = 1.0 / np.sqrt(len(sols))
-    return psi
+    *_, mask = _prefix_masks(instance, _check_order(instance, order), k)
+    return _superposition(mask, k)
 
 
-def projector_hamiltonian(instance: Ec3Instance, order, k: int
-                          ) -> DenseOperator:
-    """Projector complement 1 - |Psi_k><Psi_k| built from enumeration."""
-    if instance.n > PROJECTOR_DENSE_CAP:
-        raise ValueError(
-            f"projector Hamiltonians capped at {PROJECTOR_DENSE_CAP} bits, "
-            f"got {instance.n}")
-    psi = solution_superposition(instance, order, k)
-    mat = np.eye(1 << instance.n) - np.outer(psi, psi)
-    return DenseOperator(instance.n, mat)
+def projector_hamiltonian(instance: Ec3Instance, order, k: int | None = None
+                          ) -> ProjectorSum | tuple[ProjectorSum, ...]:
+    """Projector complement ``1 - |Psi_k><Psi_k|`` of the first k clauses.
+
+    With k None, the m + 1 complements k = 0..m of the whole projector
+    path, all from one running AND over the clause masks.
+    """
+    order = _check_order(instance, order)
+    last = instance.m if k is None else k
+    ops = tuple(ProjectorSum.complement(_superposition(mask, j))
+                for j, mask in enumerate(_prefix_masks(instance, order, last))
+                if k is None or j == k)
+    return ops if k is None else ops[0]
 
 
 def order_clauses(instance: Ec3Instance, strategy: str = "given",
@@ -246,7 +257,7 @@ def order_clauses(instance: Ec3Instance, strategy: str = "given",
     if strategy == "random":
         rng = np.random.default_rng(seed)
         return tuple(int(i) for i in rng.permutation(instance.m))
-    masks = _clause_masks(instance)
+    masks = list(_clause_masks(instance, instance.clauses))
     remaining = list(range(instance.m))
     current = np.ones(1 << instance.n, dtype=bool)
     order = []

@@ -456,11 +456,8 @@ def make_path(family: str, *, n: int | None = None, width: int | None = None,
         ops = [cluster_hamiltonian(lat) for lat in build_order.lattices()]
     else:  # ec3-projector
         from . import ec3
-        inst = _require(instance, "instance")
-        order = (tuple(clause_order) if clause_order is not None
-                 else tuple(range(len(inst.clauses))))
-        ops = [ec3.projector_hamiltonian(inst, order, k)
-               for k in range(len(order) + 1)]
+        ops = list(ec3.projector_hamiltonian(_require(instance, "instance"),
+                                             clause_order))
 
     segments = len(ops) - 1
     if np.isscalar(dt):

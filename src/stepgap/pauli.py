@@ -13,6 +13,9 @@ Conventions used throughout the package:
   phase and Z signs included) and ``(H psi)[i] = sum_f d_f[i] psi[i ^ f]``.
   The matrix-free action, the dense matrix and the straight-line blend of
   two operators all read this compiled form.
+* The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
+  ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
+  vectors and weights.
 """
 
 from __future__ import annotations
@@ -346,46 +349,78 @@ def conjugate(op: OperatorSum, gate: GateSpec) -> OperatorSum:
     return OperatorSum(op.n, out)
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A Hermitian operator held as an explicit dense matrix.
+@dataclass(frozen=True, eq=False)
+class ProjectorSum:
+    """The operator ``shift * 1 - sum_j w_j |psi_j><psi_j|`` for real psi_j.
 
-    Used for the non-local projector Hamiltonians, which have no sparse
-    Pauli decomposition worth keeping.  Mirrors the small slice of the
-    :class:`OperatorSum` interface that paths, eigensolvers and the
-    propagator rely on.
+    Used for the EC3 projector Hamiltonians ``1 - |Psi_k><Psi_k|``, which
+    have no sparse Pauli form.  The operator is held as its vectors (the
+    rows of `vectors`) and their weights, never as a matrix: :meth:`apply`
+    costs one dot product per vector, :meth:`to_dense` builds the matrix
+    only on request, and sums and scalar multiples concatenate vectors and
+    scale weights, so :func:`blend` of two of them keeps the form.  Every
+    vector orthogonal to the psi_j has eigenvalue `shift`, which
+    :func:`stepgap.spectra.lowest_eigenpairs` uses to solve it exactly.
     """
 
     n: int
-    matrix: np.ndarray = field(repr=False)
+    shift: float
+    weights: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dim = 1 << self.n
-        if self.matrix.shape != (dim, dim):
+        weights = np.array(self.weights, dtype=float, ndmin=1)
+        vectors = np.array(self.vectors, dtype=float, ndmin=2)
+        if (vectors.ndim != 2 or vectors.shape[1] != 1 << self.n
+                or weights.shape != (len(vectors),)):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} != ({dim}, {dim})")
-        self.matrix.setflags(write=False)
+                f"need one weight per vector of length {1 << self.n}, got "
+                f"weights {weights.shape} and vectors {vectors.shape}")
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "shift", float(self.shift))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vectors", vectors)
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.matrix)
+    @classmethod
+    def complement(cls, psi: np.ndarray) -> "ProjectorSum":
+        """``1 - |psi><psi|`` for a real unit vector psi."""
+        return cls(n_qubits(psi), 1.0, (1.0,), psi)
+
+    is_real = True
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
+        """``shift * psi - sum_j w_j psi_j <psi_j|psi>``."""
         if psi.shape != (1 << self.n,):
             raise ValueError(
                 f"state has shape {psi.shape}, expected ({1 << self.n},)")
-        return self.matrix @ psi
+        overlaps = self.weights * (self.vectors @ psi)
+        return self.shift * psi - overlaps @ self.vectors
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        return np.asarray(self.matrix)
+        """Dense matrix; refuses n above `cap`."""
+        if self.n > cap:
+            raise ValueError(
+                f"dense materialization capped at {cap} qubits, got {self.n}")
+        # outer products, not one BLAS matmul: measured on 2 cores, the
+        # threaded matmul made the dense eigensolve that follows 2x slower
+        scaled = -self.weights[:, None] * self.vectors
+        mat = np.multiply.outer(scaled[0], self.vectors[0])
+        for u, v in zip(scaled[1:], self.vectors[1:]):
+            mat += np.multiply.outer(u, v)
+        mat.flat[::(1 << self.n) + 1] += self.shift
+        return mat
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
+    def __add__(self, other: "ProjectorSum") -> "ProjectorSum":
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        return DenseOperator(self.n, self.matrix + other.matrix)
+        return ProjectorSum(self.n, self.shift + other.shift,
+                            np.concatenate([self.weights, other.weights]),
+                            np.vstack([self.vectors, other.vectors]))
 
-    def __mul__(self, scalar: float) -> "DenseOperator":
-        return DenseOperator(self.n, self.matrix * scalar)
+    def __mul__(self, scalar: float) -> "ProjectorSum":
+        return ProjectorSum(self.n, self.shift * scalar,
+                            self.weights * scalar, self.vectors)
 
     __rmul__ = __mul__
 
@@ -394,8 +429,9 @@ def blend(op_a, op_b, s: float):
     """Straight-line combination ``(1-s)*op_a + s*op_b``.
 
     Two Pauli sums combine group by group, ``(1-s) d_a + s d_b`` over the
-    union of their flip masks, without rebuilding terms; other operators
-    (:class:`DenseOperator`) use their own arithmetic.
+    union of their flip masks, without rebuilding terms; two
+    :class:`ProjectorSum` operators use their own arithmetic, which
+    concatenates their vectors.
     """
     if not (isinstance(op_a, OperatorSum) and isinstance(op_b, OperatorSum)):
         return (1.0 - s) * op_a + s * op_b

@@ -1,9 +1,13 @@
 """Numerical eigensolution and gap curves along interpolation paths.
 
 Low-lying spectra come from dense diagonalization for small registers and
-from a matrix-free Lanczos solver (ARPACK) above that.  Parity sectors are
-resolved after the fact by classifying eigenvectors with the bit-flip
-string, diagonalizing it first inside degenerate clusters.
+from a matrix-free Lanczos solver (ARPACK) above that.  A projector sum
+(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) is solved exactly at
+any size instead: the span of its vectors is invariant and its complement
+one degenerate level, so a Rayleigh-Ritz step on that span plus a few
+seeded directions yields the lowest eigenpairs without iteration.  Parity
+sectors are resolved after the fact by classifying eigenvectors with the
+bit-flip string, diagonalizing it first inside degenerate clusters.
 
 Every operator along a path, at a global progress value or inside one
 segment (:func:`segment_minimum`), is a :func:`stepgap.pauli.blend` of the
@@ -22,7 +26,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
-from .pauli import DENSE_QUBIT_CAP, parity_apply
+from .pauli import DENSE_QUBIT_CAP, ProjectorSum, parity_apply
 
 #: Below this dimension the dense solver is used even when not forced.
 DENSE_SOLVE_DIM = 512
@@ -82,16 +86,19 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
                       ) -> SpectrumResult:
     """The `count` smallest eigenvalues of a Hermitian operator.
 
-    `method` is ``dense``, ``lanczos`` or ``auto``; auto picks the dense
-    LAPACK route for small dimensions and the matrix-free Lanczos solver
-    otherwise.  The Lanczos route raises :class:`ConvergenceError` when the
-    iteration budget is exhausted.
+    `method` is ``dense``, ``lanczos`` or ``auto``; auto solves a
+    :class:`~stepgap.pauli.ProjectorSum` exactly (:func:`_projector_eigh`)
+    and otherwise picks the dense LAPACK route for small dimensions and the
+    matrix-free Lanczos solver above.  The Lanczos route raises
+    :class:`ConvergenceError` when the iteration budget is exhausted.
     """
     dim = 1 << op.n
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} outside 1..{dim}")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and isinstance(op, ProjectorSum):
+        return _projector_eigh(op, count, want_vectors, seed, s)
     if method == "auto":
         if op.n <= DENSE_QUBIT_CAP and (dim <= DENSE_SOLVE_DIM
                                         or count > dim // 3):
@@ -129,6 +136,30 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
         order = np.argsort(w)
         return SpectrumResult(w[order], v[:, order], s=s)
     return SpectrumResult(np.sort(out), None, s=s)
+
+
+def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool,
+                    seed: int, s: float | None) -> SpectrumResult:
+    """Exact lowest eigenpairs of ``shift - sum_j w_j |psi_j><psi_j|``.
+
+    span{psi_j} is invariant and every vector orthogonal to it has
+    eigenvalue `shift`, so the span of ``Q = qr([psi_1 ... psi_r, R])``,
+    with `count` columns R drawn from `seed`, is invariant and holds the
+    lowest `count` eigenpairs.  Rayleigh-Ritz on it, ``eigh(Q^T H Q)``, costs
+    O(2^n (r + count)^2) and gives them to rounding.  Repeated or linearly
+    dependent psi_j are fine: the QR factor Q stays orthonormal.
+    """
+    dim = 1 << op.n
+    rank = len(op.vectors)
+    extra = max(0, min(dim, rank + count) - rank)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(np.hstack([op.vectors.T,
+                                   rng.standard_normal((dim, extra))]))
+    proj = op.vectors @ q
+    small = op.shift * np.eye(q.shape[1]) - (proj.T * op.weights) @ proj
+    w, u = scipy.linalg.eigh(small)
+    vectors = q @ u[:, :count] if want_vectors else None
+    return SpectrumResult(w[:count], vectors, s=s)
 
 
 def classify_sectors(result: SpectrumResult,

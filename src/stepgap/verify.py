@@ -194,11 +194,12 @@ def ec3_two_level_deviation(count: int = 3, seed: int = 99) -> float:
         inst = ec3.random_satisfiable_instance(6, 4, rng)
         order = ec3.order_clauses(inst)
         gaps = ec3.path_gaps(ec3.solution_counts(inst, order))
+        dense = [op.to_dense()
+                 for op in ec3.projector_hamiltonian(inst, order)]
         for k in range(inst.m):
-            h_a = ec3.projector_hamiltonian(inst, order, k)
-            h_b = ec3.projector_hamiltonian(inst, order, k + 1)
+            h_a, h_b = dense[k], dense[k + 1]
             for s in (0.25, 0.5, 0.75):
-                w = np.linalg.eigvalsh((1 - s) * h_a.matrix + s * h_b.matrix)
+                w = np.linalg.eigvalsh((1 - s) * h_a + s * h_b)
                 lam0, lam1 = analytic.projector_two_level(gaps[k], s)
                 worst = max(worst, abs(w[0] - lam0), abs(w[1] - lam1))
     return worst

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from stepgap import ec3
 from stepgap.cli import EXIT_CONFIG, EXIT_OK, _parse_tau_grid, main
 
 
@@ -185,6 +186,32 @@ def test_ec3_projector_family_gap_scan(tmp_path, capsys):
     assert code == EXIT_OK
     sidecar = json.loads((tmp_path / "pg.csv.min.json").read_text())
     assert sidecar["minimum_gap"] == pytest.approx(np.sqrt(6 / 16), abs=1e-4)
+
+
+def test_ec3_projector_gap_scan_above_dense_cap(tmp_path, capsys):
+    inst = ec3.random_satisfiable_instance(14, 10, np.random.default_rng(0))
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(ec3.format_instance(inst))
+    out_file = tmp_path / "pg.csv"
+    # 41 points sample every segment's midpoint, where its minimum lies
+    code, _, _ = run_cli(capsys, "gap-scan", "--family", "ec3-projector",
+                         "--instance", str(inst_file), "--points", "41",
+                         "--out", str(out_file))
+    assert code == EXIT_OK
+    sidecar = json.loads((tmp_path / "pg.csv.min.json").read_text())
+    want = ec3.path_gaps(ec3.solution_counts(inst)).min()
+    assert sidecar["minimum_gap"] == pytest.approx(want, abs=1e-9)
+
+
+def test_ec3_projector_above_enumeration_cap_is_config_error(tmp_path,
+                                                             capsys):
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(f"{ec3.BRUTE_FORCE_CAP + 1} 1\n1 2 3\n")
+    code, _, err = run_cli(capsys, "gap-scan", "--family", "ec3-projector",
+                           "--instance", str(inst_file), "--points", "5",
+                           "--out", str(tmp_path / "pg.csv"))
+    assert code == EXIT_CONFIG
+    assert "capped" in err
 
 
 # ---------------------------------------------------------------------------

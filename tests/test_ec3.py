@@ -7,6 +7,7 @@ import pytest
 
 from stepgap.analytic import projector_two_level
 from stepgap.ec3 import (
+    BRUTE_FORCE_CAP,
     Ec3Instance,
     SolutionCountChain,
     UnsatisfiablePrefixError,
@@ -25,7 +26,7 @@ from stepgap.ec3 import (
 )
 from stepgap.models import make_path
 from stepgap.pauli import basis_state, blend, uniform_superposition
-from stepgap.spectra import classify_sectors, lowest_eigenpairs
+from stepgap.spectra import classify_sectors, gap_scan, lowest_eigenpairs
 
 RNG = np.random.default_rng(2024)
 
@@ -215,7 +216,7 @@ def test_projector_k0_complements_uniform_superposition():
     op = projector_hamiltonian(inst, (0,), 0)
     psi = uniform_superposition(4)
     want = np.eye(16) - np.outer(psi, psi)
-    assert np.abs(op.matrix - want).max() < 1e-14
+    assert np.abs(op.to_dense() - want).max() < 1e-14
 
 
 def test_projector_segment_matches_two_level_formula():
@@ -228,7 +229,7 @@ def test_projector_segment_matches_two_level_formula():
         h_b = projector_hamiltonian(inst, order, k + 1)
         c = gaps[k]
         for s in (0.2, 0.5, 0.85):
-            w = np.linalg.eigvalsh(blend(h_a, h_b, s).matrix)
+            w = np.linalg.eigvalsh(blend(h_a, h_b, s).to_dense())
             lam0, lam1 = projector_two_level(c, s)
             assert w[0] == pytest.approx(lam0, abs=1e-10)
             assert w[1] == pytest.approx(lam1, abs=1e-10)
@@ -241,13 +242,13 @@ def test_projector_final_ground_is_unique_solution():
     sol = solution_indices(inst)
     assert len(sol) == 1
     op = projector_hamiltonian(inst, tuple(range(inst.m)), inst.m)
-    w, v = np.linalg.eigh(op.matrix)
+    w, v = np.linalg.eigh(op.to_dense())
     assert w[0] == pytest.approx(0.0, abs=1e-12)
     assert abs(v[:, 0][sol[0]]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projector_cap_and_empty_prefix():
-    big = Ec3Instance(12, ((1, 2, 3),))
+    big = Ec3Instance(BRUTE_FORCE_CAP + 1, ((1, 2, 3),))
     with pytest.raises(ValueError):
         projector_hamiltonian(big, (0,), 0)
     dead = Ec3Instance(4, ((1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4)))
@@ -256,6 +257,25 @@ def test_projector_cap_and_empty_prefix():
         k = int(np.argmax(np.array(chain.counts) == 0))
         with pytest.raises(UnsatisfiablePrefixError):
             solution_superposition(dead, tuple(range(4)), k)
+
+
+def test_projector_gap_scan_finds_unique_solution_ground_state():
+    # ARPACK missed the unique ground state of this path's final projector
+    # and reported a minimum gap of 0 at s = 1
+    inst = random_satisfiable_instance(10, 8, np.random.default_rng(3))
+    order = order_clauses(inst, "greedy-max-r")
+    chain = solution_counts(inst, order)
+    assert chain.counts == (1024, 384, 192, 96, 48, 20, 8, 8, 2)
+    gaps = path_gaps(chain)
+    path = make_path("ec3-projector", instance=inst, clause_order=order)
+    curve = gap_scan(path, points=33)
+    assert curve.minimum[0] == pytest.approx(0.9375, abs=1e-9)
+    assert curve.minimum[1] == pytest.approx(0.5, abs=1e-9)
+    for s_global, gap, lam0, lam1 in curve.samples:
+        k, s_local = path.locate(s_global * path.tau)
+        want = projector_two_level(gaps[k], s_local)
+        assert lam0 == pytest.approx(want[0], abs=1e-9)
+        assert lam1 == pytest.approx(want[1], abs=1e-9)
 
 
 def test_projector_path_family_classifies_mixed():

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepgap.pauli import (
-    DenseOperator,
     GateSpec,
     OperatorSum,
     PauliString,
+    ProjectorSum,
     basis_state,
+    blend,
     conjugate,
     ghz_state,
     parity_apply,
@@ -16,6 +18,7 @@ from stepgap.pauli import (
     parity_operator,
     uniform_superposition,
 )
+from stepgap.spectra import lowest_eigenpairs
 
 RNG = np.random.default_rng(20240811)
 
@@ -284,24 +287,53 @@ def test_parity_expectation_of_ghz():
 
 
 # ---------------------------------------------------------------------------
-# dense operator wrapper
+# projector sums
 # ---------------------------------------------------------------------------
 
-def test_dense_operator_apply_and_blend():
-    n = 3
-    a = random_operator(n, 5, RNG)
-    da = DenseOperator(n, a.to_dense().astype(float)) \
-        if a.is_real else DenseOperator(n, a.to_dense())
-    psi = random_state(n, RNG)
-    assert np.allclose(da.apply(psi), a.apply(psi))
-    db = DenseOperator(n, np.eye(1 << n))
-    mix = 0.25 * da + 0.75 * db
-    assert np.allclose(mix.matrix, 0.25 * da.matrix + 0.75 * np.eye(1 << n))
+weights = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
-def test_dense_operator_shape_validation():
+@st.composite
+def projector_sums(draw):
+    """A ProjectorSum, its dense oracle, a state, an eigen count and a
+    second sum to blend with."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.standard_normal((r, 1 << n))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    if r > 1 and draw(st.booleans()):
+        vecs[1] = vecs[0]  # an equal-count step such as 8 -> 8
+    shift = draw(weights)
+    w = np.array(draw(st.lists(weights, min_size=r, max_size=r)))
+    op = ProjectorSum(n, shift, w, vecs)
+    oracle = shift * np.eye(1 << n) - sum(
+        wj * np.outer(v, v) for wj, v in zip(w, vecs))
+    count = draw(st.integers(1, min(r + 2, 1 << n)))
+    other = ProjectorSum.complement(vecs[-1])
+    s = draw(st.floats(0.0, 1.0, allow_nan=False))
+    return op, oracle, rng.standard_normal(1 << n), count, other, s
+
+
+@settings(deadline=None)
+@given(projector_sums())
+def test_projector_sum_matches_dense_oracle(case):
+    op, oracle, psi, count, other, s = case
+    n = op.n
+    assert np.abs(op.apply(psi) - oracle @ psi).max() < 1e-12
+    assert np.abs(op.to_dense() - oracle).max() < 1e-12
+    res = lowest_eigenpairs(op, count)
+    want = np.linalg.eigvalsh(oracle)[:count]
+    assert np.abs(res.eigenvalues - want).max() < 1e-12
+    for lam, v in zip(res.eigenvalues, res.eigenvectors.T):
+        assert np.linalg.norm(op.apply(v) - lam * v) <= 1e-10
+    mixed = blend(op, other, s)
+    want_mix = (1 - s) * oracle + s * other.to_dense()
+    assert np.abs(mixed.to_dense() - want_mix).max() < 1e-12
     with pytest.raises(ValueError):
-        DenseOperator(2, np.eye(3))
+        op.apply(np.ones((1 << n) + 1))
+    with pytest.raises(ValueError):
+        ProjectorSum(n, op.shift, op.weights, op.vectors[:, 1:])
 
 
 def test_apply_matches_dense_ten_qubits():
