@@ -290,6 +290,42 @@ def test_parity_expectation_of_ghz():
 # projector sums
 # ---------------------------------------------------------------------------
 
+def real_operator(n, n_terms, rng):
+    """A random Pauli sum with an even number of Y factors per string, so
+    its matrix is real symmetric."""
+    terms = []
+    while len(terms) < n_terms:
+        labels = tuple(rng.choice(list(SYMBOLS), size=n))
+        if labels.count("Y") % 2 == 0:
+            terms.append(PauliString(n, labels, float(rng.normal())))
+    return OperatorSum(n, terms)
+
+
+def test_dense_operator_apply_and_blend():
+    # a projector sum holding a Pauli sum's eigendecomposition is that sum
+    n = 3
+    a = real_operator(n, 5, RNG)
+    lam, vecs = np.linalg.eigh(a.to_dense().real)
+    pa = ProjectorSum(n, 0.0, -lam, vecs.T)
+    psi = random_state(n, RNG, complex_=False)
+    assert np.allclose(pa.apply(psi), a.apply(psi))
+    assert np.allclose(pa.to_dense(), a.to_dense())
+    pb = ProjectorSum(n, 1.0, (0.0,), basis_state(n, [0, 0, 0]))
+    mix = 0.25 * pa + 0.75 * pb
+    want = 0.25 * a.to_dense() + 0.75 * np.eye(1 << n)
+    assert np.allclose(mix.to_dense(), want)
+    assert np.allclose(blend(pa, pb, 0.75).to_dense(), want)
+
+
+def test_dense_operator_shape_validation():
+    with pytest.raises(ValueError):
+        ProjectorSum(2, 1.0, (1.0,), np.ones(3))
+    with pytest.raises(ValueError):
+        ProjectorSum(2, 1.0, (1.0, 1.0), np.ones(4))
+    with pytest.raises(ValueError):
+        ProjectorSum.complement(np.ones(4) / 2).apply(np.ones(3))
+
+
 weights = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
