@@ -226,19 +226,17 @@ def solution_superposition(instance: Ec3Instance, order, k: int
     return _superposition(mask, k)
 
 
-def projector_hamiltonian(instance: Ec3Instance, order, k: int | None = None
-                          ) -> ProjectorSum | tuple[ProjectorSum, ...]:
-    """Projector complement ``1 - |Psi_k><Psi_k|`` of the first k clauses.
+def projector_hamiltonian(instance: Ec3Instance, order
+                          ) -> tuple[ProjectorSum, ...]:
+    """Projector complements ``1 - |Psi_k><Psi_k|`` for k = 0..m.
 
-    With k None, the m + 1 complements k = 0..m of the whole projector
-    path, all from one running AND over the clause masks.
+    The m + 1 operators of the projector path, built from one running AND
+    over the clause masks of `order`.
     """
     order = _check_order(instance, order)
-    last = instance.m if k is None else k
-    ops = tuple(ProjectorSum.complement(_superposition(mask, j))
-                for j, mask in enumerate(_prefix_masks(instance, order, last))
-                if k is None or j == k)
-    return ops if k is None else ops[0]
+    return tuple(ProjectorSum.complement(_superposition(mask, k))
+                 for k, mask in enumerate(
+                     _prefix_masks(instance, order, instance.m)))
 
 
 def order_clauses(instance: Ec3Instance, strategy: str = "given",

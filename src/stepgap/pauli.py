@@ -369,8 +369,10 @@ class ProjectorSum:
     vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float, ndmin=1)
-        vectors = np.array(self.vectors, dtype=float, ndmin=2)
+        # read-only views of the given arrays, not copies: of the 2^n
+        # vectors, only + (which concatenates them) makes a copy
+        weights = np.atleast_1d(np.asarray(self.weights, dtype=float)).view()
+        vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float)).view()
         if (vectors.ndim != 2 or vectors.shape[1] != 1 << self.n
                 or weights.shape != (len(vectors),)):
             raise ValueError(

@@ -2,12 +2,15 @@
 
 Low-lying spectra come from dense diagonalization for small registers and
 from a matrix-free Lanczos solver (ARPACK) above that.  A projector sum
-(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) is solved exactly at
-any size instead: the span of its vectors is invariant and its complement
+(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) is solved exactly
+instead: the span of its vectors is invariant and its complement
 one degenerate level, so a Rayleigh-Ritz step on that span plus a few
-seeded directions yields the lowest eigenpairs without iteration.  Parity
-sectors are resolved after the fact by classifying eigenvectors with the
-bit-flip string, diagonalizing it first inside degenerate clusters.
+seeded directions yields the lowest eigenpairs without iteration; it is
+refused, like the dense route, where its basis would outgrow a dense matrix
+of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Parity sectors are
+resolved after the fact by classifying eigenvectors with the bit-flip
+string, diagonalizing it first inside degenerate clusters; a projector sum,
+whose levels are in general not parity eigenstates, has none.
 
 Every operator along a path, at a global progress value or inside one
 segment (:func:`segment_minimum`), is a :func:`stepgap.pauli.blend` of the
@@ -147,11 +150,18 @@ def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool,
     with `count` columns R drawn from `seed`, is invariant and holds the
     lowest `count` eigenpairs.  Rayleigh-Ritz on it, ``eigh(Q^T H Q)``, costs
     O(2^n (r + count)^2) and gives them to rounding.  Repeated or linearly
-    dependent psi_j are fine: the QR factor Q stays orthonormal.
+    dependent psi_j are fine: the QR factor Q stays orthonormal.  A basis
+    larger than a dense matrix of DENSE_QUBIT_CAP qubits is refused before
+    it is allocated.
     """
     dim = 1 << op.n
     rank = len(op.vectors)
-    extra = max(0, min(dim, rank + count) - rank)
+    columns = min(dim, rank + count)
+    if dim * columns > 4 ** DENSE_QUBIT_CAP:
+        raise ValueError(
+            f"exact projector solve refused: a {dim} x {columns} basis "
+            f"exceeds a dense matrix of {DENSE_QUBIT_CAP} qubits")
+    extra = max(0, columns - rank)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(np.hstack([op.vectors.T,
                                    rng.standard_normal((dim, extra))]))
@@ -206,7 +216,10 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
 
     Requests increasingly many eigenpairs until `count` levels carry the
     requested label, then returns those levels (vectors included).
-    ``sector="all"`` skips classification entirely.
+    ``sector="all"`` skips classification entirely.  A
+    :class:`~stepgap.pauli.ProjectorSum` is refused with ValueError for
+    even/odd: its levels are in general not parity eigenstates, and the
+    search would grow to the full dimension.
     """
     dim = 1 << op.n
     if sector == "all":
@@ -215,6 +228,9 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
         return classify_sectors(res) if res.eigenvectors is not None else res
     if sector not in ("even", "odd"):
         raise ValueError(f"unknown sector {sector!r}")
+    if isinstance(op, ProjectorSum):
+        raise ValueError(f"no {sector} sector for a projector sum, whose "
+                         f"levels are not parity eigenstates; use 'all'")
     ask = min(dim, max(2 * count + 2, 6))
     while True:
         res = lowest_eigenpairs(op, ask, want_vectors=True, method=method,

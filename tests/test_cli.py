@@ -214,6 +214,30 @@ def test_ec3_projector_above_enumeration_cap_is_config_error(tmp_path,
     assert "capped" in err
 
 
+def test_ec3_projector_parity_sector_is_config_error(tmp_path, capsys):
+    inst = ec3.random_satisfiable_instance(16, 6, np.random.default_rng(0))
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(ec3.format_instance(inst))
+    code, _, err = run_cli(capsys, "gap-scan", "--family", "ec3-projector",
+                           "--instance", str(inst_file), "--points", "5",
+                           "--sector", "even", "--out",
+                           str(tmp_path / "pg.csv"))
+    assert code == EXIT_CONFIG
+    assert "projector sum" in err
+
+
+def test_ec3_projector_oversized_spectrum_is_config_error(tmp_path, capsys):
+    inst = ec3.random_satisfiable_instance(15, 5, np.random.default_rng(0))
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(ec3.format_instance(inst))
+    # 1 vector + 8192 levels at 2^15 exceed a dense matrix of 14 qubits
+    code, _, err = run_cli(capsys, "spectrum", "--family", "ec3-projector",
+                           "--instance", str(inst_file), "--s", "1",
+                           "--count", "8192")
+    assert code == EXIT_CONFIG
+    assert "refused" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_unique_solution_gap_dominates_grover():
 
 def test_projector_k0_complements_uniform_superposition():
     inst = Ec3Instance(4, ((1, 2, 3),))
-    op = projector_hamiltonian(inst, (0,), 0)
+    op = projector_hamiltonian(inst, (0,))[0]
     psi = uniform_superposition(4)
     want = np.eye(16) - np.outer(psi, psi)
     assert np.abs(op.to_dense() - want).max() < 1e-14
@@ -225,8 +225,8 @@ def test_projector_segment_matches_two_level_formula():
     chain = solution_counts(inst, order)
     gaps = path_gaps(chain)
     for k in range(inst.m):
-        h_a = projector_hamiltonian(inst, order, k)
-        h_b = projector_hamiltonian(inst, order, k + 1)
+        h_a = projector_hamiltonian(inst, order)[k]
+        h_b = projector_hamiltonian(inst, order)[k + 1]
         c = gaps[k]
         for s in (0.2, 0.5, 0.85):
             w = np.linalg.eigvalsh(blend(h_a, h_b, s).to_dense())
@@ -241,7 +241,7 @@ def test_projector_final_ground_is_unique_solution():
                                        unique=True)
     sol = solution_indices(inst)
     assert len(sol) == 1
-    op = projector_hamiltonian(inst, tuple(range(inst.m)), inst.m)
+    op = projector_hamiltonian(inst, tuple(range(inst.m)))[inst.m]
     w, v = np.linalg.eigh(op.to_dense())
     assert w[0] == pytest.approx(0.0, abs=1e-12)
     assert abs(v[:, 0][sol[0]]) == pytest.approx(1.0, abs=1e-12)
@@ -250,7 +250,7 @@ def test_projector_final_ground_is_unique_solution():
 def test_projector_cap_and_empty_prefix():
     big = Ec3Instance(BRUTE_FORCE_CAP + 1, ((1, 2, 3),))
     with pytest.raises(ValueError):
-        projector_hamiltonian(big, (0,), 0)
+        projector_hamiltonian(big, (0,))[0]
     dead = Ec3Instance(4, ((1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4)))
     chain = solution_counts(dead)
     if 0 in chain.counts:

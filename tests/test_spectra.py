@@ -279,8 +279,8 @@ def test_dense_and_lanczos_agree_cluster_families():
 def test_dense_and_lanczos_agree_projector_segment():
     from stepgap.ec3 import Ec3Instance, projector_hamiltonian
     inst = Ec3Instance(9, ((1, 2, 3), (4, 5, 6), (7, 8, 9)))
-    h_a = projector_hamiltonian(inst, (0, 1, 2), 1)
-    h_b = projector_hamiltonian(inst, (0, 1, 2), 2)
+    h_a = projector_hamiltonian(inst, (0, 1, 2))[1]
+    h_b = projector_hamiltonian(inst, (0, 1, 2))[2]
     op = blend(h_a, h_b, 0.5)
     dense = lowest_eigenpairs(op, 2, want_vectors=False, method="dense")
     lanc = lowest_eigenpairs(op, 2, want_vectors=False, method="lanczos",
