@@ -20,7 +20,6 @@ from .models import (  # noqa: F401
     BuildOrder,
     InterpolationPath,
     LatticeGraph,
-    PenaltyConfig,
     chain_lattice,
     cluster1d_step_hamiltonian,
     cluster_hamiltonian,
@@ -30,7 +29,6 @@ from .models import (  # noqa: F401
     ising_step_hamiltonian,
     lattice_build_order,
     make_path,
-    penalty_term,
 )
 from .spectra import (  # noqa: F401
     ConvergenceError,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import InterpolationPath
-from .pauli import blend, n_qubits, parity_expectation, uniform_superposition
+from .pauli import (blend, n_qubits, parity_expectation, parity_symmetric,
+                    uniform_superposition)
 from .spectra import ConvergenceError, sector_ground_state
 
 #: Initial substep density (substeps per unit time) before refinement.
@@ -211,15 +212,8 @@ def evolution_target(path: InterpolationPath, psi0: np.ndarray | None = None
     final = path.operators[-1]
     if psi0 is None:
         psi0 = uniform_superposition(path.n)
-    rng = np.random.default_rng(5)
-    probe = rng.normal(size=1 << path.n)
-    probe /= np.linalg.norm(probe)
-    from .pauli import parity_apply
-    commutes = np.linalg.norm(
-        final.apply(parity_apply(probe)) -
-        parity_apply(final.apply(probe))) < 1e-10
     sector = "all"
-    if commutes:
+    if parity_symmetric(final):
         p0 = parity_expectation(psi0)
         if p0 > 0.999999:
             sector = "even"

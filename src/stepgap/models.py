@@ -2,8 +2,8 @@
 
 Covers the transverse-field Ising chain with its stepwise bond-by-bond
 series, cluster models on arbitrary lattices with 1d/2d stepwise build
-orders, the bit-flip parity penalty, and the piecewise-linear path object
-that drives gap scans and time evolution.
+orders, and the piecewise-linear path object that drives gap scans and
+time evolution.
 """
 
 from __future__ import annotations
@@ -311,30 +311,6 @@ def cluster_state(lattice: LatticeGraph) -> np.ndarray:
         both = (idx & mask) == mask
         signs[both] *= -1.0
     return signs / np.sqrt(1 << n)
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Strength of the parity penalty separating even and odd subspaces."""
-
-    strength: float = 0.0
-
-    def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("penalty strength must be non-negative")
-
-
-def penalty_term(n: int, cfg: PenaltyConfig | float) -> OperatorSum:
-    """Energy alpha/2 * (1 - full bit-flip string): 0 on even, alpha on odd."""
-    alpha = cfg.strength if isinstance(cfg, PenaltyConfig) else float(cfg)
-    if alpha < 0:
-        raise ValueError("penalty strength must be non-negative")
-    if alpha == 0:
-        return OperatorSum(n, [])
-    return OperatorSum(n, [
-        PauliString.identity(n, alpha / 2.0),
-        PauliString(n, ("X",) * n, -alpha / 2.0),
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ Conventions used throughout the package:
   phase and Z signs included) and ``(H psi)[i] = sum_f d_f[i] psi[i ^ f]``.
   The matrix-free action, the dense matrix and the straight-line blend of
   two operators all read this compiled form.
+* A Pauli sum that commutes with the bit-flip string has two parity
+  blocks, sums on n - 1 qubits folded from its compiled form.
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
   vectors and weights.
@@ -165,7 +167,7 @@ class OperatorSum:
     immutable and safe to share across threads.
     """
 
-    __slots__ = ("n", "_terms", "_groups", "_blend_of")
+    __slots__ = ("n", "_terms", "_groups", "_terms_of")
 
     def __init__(self, n: int, terms: Iterable[PauliString] = ()):
         merged: dict[tuple[str, ...], float] = {}
@@ -181,24 +183,22 @@ class OperatorSum:
             if abs(coeff) > COEFF_CUTOFF)
         self._init(n, canon, None, None)
 
-    def _init(self, n, terms, groups, blend_of) -> None:
+    def _init(self, n, terms, groups, terms_of) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "_blend_of", blend_of)
+        object.__setattr__(self, "_terms_of", terms_of)
 
     def __setattr__(self, *_):
         raise AttributeError("OperatorSum is immutable")
 
     @property
     def terms(self) -> tuple[PauliString, ...]:
-        """Canonical terms; for a blend, built on first read."""
+        """Canonical terms; for a blend or parity block, built when read."""
         if self._terms is None:
             with _BUILD_LOCK:
                 if self._terms is None:
-                    op_a, op_b, s = self._blend_of
-                    object.__setattr__(
-                        self, "_terms", ((1.0 - s) * op_a + s * op_b).terms)
+                    object.__setattr__(self, "_terms", self._terms_of())
         return self._terms
 
     def _compiled(self) -> tuple:
@@ -269,6 +269,45 @@ class OperatorSum:
         for _, gather, amp in self._compiled():
             mat[rows, rows if gather is None else gather] = amp
         return mat
+
+    def parity_block(self, sign: int) -> "OperatorSum":
+        """This operator in the bit-flip sector of `sign` (+1 even, -1 odd),
+        a sum on n - 1 qubits: block state z stands for ``(|z> + sign |~z>)
+        / sqrt(2)``, z with its leading bit clear.  A flip with the leading
+        bit set folds into ``f ^ (2^n - 1)`` with factor `sign`, and each
+        amplitude is cut to its first half.  Needs n >= 2 and
+        :func:`parity_symmetric`."""
+        if sign not in (1, -1) or self.n < 2 or not parity_symmetric(self):
+            raise ValueError("a parity block needs sign +1 or -1, n >= 2 and "
+                             "an operator that commutes with the bit flip")
+        half, full = 1 << (self.n - 1), (1 << self.n) - 1
+        amps: dict[int, np.ndarray | float | complex] = {}
+        for flip, _, amp in self._compiled():
+            amp = amp[:half] if np.ndim(amp) else amp
+            if flip & half:
+                flip, amp = flip ^ full, sign * amp
+            amps[flip] = amps.get(flip, 0.0) + amp
+        idx = np.arange(half)
+        groups = tuple((flip, idx ^ flip if flip else None, amp)
+                       for flip, amp in sorted(amps.items()))
+        out = object.__new__(OperatorSum)
+        out._init(self.n - 1, None, groups, lambda: _block_terms(self, sign))
+        return out
+
+
+def _block_terms(op: OperatorSum, sign: int) -> tuple[PauliString, ...]:
+    """Terms of ``op.parity_block(sign)``: ``A (x) Q`` with A on qubit 1
+    gives Q for A = I, Z and ``sign <0|A|1> Q X^(n-1)`` for A = X, Y."""
+    out = []
+    for term in op.terms:
+        lead, rest, coeff = term.factors[0], term.factors[1:], term.coefficient
+        if lead in "XY":
+            # <0|Y|1> = -i; per factor Q X is X, I, -iZ, iY for I, X, Y, Z
+            coeff *= sign * ((-1j) ** (rest.count("Y") + (lead == "Y"))
+                             * 1j ** rest.count("Z")).real
+            rest = tuple("XIZY"["IXYZ".index(f)] for f in rest)
+        out.append(PauliString(op.n - 1, rest, coeff))
+    return OperatorSum(op.n - 1, out).terms
 
 
 @dataclass(frozen=True)
@@ -446,7 +485,8 @@ def blend(op_a, op_b, s: float):
             amps[flip] = amps.get(flip, 0.0) + weight * amp
     out = object.__new__(OperatorSum)
     groups = tuple((flip, gathers[flip], amps[flip]) for flip in sorted(amps))
-    out._init(op_a.n, None, groups, (op_a, op_b, s))
+    out._init(op_a.n, None, groups,
+              lambda: ((1.0 - s) * op_a + s * op_b).terms)
     return out
 
 
@@ -494,6 +534,15 @@ def parity_apply(psi: np.ndarray) -> np.ndarray:
 def parity_expectation(psi: np.ndarray) -> float:
     """Expectation of the bit-flip string, real for any normalized state."""
     return float(np.real(np.vdot(psi, parity_apply(psi))))
+
+
+def parity_symmetric(op) -> bool:
+    """True when `op` is a Pauli sum that commutes exactly with X^n (index
+    i to ~i): every compiled amplitude vector is reversal-symmetric,
+    ``d_f[~i] == d_f[i]``.  A :class:`ProjectorSum` gives False."""
+    return isinstance(op, OperatorSum) and all(
+        np.ndim(amp) == 0 or np.array_equal(amp, amp[::-1])
+        for _, _, amp in op._compiled())
 
 
 def parity_operator(n: int) -> OperatorSum:

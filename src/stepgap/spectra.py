@@ -7,10 +7,13 @@ instead: the span of its vectors is invariant and its complement
 one degenerate level, so a Rayleigh-Ritz step on that span plus a few
 seeded directions yields the lowest eigenpairs without iteration; it is
 refused, like the dense route, where its basis would outgrow a dense matrix
-of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Parity sectors are
-resolved after the fact by classifying eigenvectors with the bit-flip
-string, diagonalizing it first inside degenerate clusters; a projector sum,
-whose levels are in general not parity eigenstates, has none.
+of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  An even or odd parity
+sector is solved by construction: a Pauli sum that commutes with the
+bit-flip string is restricted to its parity block of dimension 2^(n-1)
+(:meth:`~stepgap.pauli.OperatorSum.parity_block`), solved once for exactly
+the levels asked for, and its vectors lifted to the full space.  Operators
+without the symmetry, projector sums included, have no sectors;
+:func:`classify_sectors` labels full-space levels for ``sector="all"``.
 
 Every operator along a path, at a global progress value or inside one
 segment (:func:`segment_minimum`), is a :func:`stepgap.pauli.blend` of the
@@ -29,10 +32,11 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
-from .pauli import DENSE_QUBIT_CAP, ProjectorSum, parity_apply
+from .pauli import DENSE_QUBIT_CAP, ProjectorSum, blend, parity_symmetric
 
-#: Below this dimension the dense solver is used even when not forced.
-DENSE_SOLVE_DIM = 512
+#: Up to this dimension the dense solver is used even when not forced:
+#: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
+DENSE_SOLVE_DIM = 256
 
 #: Eigenvalues closer than this are treated as one degenerate cluster.
 DEGENERACY_TOL = 1e-8
@@ -103,11 +107,8 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     if method == "auto" and isinstance(op, ProjectorSum):
         return _projector_eigh(op, count, want_vectors, seed, s)
     if method == "auto":
-        if op.n <= DENSE_QUBIT_CAP and (dim <= DENSE_SOLVE_DIM
-                                        or count > dim // 3):
-            method = "dense"
-        else:
-            method = "lanczos"
+        small = dim <= DENSE_SOLVE_DIM or count > dim // 3
+        method = "dense" if small and op.n <= DENSE_QUBIT_CAP else "lanczos"
     if method == "dense" and op.n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense solve refused above {DENSE_QUBIT_CAP} qubits")
     if method == "lanczos" and count >= dim - 1:
@@ -193,61 +194,50 @@ def classify_sectors(result: SpectrumResult,
         while j + 1 < len(w) and w[j + 1] - w[i] <= cluster_tol:
             j += 1
         block = v[:, i:j + 1]
-        p_block = np.column_stack([parity_apply(block[:, c])
-                                   for c in range(block.shape[1])])
-        pmat = block.conj().T @ p_block
+        pmat = block.conj().T @ block[::-1]  # the bit flip is a reversal
         pmat = 0.5 * (pmat + pmat.conj().T)
         pw, pv = np.linalg.eigh(pmat)
         v[:, i:j + 1] = block @ pv
-        for p in pw:
-            if p > threshold:
-                labels.append("even")
-            elif p < -threshold:
-                labels.append("odd")
-            else:
-                labels.append("mixed")
+        labels += ["even" if p > threshold else "odd" if p < -threshold
+                   else "mixed" for p in pw]
         i = j + 1
     return replace(result, eigenvectors=v, sector_labels=tuple(labels))
 
 
 def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
-                  seed: int = 0, **solver_kwargs) -> SpectrumResult:
-    """Lowest levels restricted to a parity sector.
+                  seed: int = 0, want_vectors: bool = True,
+                  **solver_kwargs) -> SpectrumResult:
+    """The `count` lowest levels of a parity sector.
 
-    Requests increasingly many eigenpairs until `count` levels carry the
-    requested label, then returns those levels (vectors included).
-    ``sector="all"`` skips classification entirely.  A
-    :class:`~stepgap.pauli.ProjectorSum` is refused with ValueError for
-    even/odd: its levels are in general not parity eigenstates, and the
-    search would grow to the full dimension.
+    ``all`` solves the full space, labelled by :func:`classify_sectors`
+    when vectors are wanted; ``even`` and ``odd`` solve the parity block
+    (:meth:`~stepgap.pauli.OperatorSum.parity_block`) once and lift its
+    vectors.  A count above the block dimension 2^(n-1) and a
+    :class:`~stepgap.pauli.ProjectorSum` raise ValueError, a Pauli sum that
+    does not commute with the bit flip :class:`ConvergenceError`.
     """
-    dim = 1 << op.n
     if sector == "all":
-        res = lowest_eigenpairs(op, min(count, dim), want_vectors=True,
-                                method=method, seed=seed, **solver_kwargs)
-        return classify_sectors(res) if res.eigenvectors is not None else res
+        res = lowest_eigenpairs(op, min(count, 1 << op.n),
+                                want_vectors=want_vectors, method=method,
+                                seed=seed, **solver_kwargs)
+        return classify_sectors(res) if want_vectors else res
     if sector not in ("even", "odd"):
         raise ValueError(f"unknown sector {sector!r}")
     if isinstance(op, ProjectorSum):
         raise ValueError(f"no {sector} sector for a projector sum, whose "
                          f"levels are not parity eigenstates; use 'all'")
-    ask = min(dim, max(2 * count + 2, 6))
-    while True:
-        res = lowest_eigenpairs(op, ask, want_vectors=True, method=method,
-                                seed=seed, **solver_kwargs)
-        res = classify_sectors(res)
-        picks = [i for i, lab in enumerate(res.sector_labels)
-                 if lab == sector]
-        if len(picks) >= count:
-            picks = picks[:count]
-            return SpectrumResult(res.eigenvalues[picks],
-                                  res.eigenvectors[:, picks], s=res.s,
-                                  sector_labels=(sector,) * count)
-        if ask >= dim:
-            raise ConvergenceError(
-                f"found only {len(picks)} {sector}-sector levels in the "
-                f"full spectrum, needed {count}")
-        ask = min(dim, 2 * ask)
+    if not parity_symmetric(op):
+        raise ConvergenceError(f"no {sector} sector: the operator does not "
+                               f"commute with the bit flip")
+    sign = 1 if sector == "even" else -1
+    res = lowest_eigenpairs(op.parity_block(sign), count,
+                            want_vectors=want_vectors, method=method,
+                            seed=seed, **solver_kwargs)
+    phi = res.eigenvectors
+    vectors = None if phi is None \
+        else np.concatenate([phi, sign * phi[::-1]]) / np.sqrt(2.0)
+    return SpectrumResult(res.eigenvalues, vectors, s=res.s,
+                          sector_labels=(sector,) * count)
 
 
 def sector_ground_state(op, sector: str = "even", **kwargs) -> np.ndarray:
@@ -259,14 +249,8 @@ def sector_ground_state(op, sector: str = "even", **kwargs) -> np.ndarray:
 def sector_gap(op, sector: str = "all", method: str = "auto", seed: int = 0,
                **solver_kwargs) -> tuple[float, float, float]:
     """(gap, lambda0, lambda1) between the two lowest levels of a sector."""
-    if sector == "all":
-        # no classification needed, skip the eigenvector computation
-        count = min(2, 1 << op.n)
-        res = lowest_eigenpairs(op, count, want_vectors=False, method=method,
-                                seed=seed, **solver_kwargs)
-    else:
-        res = sector_levels(op, sector, count=2, method=method, seed=seed,
-                            **solver_kwargs)
+    res = sector_levels(op, sector, count=2, method=method, seed=seed,
+                        want_vectors=False, **solver_kwargs)
     lam0, lam1 = float(res.eigenvalues[0]), float(res.eigenvalues[1])
     return lam1 - lam0, lam0, lam1
 
@@ -290,14 +274,31 @@ def _golden_minimize(f: Callable[[float], float], a: float, b: float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
+                     values: np.ndarray) -> tuple[float, float]:
+    """(s, f(s)) of the smallest sample, golden-section refined on its
+    bracketing interval and on each interval whose ends tie it within
+    DEGENERACY_TOL but whose midpoint lies below (a dip between tied
+    segment boundaries); ties go to the first refinement, then the sample."""
+    k = int(np.argmin(values))
+    tie, mid = values[k] + DEGENERACY_TOL, 0.5 * (grid[1:] + grid[:-1])
+    brackets = [(k - 1, k + 1)] if 0 < k < len(grid) - 1 else []
+    brackets += [(j, j + 1) for j in range(len(grid) - 1)
+                 if max(values[j], values[j + 1]) <= tie
+                 and f(mid[j]) < values[k] - DEGENERACY_TOL]
+    found = [_golden_minimize(f, grid[lo], grid[hi]) for lo, hi in brackets]
+    s_min, v_min = min(found + [(grid[k], values[k])], key=lambda c: c[1])
+    return float(s_min), float(v_min)
+
+
 def gap_scan(path: InterpolationPath, points: int = 200,
-             sector: str = "all", refine: bool = True, threads: int = 1,
+             sector: str = "all", threads: int = 1,
              method: str = "auto", seed: int = 0, **solver_kwargs
              ) -> GapCurve:
     """Gap between the two lowest (sector-resolved) levels along a path.
 
     Samples `points` uniformly spaced global-s values, then refines the
-    smallest sample by golden-section search on its bracketing interval.
+    smallest sample as :func:`_refined_minimum` does.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
@@ -313,20 +314,9 @@ def gap_scan(path: InterpolationPath, points: int = 200,
             rows = list(pool.map(eval_gap, grid))
     else:
         rows = [eval_gap(s) for s in grid]
-    samples = np.column_stack([
-        grid,
-        [r[0] for r in rows],
-        [r[1] for r in rows],
-        [r[2] for r in rows],
-    ])
-    k = int(np.argmin(samples[:, 1]))
-    s_min, g_min = float(grid[k]), float(samples[k, 1])
-    if refine and 0 < k < points - 1:
-        s_min, g_min = _golden_minimize(
-            lambda s: eval_gap(s)[0], grid[k - 1], grid[k + 1])
-        if samples[k, 1] < g_min:
-            s_min, g_min = float(grid[k]), float(samples[k, 1])
-    return GapCurve(samples, sector, (s_min, g_min))
+    samples = np.column_stack([grid, np.array(rows)])
+    return GapCurve(samples, sector, _refined_minimum(
+        lambda s: eval_gap(s)[0], grid, samples[:, 1]))
 
 
 def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",
@@ -334,27 +324,20 @@ def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",
                     **solver_kwargs) -> tuple[float, float]:
     """Refined (s_local, gap) minimum of one path segment.
 
-    `s_local` runs over [0, 1] within segment k.  Boundary minima are
-    returned unrefined since the curve simply decreases into the endpoint.
+    `s_local` runs over [0, 1] within segment k; `points` samples are
+    refined as :func:`_refined_minimum` does.
     """
     if not 0 <= k < path.segment_count:
         raise ValueError(f"segment {k} outside 0..{path.segment_count - 1}")
     op_a, op_b = path.segment(k)
 
     def eval_gap(s_local: float) -> float:
-        from .pauli import blend
         return sector_gap(blend(op_a, op_b, float(s_local)), sector,
                           method=method, seed=seed, **solver_kwargs)[0]
 
     grid = np.linspace(0.0, 1.0, points)
-    gaps = [eval_gap(s) for s in grid]
-    j = int(np.argmin(gaps))
-    if j in (0, points - 1):
-        return float(grid[j]), float(gaps[j])
-    s_min, g_min = _golden_minimize(eval_gap, grid[j - 1], grid[j + 1])
-    if gaps[j] < g_min:
-        return float(grid[j]), float(gaps[j])
-    return s_min, g_min
+    return _refined_minimum(eval_gap, grid,
+                            np.array([eval_gap(s) for s in grid]))
 
 
 def min_gap_vs_n(family: str, n_list, sector: str = "even",

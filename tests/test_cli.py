@@ -75,6 +75,21 @@ def test_gap_scan_writes_csv_and_sidecar(tmp_path, capsys):
     assert sidecar["sector"] == "even"
 
 
+def test_gap_scan_refines_between_tied_boundary_samples(tmp_path, capsys):
+    # 9 points on the 8 segments of a 3x3 build sample only the segment
+    # boundaries, where every gap is 2; the dips between them reach
+    # sqrt(5) - 1
+    out_file = tmp_path / "gaps.csv"
+    code, _, _ = run_cli(capsys, "gap-scan", "--family", "cluster2d-stepwise",
+                         "--width", "3", "--height", "3", "--points", "9",
+                         "--threads", "1", "--out", str(out_file))
+    assert code == EXIT_OK
+    _, rows = read_csv_rows(out_file.read_text())
+    assert all(float(r[1]) == pytest.approx(2.0, abs=1e-9) for r in rows)
+    sidecar = json.loads((tmp_path / "gaps.csv.min.json").read_text())
+    assert sidecar["minimum_gap"] == pytest.approx(np.sqrt(5) - 1, abs=1e-7)
+
+
 def test_gap_scan_requires_out(capsys):
     code, _, err = run_cli(capsys, "gap-scan", "--family", "ising-linear",
                            "--n", "3")

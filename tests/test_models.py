@@ -8,7 +8,6 @@ from stepgap.models import (
     BuildStep,
     InterpolationPath,
     LatticeGraph,
-    PenaltyConfig,
     build_order_from_file,
     chain_lattice,
     cluster1d_step_hamiltonian,
@@ -19,7 +18,6 @@ from stepgap.models import (
     ising_step_hamiltonian,
     lattice_build_order,
     make_path,
-    penalty_term,
 )
 from stepgap.pauli import (
     GateSpec,
@@ -262,58 +260,6 @@ def test_build_order_from_file_validation():
 
 
 # ---------------------------------------------------------------------------
-# penalty term
-# ---------------------------------------------------------------------------
-
-def test_penalty_zero_strength_is_zero_operator():
-    op = penalty_term(3, PenaltyConfig(0.0))
-    assert len(op) == 0
-
-
-def test_penalty_spectrum_two_qubits():
-    op = penalty_term(2, PenaltyConfig(2.0))
-    w, v = np.linalg.eigh(op.to_dense())
-    assert np.allclose(w, [0, 0, 2, 2], atol=1e-12)
-    bell = (np.array([1, 0, 0, 1]) / np.sqrt(2))
-    assert np.linalg.norm(op.apply(bell)) < 1e-12
-
-
-def test_penalty_shifts_only_odd_levels():
-    n, alpha = 4, 3.0
-    _, h_f = ising_endpoints(n, "periodic")
-    base = h_f.to_dense()
-    shifted = (h_f + penalty_term(n, alpha)).to_dense()
-    pmat = OperatorSum(n, [PauliString(n, ("X",) * n)]).to_dense()
-    w0, v0 = np.linalg.eigh(base)
-    # H_F commutes with the parity string, so use common eigenvectors
-    expected = []
-    for i in range(1 << n):
-        vec = v0[:, i]
-        p = vec @ pmat @ vec
-        if abs(p) < 0.99:  # degenerate cluster: split by parity first
-            continue
-        expected.append(w0[i] + (alpha if p < 0 else 0.0))
-    w1 = np.linalg.eigvalsh(shifted)
-    # compare the full multisets after resolving degenerate parity pairs
-    got = sorted(np.round(w1, 9))
-    want = []
-    for val in sorted(set(np.round(w0, 9))):
-        idx = [i for i in range(1 << n) if abs(w0[i] - val) < 1e-9]
-        block = v0[:, idx]
-        pw = np.linalg.eigvalsh(block.T @ pmat @ block)
-        for p in pw:
-            want.append(val + (alpha if p < 0 else 0.0))
-    assert np.allclose(got, sorted(np.round(want, 9)), atol=1e-9)
-
-
-def test_penalty_validation():
-    with pytest.raises(ValueError):
-        PenaltyConfig(-1.0)
-    with pytest.raises(ValueError):
-        penalty_term(2, -0.5)
-
-
-# ---------------------------------------------------------------------------
 # interpolation paths
 # ---------------------------------------------------------------------------
 
@@ -442,7 +388,6 @@ def test_model_hamiltonians_are_exactly_symmetric():
     ops = [ising_step_hamiltonian(6, k) for k in (0, 3, 6)]
     ops += [cluster1d_step_hamiltonian(6, k) for k in (0, 3, 5)]
     ops.append(cluster_hamiltonian(grid_lattice(2, 3)))
-    ops.append(penalty_term(5, 1.5))
     for op in ops:
         mat = op.to_dense()
         assert np.abs(mat - mat.T).max() == 0.0

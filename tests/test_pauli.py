@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from stepgap.pauli import (
     GateSpec,
@@ -351,7 +351,6 @@ def projector_sums(draw):
     return op, oracle, rng.standard_normal(1 << n), count, other, s
 
 
-@settings(deadline=None)
 @given(projector_sums())
 def test_projector_sum_matches_dense_oracle(case):
     op, oracle, psi, count, other, s = case

@@ -12,9 +12,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, strategies as st
 
-from stepgap.pauli import OperatorSum, PauliString, blend
+from stepgap.pauli import OperatorSum, PauliString, blend, parity_symmetric
+from stepgap.spectra import sector_levels
 
 _PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -99,6 +101,26 @@ def sums_with_state(draw):
     return op, psi / np.linalg.norm(psi)
 
 
+def _even_zy(factors):
+    """`factors` with its first factor swapped (I<->Z, X<->Y) when it holds
+    an odd number of Z and Y factors, so the string commutes with X^n."""
+    if sum(f in "YZ" for f in factors) % 2:
+        factors = ("ZYXI"["IXYZ".index(factors[0])],) + factors[1:]
+    return factors
+
+
+@st.composite
+def symmetric_sums(draw):
+    """Random parity-symmetric Pauli sums on 2-8 qubits, plus one string
+    with an odd number of Z and Y factors."""
+    n = draw(st.integers(2, 8))
+    factors = st.tuples(*[st.sampled_from("IXYZ")] * n)
+    terms = draw(st.lists(st.tuples(factors.map(_even_zy), coefficients),
+                          max_size=12))
+    odd = draw(factors.filter(lambda f: sum(x in "YZ" for x in f) % 2))
+    return OperatorSum(n, [PauliString(n, f, c) for f, c in terms]), odd
+
+
 @st.composite
 def sum_pairs(draw):
     n = draw(st.integers(1, 8))
@@ -110,7 +132,6 @@ def sum_pairs(draw):
 # properties
 # ---------------------------------------------------------------------------
 
-@settings(deadline=None)
 @given(pauli_sums())
 def test_to_dense_equals_kron_reference_exactly(op):
     got = op.to_dense()
@@ -119,7 +140,6 @@ def test_to_dense_equals_kron_reference_exactly(op):
     assert np.array_equal(got, want)
 
 
-@settings(deadline=None)
 @given(sums_with_state())
 def test_apply_matches_per_term_reference(case):
     op, psi = case
@@ -129,7 +149,6 @@ def test_apply_matches_per_term_reference(case):
     assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
-@settings(deadline=None)
 @given(sum_pairs())
 def test_blend_of_compiled_forms_equals_compiled_blend(case):
     op_a, op_b, s = case
@@ -148,6 +167,33 @@ def test_blend_of_compiled_forms_equals_compiled_blend(case):
             assert np.array_equal(gather, np.arange(dim) ^ flip)
         else:
             assert gather is None
+
+
+@given(symmetric_sums())
+def test_parity_blocks_match_kron_reference(case):
+    op, odd = case
+    n, half = op.n, 1 << (op.n - 1)
+    full = reference_dense(op)
+    parity = reference_dense(OperatorSum(n, [PauliString(n, ("X",) * n)]))
+    levels = []
+    for sector, sign in (("even", 1), ("odd", -1)):
+        block = op.parity_block(sign)
+        assert np.abs(block.to_dense()
+                      - reference_dense(OperatorSum(n - 1, block.terms))
+                      ).max(initial=0.0) < 1e-12
+        res = sector_levels(op, sector, count=half)
+        vecs = res.eigenvectors
+        assert np.abs(parity @ vecs - sign * vecs).max() < 1e-12
+        assert np.abs(full @ vecs - vecs * res.eigenvalues).max() < 1e-10
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(half), atol=1e-10)
+        levels += list(res.eigenvalues)
+    assert np.abs(np.sort(levels) - np.linalg.eigvalsh(full)).max() < 1e-10
+    with pytest.raises(ValueError):
+        sector_levels(op, "even", count=half + 1)
+    bad = op + PauliString(n, odd, 0.5)
+    assert parity_symmetric(op) and not parity_symmetric(bad)
+    with pytest.raises(ValueError):
+        bad.parity_block(1)
 
 
 def test_pauli_string_apply_matches_reference():

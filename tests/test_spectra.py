@@ -144,6 +144,35 @@ def test_sector_levels_even_requests_enough():
     assert np.allclose(res.eigenvalues, [-5.0, -1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_sector_levels_is_one_block_solve_with_every_even_level(n,
+                                                                monkeypatch):
+    import stepgap.spectra as spectra
+    solves = []
+    solve = spectra.lowest_eigenpairs
+
+    def counted(op, count, **kwargs):
+        solves.append((op.n, count))
+        return solve(op, count, **kwargs)
+
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", counted)
+    path = make_path("ising-stepwise", n=n)
+    half = 1 << (n - 1)
+    for s in (0.5 / n, 0.37, 0.55):
+        op = path.at_progress(s)
+        res = sector_levels(op, "even", count=6)
+        # H on span{|z> + |~z>}: rows and columns of H + H X^n with the
+        # leading bit clear
+        full = op.to_dense()
+        even = np.linalg.eigvalsh((full + full[:, ::-1])[:half, :half])
+        assert np.abs(res.eigenvalues - even[:6]).max() < 1e-9
+        vecs = res.eigenvectors
+        assert np.abs(vecs[::-1] - vecs).max() < 1e-12
+        assert np.abs(np.column_stack([op.apply(v) for v in vecs.T])
+                      - vecs * res.eigenvalues).max() < 1e-8
+    assert solves == [(n - 1, 6)] * 3
+
+
 # ---------------------------------------------------------------------------
 # golden-section refinement
 # ---------------------------------------------------------------------------
