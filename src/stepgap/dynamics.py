@@ -108,8 +108,12 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float,
                 break
         betas.append(beta)
         vecs.append(w / beta)
-    basis = np.column_stack(vecs)
-    return norm0 * (basis @ coeff)
+    # one vector at a time: the matrix product is a threaded BLAS call at
+    # 2^12 amplitudes, which doubles the CPU time and waits on a busy core
+    out = coeff[0] * vecs[0]
+    for c, v in zip(coeff[1:], vecs[1:]):
+        out += c * v
+    return norm0 * out
 
 
 def _propagate(path: InterpolationPath, psi0: np.ndarray,

@@ -185,12 +185,6 @@ class SolutionCountChain:
         if any(b > a for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError("counts must be non-increasing")
 
-    @property
-    def reduction_factors(self) -> np.ndarray:
-        counts = np.asarray(self.counts, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return counts[1:] / counts[:-1]
-
 
 def solution_counts(instance: Ec3Instance,
                     order: Sequence[int] | None = None) -> SolutionCountChain:
