@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="6,8,10")
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--kappa-max", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -15,6 +15,10 @@ Conventions used throughout the package:
   two operators all read this compiled form.
 * A Pauli sum that commutes with the bit-flip string has two parity
   blocks, sums on n - 1 qubits folded from its compiled form.
+* :func:`taper` finds a maximal commuting set of Pauli strings that commute
+  with every term and maps them by a Clifford to single-qubit Z's; the
+  mapped sum is block diagonal, and the blocks' spectra together are the
+  full spectrum (:meth:`Tapering.spectrum`).
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
   vectors and weights.
@@ -386,6 +390,149 @@ def conjugate(op: OperatorSum, gate: GateSpec) -> OperatorSum:
         out.append(PauliString(op.n, tuple(factors),
                                sign * term.coefficient))
     return OperatorSum(op.n, out)
+
+
+def _anticommute(u: int, v: int, n: int) -> int:
+    """1 when the strings with symplectic rows u, v = ``x << n | z``
+    anticommute, else 0."""
+    low = (1 << n) - 1
+    return (((u >> n) & v).bit_count() + (u & low & (v >> n)).bit_count()) & 1
+
+
+def _null_space(rows: list[int], width: int) -> dict[int, int]:
+    """GF(2) kernel {v : popcount(row & v) even for every row} of
+    `width`-bit vectors, as ``{free bit: basis vector}``; basis vector f is
+    the only one with free bit f set."""
+    pivots: dict[int, int] = {}  # pivot bit -> row, reduced on every pivot
+    for row in rows:
+        for bit, piv in pivots.items():
+            if row >> bit & 1:
+                row ^= piv
+        if row:
+            top = row.bit_length() - 1
+            pivots = {bit: piv ^ row if piv >> top & 1 else piv
+                      for bit, piv in pivots.items()}
+            pivots[top] = row
+    return {free: (1 << free) | sum(1 << bit for bit, piv in pivots.items()
+                                    if piv >> free & 1)
+            for free in range(width) if free not in pivots}
+
+
+def _commuting_subset(vectors: list[int], n: int) -> list[int]:
+    """Symplectic Gram-Schmidt: each vector in turn is kept, the first later
+    one w it anticommutes with is dropped, and w is added to every other
+    later one that anticommutes with it.  Each step keeps one vector of a
+    pair and leaves the rank of the form on the rest two lower, so
+    independent input gives an independent commuting set of the largest
+    size, which holds the whole radical."""
+    rest, kept = list(vectors), []
+    while rest:
+        v = rest.pop(0)
+        w = next((u for u in rest if _anticommute(v, u, n)), None)
+        if w is not None:
+            rest.remove(w)
+            rest = [u ^ w if _anticommute(u, v, n) else u for u in rest]
+        kept.append(v)
+    return kept
+
+
+@dataclass(frozen=True)
+class Tapering:
+    """A Pauli sum with its commuting Pauli symmetries tapered off (Bravyi,
+    Gambetta, Mezzacapo & Temme, arXiv:1701.08213).
+
+    `generators` are independent Pauli strings that commute with each other
+    and with every term, ``X^n`` first when it is one of the symmetries.
+    `operator` is the sum under a Clifford map C of H, S and CNOT gates and
+    a qubit reordering that takes generator j to ``+-Z_j``, so with
+    r = len(generators) none of its terms flips qubits 1..r: it is block
+    diagonal, one block of dimension 2^(n-r) per value of those qubits.
+    """
+
+    generators: tuple[PauliString, ...]
+    operator: OperatorSum
+
+    def spectrum(self) -> np.ndarray:
+        """All 2^n eigenvalues, ascending: one batched ``eigvalsh`` over the
+        stack of 2^r blocks.  A stack of more elements than a dense matrix
+        of :data:`DENSE_QUBIT_CAP` qubits is refused before it is
+        allocated."""
+        op, r = self.operator, len(self.generators)
+        dim = 1 << (op.n - r)
+        if (1 << op.n) * dim > 4 ** DENSE_QUBIT_CAP:
+            raise ValueError(
+                f"tapered spectrum refused: {1 << r} blocks of {dim} x {dim} "
+                f"exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
+        stack = np.zeros((1 << r, dim, dim),
+                         dtype=float if op.is_real else complex)
+        rows = np.arange(dim)
+        for flip, _, amp in op._compiled():
+            # flip < dim: no term flips a tapered (leading) qubit
+            stack[:, rows, rows ^ flip] = np.broadcast_to(
+                amp, (1 << op.n,)).reshape(1 << r, dim)
+        return np.sort(np.linalg.eigvalsh(stack), axis=None)
+
+
+def taper(op: OperatorSum) -> Tapering:
+    """The :class:`Tapering` of a Pauli sum.
+
+    Each term is a symplectic row ``(x|z)``; the strings that commute with
+    every term form the GF(2) kernel of those rows, reduced to a commuting
+    set by symplectic Gram-Schmidt with ``X^n`` first when it is in the
+    kernel.  Generators and terms are then carried through H, S and CNOT
+    gates in the form ``i^q X^x Z^z`` (tableau as in Aaronson & Gottesman,
+    PRA 70, 052328, 2004): H swaps x and z and adds 2 to q where both are
+    set, S adds x to z and to q, and CNOT changes no phase.
+    """
+    n, terms = op.n, op.terms
+    low, xall = (1 << n) - 1, ((1 << n) - 1) << n
+    packed = [flip << n | zmask for flip, zmask in map(PauliString.masks,
+                                                        terms)]
+    kernel = _null_space([(v & low) << n | v >> n for v in packed], 2 * n)
+    vectors = list(kernel.values())
+    if not any(_anticommute(v, xall, n) for v in packed):
+        # X^n is the sum of the basis vectors of its free bits: swap one out
+        del kernel[next(f for f in kernel if xall >> f & 1)]
+        vectors = [xall, *kernel.values()]
+    generators = tuple(
+        PauliString(n, tuple("IXZY"[(g >> (2 * n - 1 - j) & 1)
+                                    + 2 * (g >> (n - 1 - j) & 1)]
+                             for j in range(n)))
+        for g in _commuting_subset(vectors, n))
+
+    r, strings = len(generators), generators + terms
+    chars = np.array([p.factors for p in strings],
+                     dtype="<U1").reshape(len(strings), n)
+    x, z = (chars == "X") | (chars == "Y"), (chars == "Z") | (chars == "Y")
+    q = np.count_nonzero(x & z, axis=1)
+    free, pivots = np.ones(n, dtype=bool), []
+    for i in range(r):
+        # generator i has no X on earlier pivots; S turns its free Y into X
+        # and H its free X into Z, so it is a Z string
+        ys = free & x[i] & z[i]
+        q += x[:, ys].sum(axis=1)
+        z[:, ys] ^= x[:, ys]
+        xs = free & x[i]
+        q += 2 * (x[:, xs] & z[:, xs]).sum(axis=1)
+        x[:, xs], z[:, xs] = z[:, xs], x[:, xs]
+        # CNOT(t -> p) clears its Z on every other qubit t
+        p = int(np.flatnonzero(free & z[i])[0])
+        others = z[i].copy()
+        others[p] = False
+        x[:, p] ^= np.logical_xor.reduce(x[:, others], axis=1)
+        z[:, others] ^= z[:, [p]]
+        free[p] = False
+        pivots.append(p)
+
+    order = pivots + list(np.flatnonzero(free))
+    x, z = x[r:, order], z[r:, order]
+    # i^q X^x Z^z is i^(q - y) times the string with y = popcount(x & z)
+    # factors Y, and i^(q - y) is +-1 for a Hermitian string
+    signs = 1 - (q[r:] - np.count_nonzero(x & z, axis=1)) % 4
+    letters = np.array(tuple("IXZY"))[x + 2 * z]
+    return Tapering(generators, OperatorSum(n, [
+        PauliString(n, tuple(row.tolist()), sign * term.coefficient)
+        for row, sign, term in zip(letters, signs.tolist(), terms)]))
 
 
 @dataclass(frozen=True, eq=False)

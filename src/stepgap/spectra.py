@@ -212,9 +212,9 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
     ``all`` solves the full space, labelled by :func:`classify_sectors`
     when vectors are wanted; ``even`` and ``odd`` solve the parity block
     (:meth:`~stepgap.pauli.OperatorSum.parity_block`) once and lift its
-    vectors.  A count above the block dimension 2^(n-1) and a
-    :class:`~stepgap.pauli.ProjectorSum` raise ValueError, a Pauli sum that
-    does not commute with the bit flip :class:`ConvergenceError`.
+    vectors.  A count above the block dimension 2^(n-1), a
+    :class:`~stepgap.pauli.ProjectorSum` and a Pauli sum that does not
+    commute with the bit flip raise ValueError before any solve.
     """
     if sector == "all":
         res = lowest_eigenpairs(op, min(count, 1 << op.n),
@@ -227,8 +227,8 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
         raise ValueError(f"no {sector} sector for a projector sum, whose "
                          f"levels are not parity eigenstates; use 'all'")
     if not parity_symmetric(op):
-        raise ConvergenceError(f"no {sector} sector: the operator does not "
-                               f"commute with the bit flip")
+        raise ValueError(f"no {sector} sector: the operator does not "
+                         f"commute with the bit flip")
     sign = 1 if sector == "even" else -1
     res = lowest_eigenpairs(op.parity_block(sign), count,
                             want_vectors=want_vectors, method=method,

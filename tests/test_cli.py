@@ -270,19 +270,28 @@ def test_verify_small_first_step(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_level_check_above_dense_cap(capsys):
+    # 16 qubits: the tapered blocks are 2 x 2, the dense route refused
+    code, out, _ = run_cli(capsys, "verify", "--check", "ising-mid-step",
+                           "--n-list", "16", "--points", "3")
+    assert code == EXIT_OK
+    assert out.startswith("PASS ising-mid-step n=16")
+
+
 def test_missing_family_param_is_config_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--family", "ising-linear")
     assert code == EXIT_CONFIG
     assert "needs --n" in err
 
 
-def test_even_sector_hunt_without_symmetry_is_numeric_error(tmp_path, capsys):
-    # cluster blends break bit-flip symmetry, so an even-sector scan cannot
-    # find two even levels and must exit with the non-convergence code
-    from stepgap.cli import EXIT_NUMERIC
+def test_even_sector_hunt_without_symmetry_is_config_error(tmp_path, capsys):
+    # cluster blends break bit-flip symmetry, so an even sector is refused
+    # before any solve, as a configuration error
     out_file = tmp_path / "gaps.csv"
     code, _, err = run_cli(capsys, "gap-scan", "--family",
                            "cluster1d-stepwise", "--n", "4", "--points", "5",
                            "--sector", "even", "--out", str(out_file))
-    assert code == EXIT_NUMERIC
-    assert "non-convergence" in err
+    assert code == EXIT_CONFIG
+    assert "no even sector: the operator does not commute with the bit flip" \
+        in err
+    assert not out_file.exists()

@@ -4,7 +4,10 @@
 `reference_apply` (one index permutation and sign vector per term, on every
 call) are the straightforward implementations the compiled flip-mask form
 replaced.  They share no code with it, so the comparisons below check the
-compiled `apply`, `to_dense` and `blend` independently.
+compiled `apply`, `to_dense` and `blend` independently.  The tapering of
+`stepgap.pauli.taper` is checked the same way: the spectra of its blocks
+against `eigvalsh` of `reference_dense`, its generators by counting where
+two strings differ and by a GF(2) rank of their own.
 """
 
 import sys
@@ -15,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepgap.pauli import OperatorSum, PauliString, blend, parity_symmetric
+from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
+                           conjugate, parity_symmetric, taper)
 from stepgap.spectra import sector_levels
 
 _PAULI_MATRICES = {
@@ -121,6 +125,61 @@ def symmetric_sums(draw):
     return OperatorSum(n, [PauliString(n, f, c) for f, c in terms]), odd
 
 
+def strings_commute(a, b) -> bool:
+    """Pauli strings commute when they differ, both non-identity, on an
+    even number of qubits."""
+    return sum(p != "I" != q and p != q for p, q in zip(a, b)) % 2 == 0
+
+
+@st.composite
+def planted_symmetry_sums(draw):
+    """Random Pauli sums on 1-8 qubits, Y factors included: generic ones,
+    ones whose terms commute with X^n, and ones built with I or Z on k
+    qubits (k planted Z symmetries) that are then scrambled by a random
+    relabelling of X, Y, Z per qubit and random CNOT conjugations."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(("generic", "bit-flip", "planted")))
+    k = draw(st.integers(1, n)) if mode == "planted" else 0
+    factors = st.tuples(*[st.sampled_from("IZ")] * k,
+                        *[st.sampled_from("IXYZ")] * (n - k))
+    if mode == "bit-flip":
+        factors = factors.map(_even_zy)
+    terms = draw(st.lists(st.tuples(factors, coefficients), min_size=n,
+                          max_size=2 * n + 4))
+    op = OperatorSum(n, [PauliString(n, f, c) for f, c in terms])
+    if mode != "planted":
+        return op
+    perms = draw(st.lists(st.permutations("XYZ"), min_size=n, max_size=n))
+    op = OperatorSum(n, [PauliString(n, tuple(
+        f if f == "I" else perm["XYZ".index(f)]
+        for f, perm in zip(t.factors, perms)), t.coefficient)
+        for t in op.terms])
+    if n > 1:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+        for c, t in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]),
+                                  max_size=6)):
+            op = conjugate(op, GateSpec("CNOT", c, t))
+    return op
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of integer bit rows."""
+    rows, rank = [r for r in rows if r], 0
+    while rows:
+        pivot = max(rows)
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def symplectic_row(p: PauliString) -> int:
+    """The string as the bit row (x|z)."""
+    return int("".join("1" if f in "XY" else "0" for f in p.factors)
+               + "".join("1" if f in "YZ" else "0" for f in p.factors), 2)
+
+
 @st.composite
 def sum_pairs(draw):
     n = draw(st.integers(1, 8))
@@ -194,6 +253,30 @@ def test_parity_blocks_match_kron_reference(case):
     assert parity_symmetric(op) and not parity_symmetric(bad)
     with pytest.raises(ValueError):
         bad.parity_block(1)
+
+
+@given(planted_symmetry_sums())
+def test_tapered_blocks_hold_the_full_spectrum(op):
+    tapering = taper(op)
+    gens, r = tapering.generators, len(tapering.generators)
+    want = np.linalg.eigvalsh(reference_dense(op))
+    got = tapering.spectrum()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-10
+    assert gf2_rank(symplectic_row(g) for g in gens) == r
+    assert all(strings_commute(a.factors, b.factors)
+               for a in gens for b in gens + op.terms)
+    # maximal: the largest commuting set of symmetries has n - rank(C)/2
+    # members, C the GF(2) matrix of which terms anticommute
+    anti = [sum(1 << j for j, b in enumerate(op.terms)
+                if not strings_commute(a.factors, b.factors))
+            for a in op.terms]
+    assert r == op.n - gf2_rank(anti) // 2
+    xall = ("X",) * op.n
+    if all(strings_commute(xall, t.factors) for t in op.terms):
+        assert gens[0].factors == xall
+    assert all(f in "IZ" for t in tapering.operator.terms
+               for f in t.factors[:r])
 
 
 def test_pauli_string_apply_matches_reference():
