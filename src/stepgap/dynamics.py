@@ -8,9 +8,12 @@ is stable, which pins the observable accuracy without committing to a step
 size.  Krylov exponentials are unitary up to orthogonalization error, so
 the norm is conserved to near machine precision.
 
-There is one propagation route at every size: each exponential applies
-the segment blend (:func:`stepgap.pauli.blend`) matrix-free, which for Pauli
-sums is the compiled flip-mask form; no dense matrix is built.
+Each exponential applies the segment blend (:func:`stepgap.pauli.blend`)
+matrix-free and stops its Krylov space on an a-priori bound.  A path whose
+operators all commute with the bit flip, started in a state of definite
+parity, is propagated in that parity block
+(:meth:`~stepgap.pauli.OperatorSum.parity_block`) at half the dimension;
+any other runs the same loop at the full dimension.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 
 from .models import InterpolationPath
-from .pauli import (blend, n_qubits, parity_expectation, parity_symmetric,
-                    uniform_superposition)
+from .pauli import (blend, n_qubits, parity_expectation, parity_fold,
+                    parity_lift, parity_symmetric, uniform_superposition)
 from .spectra import ConvergenceError, sector_ground_state
 
 #: Initial substep density (substeps per unit time) before refinement.
 BASE_STEPS_PER_TIME = 1.0
 
+#: Largest Krylov space of one exponential below the full dimension.
 KRYLOV_DIM_MAX = 48
 
 # Gauss nodes and weights of the two-exponential fourth-order scheme
@@ -74,46 +79,50 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float,
                        ) -> np.ndarray:
     """exp(-i dt H) psi via a Lanczos subspace with full reorthogonalization.
 
-    The subspace grows until the top Krylov coefficient of the exponential
-    falls below `tol`, so short steps stay cheap.
+    The next Krylov coefficient ``e_(k+1)^T exp(-i dt T) e_1`` of the Jacobi
+    matrix T is ``beta_1 ... beta_k`` times a divided difference of
+    exp(-i dt x), so at most ``sqrt(2) beta_1 ... beta_k |dt|^k / k!``
+    (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  The space
+    stops at k vectors once that bound is below `tol`: one multiply per
+    iteration and one tridiagonal ``eigh`` per call.  Missing the bound with
+    `m` vectors, fewer than the dimension, raises :class:`ConvergenceError`.
     """
     dim = len(psi)
-    m = min(m, dim)
-    norm0 = np.linalg.norm(psi)
-    vecs = [psi / norm0]
+    norm0 = dznrm2(psi)
+    vecs = [np.asarray(psi, dtype=complex) / norm0]
     alphas: list[float] = []
     betas: list[float] = []
-    coeff = None
-    for j in range(m):
-        w = matvec(vecs[j])
-        alpha = float(np.real(np.vdot(vecs[j], w)))
+    bound = np.sqrt(2.0)
+    # level-1 BLAS on one basis vector at a time, in place: single-threaded
+    # below about 10^4 amplitudes, whereas a matrix product over the basis
+    # is a threaded call at 2^12 amplitudes that waits on a busy core
+    for j in range(min(m, dim)):
+        v = vecs[j]
+        w = matvec(v)
+        alpha = zdotc(v, w).real
         alphas.append(alpha)
-        w = w - alpha * vecs[j]
-        if j > 0:
-            w = w - betas[-1] * vecs[j - 1]
-        # reorthogonalize; the subspaces here are small
-        for v in vecs:
-            w = w - np.vdot(v, w) * v
-        beta = float(np.linalg.norm(w))
-        happy = beta < 1e-13
-        if happy or j == m - 1 or j >= 3:
-            k = len(vecs)
-            tri = np.diag(np.array(alphas[:k]))
-            if k > 1:
-                off = np.array(betas[:k - 1])
-                tri += np.diag(off, 1) + np.diag(off, -1)
-            w_t, u_t = np.linalg.eigh(tri)
-            coeff = u_t @ (np.exp(-1j * dt * w_t) * u_t[0, :].conj())
-            if happy or j == m - 1 or abs(coeff[-1]) < tol:
-                break
+        w = zaxpy(v, w, a=-alpha)
+        if j:
+            w = zaxpy(vecs[j - 1], w, a=-betas[-1])
+        for u in vecs:
+            w = zaxpy(u, w, a=-zdotc(u, w))
+        beta = dznrm2(w)
+        bound *= beta * abs(dt) / (j + 1)
+        if beta < 1e-13 or bound < tol or j + 1 == dim:
+            break
         betas.append(beta)
-        vecs.append(w / beta)
-    # one vector at a time: the matrix product is a threaded BLAS call at
-    # 2^12 amplitudes, which doubles the CPU time and waits on a busy core
+        vecs.append(zdscal(1.0 / beta, w))
+    else:
+        raise ConvergenceError(
+            f"Krylov exponential missed tolerance {tol} with {m} vectors "
+            f"(dt={dt}, dimension {dim})")
+    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    w_t, u_t = np.linalg.eigh(tri)
+    coeff = norm0 * (u_t @ (np.exp(-1j * dt * w_t) * u_t[0]))
     out = coeff[0] * vecs[0]
     for c, v in zip(coeff[1:], vecs[1:]):
-        out += c * v
-    return norm0 * out
+        out = zaxpy(v, out, a=c)
+    return out
 
 
 def _propagate(path: InterpolationPath, psi0: np.ndarray,
@@ -145,6 +154,16 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
     return psi, total_steps, parity_range
 
 
+def _parity_sign(path: InterpolationPath, psi0: np.ndarray) -> int | None:
+    """+1 or -1 when every operator of the path commutes with the bit flip
+    and ``psi0 == sign * psi0[::-1]`` to 1e-12, else None."""
+    if path.n > 1 and all(map(parity_symmetric, path.operators)):
+        for sign in (1, -1):
+            if np.max(np.abs(psi0 - sign * psi0[::-1])) <= 1e-12:
+                return sign
+    return None
+
+
 def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
            accuracy: float = 1e-6, target: np.ndarray | None = None,
            track_parity: bool = False, max_refinements: int = 12
@@ -170,11 +189,23 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     run = path.rescaled(tau)
     steps = [max(1, int(np.ceil(d * BASE_STEPS_PER_TIME)))
              for d in run.durations]
+    sign = _parity_sign(run, psi0)
+    start = psi0
+    if sign is not None:
+        run = InterpolationPath(
+            tuple(op.parity_block(sign) for op in run.operators),
+            run.durations, run.family)
+        start = parity_fold(psi0)
     prev_state = None
     prev_metric = None
     for refinement in range(max_refinements + 1):
         psi, step_count, parity_range = _propagate(
-            run, psi0, steps, track_parity)
+            run, start, steps, track_parity and sign is None)
+        if sign is not None:
+            # the block holds only states of parity `sign`
+            psi = parity_lift(psi, sign)
+            if track_parity:
+                parity_range = (float(sign), float(sign))
         if target is not None:
             metric = fidelity(psi, target)
         else:

@@ -14,7 +14,9 @@ Conventions used throughout the package:
   The matrix-free action, the dense matrix and the straight-line blend of
   two operators all read this compiled form.
 * A Pauli sum that commutes with the bit-flip string has two parity
-  blocks, sums on n - 1 qubits folded from its compiled form.
+  blocks, sums on n - 1 qubits folded from its compiled form;
+  :func:`parity_fold` and :func:`parity_lift` carry states of definite
+  parity to a block and back.
 * :func:`taper` finds a maximal commuting set of Pauli strings that commute
   with every term and maps them by a Clifford to single-qubit Z's; the
   mapped sum is block diagonal, and the blocks' spectra together are the
@@ -286,17 +288,34 @@ class OperatorSum:
                              "an operator that commutes with the bit flip")
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         amps: dict[int, np.ndarray | float | complex] = {}
-        for flip, _, amp in self._compiled():
+        gathers: dict[int, np.ndarray | None] = {0: None}
+        for flip, gather, amp in self._compiled():
             amp = amp[:half] if np.ndim(amp) else amp
             if flip & half:
                 flip, amp = flip ^ full, sign * amp
+            elif flip:
+                # i ^ flip keeps the leading bit: the gather's first half
+                gathers[flip] = gather[:half]
             amps[flip] = amps.get(flip, 0.0) + amp
         idx = np.arange(half)
-        groups = tuple((flip, idx ^ flip if flip else None, amp)
-                       for flip, amp in sorted(amps.items()))
+        groups = tuple((flip, gathers[flip] if flip in gathers else idx ^ flip,
+                        amp) for flip, amp in sorted(amps.items()))
         out = object.__new__(OperatorSum)
         out._init(self.n - 1, None, groups, lambda: _block_terms(self, sign))
         return out
+
+
+def parity_fold(psi: np.ndarray) -> np.ndarray:
+    """Block vector of a state of definite parity in the basis of
+    :meth:`OperatorSum.parity_block`: sqrt(2) times its first half."""
+    return np.sqrt(2.0) * psi[:len(psi) // 2]
+
+
+def parity_lift(phi: np.ndarray, sign: int) -> np.ndarray:
+    """The state of parity `sign` whose :func:`parity_fold` is `phi`,
+    ``(phi, sign * reversed phi) / sqrt(2)``; a 2-d `phi` lifts column by
+    column."""
+    return np.concatenate([phi, sign * phi[::-1]]) / np.sqrt(2.0)
 
 
 def _block_terms(op: OperatorSum, sign: int) -> tuple[PauliString, ...]:

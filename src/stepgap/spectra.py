@@ -32,7 +32,8 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
-from .pauli import DENSE_QUBIT_CAP, ProjectorSum, blend, parity_symmetric
+from .pauli import (DENSE_QUBIT_CAP, ProjectorSum, blend, parity_lift,
+                    parity_symmetric)
 
 #: Up to this dimension the dense solver is used even when not forced:
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
@@ -233,9 +234,8 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
     res = lowest_eigenpairs(op.parity_block(sign), count,
                             want_vectors=want_vectors, method=method,
                             seed=seed, **solver_kwargs)
-    phi = res.eigenvectors
-    vectors = None if phi is None \
-        else np.concatenate([phi, sign * phi[::-1]]) / np.sqrt(2.0)
+    vectors = None if res.eigenvectors is None \
+        else parity_lift(res.eigenvectors, sign)
     return SpectrumResult(res.eigenvalues, vectors, s=res.s,
                           sector_labels=(sector,) * count)
 

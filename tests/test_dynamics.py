@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stepgap import dynamics
 from stepgap.dynamics import (
     EvolutionResult,
     ScalingRow,
@@ -21,7 +22,7 @@ from stepgap.pauli import (
     ghz_state,
     uniform_superposition,
 )
-from stepgap.spectra import lowest_eigenpairs
+from stepgap.spectra import ConvergenceError, lowest_eigenpairs
 
 RNG = np.random.default_rng(23)
 
@@ -73,9 +74,130 @@ def test_krylov_step_small_dimension_exact():
     assert np.linalg.norm(got - want) < 1e-13
 
 
+def test_krylov_full_space_is_exact_at_any_step():
+    dim = 24
+    h = RNG.normal(size=(dim, dim))
+    h = 5.0 * (h + h.T)
+    psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    got = _krylov_expm_apply(lambda v: h @ v, psi, 3.0)
+    want = scipy.linalg.expm(-3j * h) @ psi
+    assert np.linalg.norm(got - want) < 1e-9
+
+
+def test_krylov_space_that_misses_the_bound_raises():
+    # dt * ||H|| ~ 10^3: 48 vectors of a 200-dimensional space cannot
+    # reach the bound, and a truncated exponential must not come back
+    dim = 200
+    h = RNG.normal(size=(dim, dim))
+    h = 5.0 * (h + h.T)
+    psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    with pytest.raises(ConvergenceError):
+        _krylov_expm_apply(lambda v: h @ v, psi, 10.0)
+
+
+def test_one_tridiagonal_eigh_per_exponential(monkeypatch):
+    calls = {"eigh": 0, "expm": 0}
+    eigh, expm = np.linalg.eigh, dynamics._krylov_expm_apply
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(dynamics, "_krylov_expm_apply",
+                        counted("expm", expm))
+    path = make_path("ising-stepwise", n=6)
+    evolve(path, uniform_superposition(6), tau=8.0, target=ghz_state(6))
+    assert calls["expm"] > 0
+    assert calls["eigh"] == calls["expm"]
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
+
+# (n, tau, fidelity, substeps) of `evolve --family ising-stepwise` at the
+# benchmark's sizes, as the full-dimension propagator computed them
+PINNED_RUNS = [(8, 60.0, 0.9953455539152419, 512),
+               (12, 10.0, 0.0016727047386910093, 96)]
+
+
+@pytest.mark.parametrize("n, tau, fid, steps", PINNED_RUNS)
+def test_stepwise_ising_runs_keep_their_counts(n, tau, fid, steps):
+    path = make_path("ising-stepwise", n=n)
+    psi0 = uniform_superposition(n)
+    res = evolve(path, psi0, tau, target=evolution_target(path, psi0),
+                 track_parity=True)
+    assert res.refinements == 3
+    assert res.step_count == steps
+    assert abs(res.fidelity - fid) < 1e-9
+    # the block holds only even states, so the parity is exact
+    assert res.parity_range == (1.0, 1.0)
+    assert res.norm_drift < 1e-12
+
+
+def _dense_cf4(path, psi0, steps):
+    """Fourth-order commutator-free propagation with scipy's expm of the
+    dense operators, ``exp(-i h (a1 H(t1) + a2 H(t2)))`` twice per substep
+    at the Gauss nodes t1, t2."""
+    node = np.sqrt(3.0) / 6.0
+    a_lo, a_hi = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, \
+        (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    psi = psi0.astype(complex)
+    for k, m in enumerate(steps):
+        h_a, h_b = (op.to_dense() for op in path.segment(k))
+        h = path.durations[k] / m
+        for j in range(m):
+            h1, h2 = ((1.0 - s) * h_a + s * h_b
+                      for s in ((j + 0.5 - node) / m, (j + 0.5 + node) / m))
+            psi = scipy.linalg.expm(-1j * h * (a_hi * h1 + a_lo * h2)) @ psi
+            psi = scipy.linalg.expm(-1j * h * (a_lo * h1 + a_hi * h2)) @ psi
+    return psi
+
+
+def _start_state(kind, n):
+    cat = np.zeros(1 << n)
+    cat[0] = 1.0 / np.sqrt(2.0)
+    cat[-1] = (1.0 if kind == "even" else -1.0) / np.sqrt(2.0)
+    if kind != "mixed":
+        return cat
+    psi = basis_state(n, 1) + 0.5 * uniform_superposition(n)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("start", ["even", "odd", "mixed"])
+@pytest.mark.parametrize("family, n", [("ising-linear", 6),
+                                       ("ising-stepwise", 6),
+                                       ("cluster1d-stepwise", 5)])
+def test_propagation_routes_match_dense_cf4(family, n, start, monkeypatch):
+    dims = set()
+    expm = dynamics._krylov_expm_apply
+
+    def recorded(matvec, psi, dt, *args, **kwargs):
+        dims.add(len(psi))
+        return expm(matvec, psi, dt, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_krylov_expm_apply", recorded)
+    path = make_path(family, n=n)
+    psi0 = _start_state(start, n)
+    tau = 4.0
+    res = evolve(path, psi0, tau, accuracy=1e-6, track_parity=True)
+    run = path.rescaled(tau)
+    steps = [int(np.ceil(d)) << res.refinements for d in run.durations]
+    assert res.step_count == sum(steps)
+    want = _dense_cf4(run, psi0, steps)
+    assert np.linalg.norm(res.final_state - want) < 1e-10
+    # only the Ising paths commute with the bit flip at every operator
+    block = family.startswith("ising") and start != "mixed"
+    assert dims == {1 << (n - 1) if block else 1 << n}
+    if block:
+        sign = 1.0 if start == "even" else -1.0
+        assert res.parity_range == (sign, sign)
+
 
 def test_stationary_state_keeps_unit_fidelity():
     n = 4

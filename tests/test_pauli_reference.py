@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
-                           conjugate, parity_symmetric, taper)
+                           conjugate, parity_fold, parity_lift,
+                           parity_symmetric, taper)
 from stepgap.spectra import sector_levels
 
 _PAULI_MATRICES = {
@@ -253,6 +254,21 @@ def test_parity_blocks_match_kron_reference(case):
     assert parity_symmetric(op) and not parity_symmetric(bad)
     with pytest.raises(ValueError):
         bad.parity_block(1)
+
+
+@given(symmetric_sums(), st.integers(0, 2**32 - 1), st.sampled_from((1, -1)))
+def test_fold_and_lift_carry_states_to_the_parity_block(case, seed, sign):
+    op, _ = case
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
+    psi = raw + sign * raw[::-1]
+    psi /= np.linalg.norm(psi)
+    assert np.abs(parity_lift(parity_fold(psi), sign) - psi).max() < 1e-15
+    phi = parity_fold(psi)
+    assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
+    got = parity_fold(op.apply(parity_lift(phi, sign)))
+    want = op.parity_block(sign).apply(phi)
+    assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
 @given(planted_symmetry_sums())
