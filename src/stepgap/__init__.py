@@ -34,7 +34,6 @@ from .spectra import (  # noqa: F401
     ConvergenceError,
     GapCurve,
     SpectrumResult,
-    classify_sectors,
     gap_scan,
     lowest_eigenpairs,
     min_gap_vs_n,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,25 +19,12 @@ from . import __version__, ec3, verify
 from .dynamics import evolve, evolution_target, runtime_for_fidelity
 from .models import PATH_FAMILIES, build_order_from_file, make_path
 from .pauli import uniform_superposition
-from .spectra import ConvergenceError, classify_sectors, gap_scan, \
-    lowest_eigenpairs
+from .spectra import ConvergenceError, gap_scan, sector_levels
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
-
-THREADS_ENV = "STEPGAP_THREADS"
-
-
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _fmt(x) -> str:
@@ -140,11 +126,11 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     path = _load_path(args)
     op = path.at_progress(args.s)
-    res = lowest_eigenpairs(op, args.count, want_vectors=True,
-                            method=args.method, seed=args.seed)
-    res = classify_sectors(res)
+    res = sector_levels(op, "all", args.count, method=args.method,
+                        seed=args.seed, want_vectors=False)
+    labels = res.sector_labels or ("all",) * args.count
     rows = [[i, float(w), lab] for i, (w, lab) in
-            enumerate(zip(res.eigenvalues, res.sector_labels))]
+            enumerate(zip(res.eigenvalues, labels))]
     wall = time.perf_counter() - t0
     if args.format == "json":
         _emit_json({"s": args.s, "levels": [
@@ -162,7 +148,7 @@ def cmd_gap_scan(args) -> int:
                          "--out is required")
     path = _load_path(args)
     curve = gap_scan(path, points=args.points, sector=args.sector,
-                     threads=args.threads, seed=args.seed)
+                     seed=args.seed)
     rows = [[float(s), float(g), float(l0), float(l1)]
             for s, g, l0, l1 in curve.samples]
     wall = time.perf_counter() - t0
@@ -283,7 +269,6 @@ def _add_common(p: argparse.ArgumentParser, family: bool = True) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping
 
@@ -44,10 +43,6 @@ COEFF_CUTOFF = 1e-15
 
 #: Phase ``i**y`` of a Pauli string with y factors Y, indexed by ``y % 4``.
 _Y_PHASES = (1.0, 1j, -1.0, -1j)
-
-# Guards the lazily built compiled forms and blend terms that gap-scan threads
-# share; reentrant, as blend terms are built from possibly lazy parents.
-_BUILD_LOCK = threading.RLock()
 
 
 def _bit(n: int, qubit: int) -> int:
@@ -170,10 +165,12 @@ class OperatorSum:
     that :meth:`apply` and :meth:`to_dense` read are compiled on first use
     and kept.  A :func:`blend` of two sums is built from their groups and
     canonicalizes its terms only when they are read.  Instances are
-    immutable and safe to share across threads.
+    immutable.  The package starts no threads; if a caller's threads race on
+    the first use of an operator, each compiles an equal tuple and publishes
+    it with a single attribute store.
     """
 
-    __slots__ = ("n", "_terms", "_groups", "_terms_of")
+    __slots__ = ("n", "_terms", "_groups", "_real", "_terms_of")
 
     def __init__(self, n: int, terms: Iterable[PauliString] = ()):
         merged: dict[tuple[str, ...], float] = {}
@@ -187,13 +184,14 @@ class OperatorSum:
             PauliString(n, factors, coeff)
             for factors, coeff in sorted(merged.items())
             if abs(coeff) > COEFF_CUTOFF)
-        self._init(n, canon, None, None)
+        self._init(n, canon, None, None, None)
 
-    def _init(self, n, terms, groups, terms_of) -> None:
+    def _init(self, n, terms, groups, terms_of, real) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_terms_of", terms_of)
+        object.__setattr__(self, "_real", real)
+        object.__setattr__(self, "_groups", groups)
 
     def __setattr__(self, *_):
         raise AttributeError("OperatorSum is immutable")
@@ -202,18 +200,17 @@ class OperatorSum:
     def terms(self) -> tuple[PauliString, ...]:
         """Canonical terms; for a blend or parity block, built when read."""
         if self._terms is None:
-            with _BUILD_LOCK:
-                if self._terms is None:
-                    object.__setattr__(self, "_terms", self._terms_of())
+            object.__setattr__(self, "_terms", self._terms_of())
         return self._terms
 
     def _compiled(self) -> tuple:
         """The flip-mask groups of :func:`_compile`, built once."""
         if self._groups is None:
-            with _BUILD_LOCK:
-                if self._groups is None:
-                    object.__setattr__(self, "_groups",
-                                       _compile(self.n, self.terms))
+            groups = _compile(self.n, self.terms)
+            # the flag first: whoever finds the groups finds the flag
+            object.__setattr__(self, "_real", not any(
+                np.iscomplexobj(amp) for _, _, amp in groups))
+            object.__setattr__(self, "_groups", groups)
         return self._groups
 
     def __eq__(self, other) -> bool:
@@ -250,7 +247,8 @@ class OperatorSum:
     @property
     def is_real(self) -> bool:
         """True when the dense matrix is real (every term has even Y count)."""
-        return not any(np.iscomplexobj(amp) for _, _, amp in self._compiled())
+        self._compiled()
+        return self._real
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Matrix-free, unnormalized ``H @ psi``: a gather-multiply-add per
@@ -258,9 +256,10 @@ class OperatorSum:
         if psi.shape != (1 << self.n,):
             raise ValueError(
                 f"state has shape {psi.shape}, expected ({1 << self.n},)")
-        complex_out = np.iscomplexobj(psi) or not self.is_real
+        groups = self._compiled()
+        complex_out = np.iscomplexobj(psi) or not self._real
         out = np.zeros(1 << self.n, dtype=complex if complex_out else float)
-        for _, gather, amp in self._compiled():
+        for _, gather, amp in groups:
             out += amp * (psi if gather is None else psi[gather])
         return out
 
@@ -301,7 +300,9 @@ class OperatorSum:
         groups = tuple((flip, gathers[flip] if flip in gathers else idx ^ flip,
                         amp) for flip, amp in sorted(amps.items()))
         out = object.__new__(OperatorSum)
-        out._init(self.n - 1, None, groups, lambda: _block_terms(self, sign))
+        # every group folds into the block, so it is complex when one is
+        out._init(self.n - 1, None, groups, lambda: _block_terms(self, sign),
+                  self._real)
         return out
 
 
@@ -652,7 +653,8 @@ def blend(op_a, op_b, s: float):
     out = object.__new__(OperatorSum)
     groups = tuple((flip, gathers[flip], amps[flip]) for flip in sorted(amps))
     out._init(op_a.n, None, groups,
-              lambda: ((1.0 - s) * op_a + s * op_b).terms)
+              lambda: ((1.0 - s) * op_a + s * op_b).terms,
+              op_a._real and op_b._real)
     return out
 
 

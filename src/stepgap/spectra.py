@@ -11,9 +11,10 @@ of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  An even or odd parity
 sector is solved by construction: a Pauli sum that commutes with the
 bit-flip string is restricted to its parity block of dimension 2^(n-1)
 (:meth:`~stepgap.pauli.OperatorSum.parity_block`), solved once for exactly
-the levels asked for, and its vectors lifted to the full space.  Operators
-without the symmetry, projector sums included, have no sectors;
-:func:`classify_sectors` labels full-space levels for ``sector="all"``.
+the levels asked for, and its vectors lifted to the full space.  The
+``"all"`` spectrum of such a sum merges the two blocks' levels, so every
+level carries its sector by construction.  Operators without the symmetry,
+projector sums included, have no sectors and are solved in the full space.
 
 Every operator along a path, at a global progress value or inside one
 segment (:func:`segment_minimum`), is a :func:`stepgap.pauli.blend` of the
@@ -23,8 +24,7 @@ route.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,11 +39,13 @@ from .pauli import (DENSE_QUBIT_CAP, ProjectorSum, blend, parity_lift,
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
 DENSE_SOLVE_DIM = 256
 
-#: Eigenvalues closer than this are treated as one degenerate cluster.
+#: Gap samples closer than this to the smallest one count as tied.
 DEGENERACY_TOL = 1e-8
 
-#: |<P>| above this labels a level even/odd; in between it is "mixed".
-PARITY_THRESHOLD = 0.99
+#: ARPACK Lanczos basis size (raised to 2k + 1 for large k) and iteration
+#: budget.
+ARPACK_NCV = 60
+ARPACK_MAXITER = 2000
 
 GOLDEN_XTOL = 1e-6
 
@@ -89,7 +91,6 @@ class GapCurve:
 
 def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
                       method: str = "auto", tol: float = 1e-9,
-                      krylov_dim: int = 60, maxiter: int = 2000,
                       seed: int = 0, s: float | None = None
                       ) -> SpectrumResult:
     """The `count` smallest eigenvalues of a Hermitian operator.
@@ -127,15 +128,15 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     linop = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=dtype)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
-    ncv = min(dim, max(krylov_dim, 2 * count + 1))
+    ncv = min(dim, max(ARPACK_NCV, 2 * count + 1))
     try:
         out = spla.eigsh(linop, k=count, which="SA", ncv=ncv, tol=tol,
-                         maxiter=maxiter, v0=v0,
+                         maxiter=ARPACK_MAXITER, v0=v0,
                          return_eigenvectors=want_vectors)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
-            f"Lanczos solver did not converge within {maxiter} iterations "
-            f"(dim {dim}, k {count})") from exc
+            f"Lanczos solver did not converge within {ARPACK_MAXITER} "
+            f"iterations (dim {dim}, k {count})") from exc
     if want_vectors:
         w, v = out
         order = np.argsort(w)
@@ -174,35 +175,16 @@ def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool,
     return SpectrumResult(w[:count], vectors, s=s)
 
 
-def classify_sectors(result: SpectrumResult,
-                     threshold: float = PARITY_THRESHOLD,
-                     cluster_tol: float = DEGENERACY_TOL) -> SpectrumResult:
-    """Label each level even/odd by its bit-flip expectation value.
-
-    Degenerate clusters are rotated into parity eigenstates first, so the
-    labels are stable under arbitrary mixing within a degenerate subspace.
-    Levels whose parity expectation stays below `threshold` in magnitude are
-    labelled ``mixed``, which signals a Hamiltonian without the symmetry.
-    """
-    if result.eigenvectors is None:
-        raise ValueError("sector classification needs eigenvectors")
-    w = result.eigenvalues
-    v = result.eigenvectors.copy()
-    labels: list[str] = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j + 1] - w[i] <= cluster_tol:
-            j += 1
-        block = v[:, i:j + 1]
-        pmat = block.conj().T @ block[::-1]  # the bit flip is a reversal
-        pmat = 0.5 * (pmat + pmat.conj().T)
-        pw, pv = np.linalg.eigh(pmat)
-        v[:, i:j + 1] = block @ pv
-        labels += ["even" if p > threshold else "odd" if p < -threshold
-                   else "mixed" for p in pw]
-        i = j + 1
-    return replace(result, eigenvectors=v, sector_labels=tuple(labels))
+def _block_levels(op, sector: str, count: int, want_vectors: bool,
+                  **solver_kwargs) -> SpectrumResult:
+    """The `count` lowest levels of one parity block, vectors lifted."""
+    sign = 1 if sector == "even" else -1
+    res = lowest_eigenpairs(op.parity_block(sign), count,
+                            want_vectors=want_vectors, **solver_kwargs)
+    vectors = None if res.eigenvectors is None \
+        else parity_lift(res.eigenvectors, sign)
+    return SpectrumResult(res.eigenvalues, vectors,
+                          sector_labels=(sector,) * count)
 
 
 def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
@@ -210,18 +192,35 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
                   **solver_kwargs) -> SpectrumResult:
     """The `count` lowest levels of a parity sector.
 
-    ``all`` solves the full space, labelled by :func:`classify_sectors`
-    when vectors are wanted; ``even`` and ``odd`` solve the parity block
+    ``even`` and ``odd`` solve the parity block
     (:meth:`~stepgap.pauli.OperatorSum.parity_block`) once and lift its
-    vectors.  A count above the block dimension 2^(n-1), a
-    :class:`~stepgap.pauli.ProjectorSum` and a Pauli sum that does not
-    commute with the bit flip raise ValueError before any solve.
+    vectors.  ``all`` of a Pauli sum on n >= 2 qubits that commutes with
+    the bit flip solves both blocks for min(count, 2^(n-1)) levels each and
+    merges them by value, even first on exact ties, so every level carries
+    its block's label; any other operator is solved once in the full space
+    and has ``sector_labels=None``.  A count outside the dimension of the
+    sector, a :class:`~stepgap.pauli.ProjectorSum` and a Pauli sum that does
+    not commute with the bit flip, the last two for ``even`` and ``odd``,
+    raise ValueError before any solve.
     """
+    solver_kwargs.update(method=method, seed=seed)
     if sector == "all":
-        res = lowest_eigenpairs(op, min(count, 1 << op.n),
-                                want_vectors=want_vectors, method=method,
-                                seed=seed, **solver_kwargs)
-        return classify_sectors(res) if want_vectors else res
+        if op.n < 2 or not parity_symmetric(op):
+            return lowest_eigenpairs(op, count, want_vectors=want_vectors,
+                                     **solver_kwargs)
+        dim = 1 << op.n
+        if not 1 <= count <= dim:
+            raise ValueError(f"count {count} outside 1..{dim}")
+        k = min(count, dim // 2)
+        even, odd = (_block_levels(op, block, k, want_vectors,
+                                   **solver_kwargs)
+                     for block in ("even", "odd"))
+        w = np.concatenate([even.eigenvalues, odd.eigenvalues])
+        order = np.argsort(w, kind="stable")[:count]
+        vectors = np.hstack([even.eigenvectors, odd.eigenvectors])[:, order] \
+            if want_vectors else None
+        return SpectrumResult(w[order], vectors, sector_labels=tuple(
+            "even" if i < k else "odd" for i in order))
     if sector not in ("even", "odd"):
         raise ValueError(f"unknown sector {sector!r}")
     if isinstance(op, ProjectorSum):
@@ -230,14 +229,7 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
     if not parity_symmetric(op):
         raise ValueError(f"no {sector} sector: the operator does not "
                          f"commute with the bit flip")
-    sign = 1 if sector == "even" else -1
-    res = lowest_eigenpairs(op.parity_block(sign), count,
-                            want_vectors=want_vectors, method=method,
-                            seed=seed, **solver_kwargs)
-    vectors = None if res.eigenvectors is None \
-        else parity_lift(res.eigenvectors, sign)
-    return SpectrumResult(res.eigenvalues, vectors, s=res.s,
-                          sector_labels=(sector,) * count)
+    return _block_levels(op, sector, count, want_vectors, **solver_kwargs)
 
 
 def sector_ground_state(op, sector: str = "even", **kwargs) -> np.ndarray:
@@ -292,9 +284,8 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
 
 
 def gap_scan(path: InterpolationPath, points: int = 200,
-             sector: str = "all", threads: int = 1,
-             method: str = "auto", seed: int = 0, **solver_kwargs
-             ) -> GapCurve:
+             sector: str = "all", method: str = "auto", seed: int = 0,
+             **solver_kwargs) -> GapCurve:
     """Gap between the two lowest (sector-resolved) levels along a path.
 
     Samples `points` uniformly spaced global-s values, then refines the
@@ -309,12 +300,7 @@ def gap_scan(path: InterpolationPath, points: int = 200,
         return sector_gap(op, sector, method=method, seed=seed,
                           **solver_kwargs)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_gap, grid))
-    else:
-        rows = [eval_gap(s) for s in grid]
-    samples = np.column_stack([grid, np.array(rows)])
+    samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
     return GapCurve(samples, sector, _refined_minimum(
         lambda s: eval_gap(s)[0], grid, samples[:, 1]))
 
@@ -341,14 +327,13 @@ def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",
 
 
 def min_gap_vs_n(family: str, n_list, sector: str = "even",
-                 points: int = 200, threads: int = 1, seed: int = 0,
+                 points: int = 200, seed: int = 0,
                  **path_kwargs) -> list[tuple[int, float]]:
     """Minimum path gap per system size, for scaling studies."""
     from .models import make_path
     out = []
     for n in n_list:
         path = make_path(family, n=n, **path_kwargs)
-        curve = gap_scan(path, points=points, sector=sector,
-                         threads=threads, seed=seed)
+        curve = gap_scan(path, points=points, sector=sector, seed=seed)
         out.append((int(n), float(curve.minimum[1])))
     return out

@@ -40,7 +40,7 @@ def test_spectrum_csv_stdout(capsys):
     assert len(rows) == 4
     vals = [float(r[1]) for r in rows]
     assert vals == sorted(vals)
-    assert {r[2] for r in rows} <= {"even", "odd", "mixed"}
+    assert {r[2] for r in rows} == {"even", "odd"}
     assert "# stepgap" in out and "# config" in out
 
 
@@ -57,6 +57,20 @@ def test_spectrum_json(tmp_path, capsys):
     assert levels[1]["eigenvalue"] == pytest.approx(-2.0, abs=1e-10)
 
 
+def test_cluster_spectrum_is_unlabelled_and_threads_flag_is_gone(tmp_path,
+                                                                 capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--family",
+                           "cluster1d-stepwise", "--n", "5", "--s", "0.3",
+                           "--count", "4")
+    assert code == EXIT_OK
+    _, rows = read_csv_rows(out)
+    assert len(rows) == 4 and all(r[2] == "all" for r in rows)
+    with pytest.raises(SystemExit) as exc:
+        main(["gap-scan", "--family", "ising-linear", "--n", "4",
+              "--threads", "2", "--out", str(tmp_path / "gaps.csv")])
+    assert exc.value.code == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # gap-scan
 # ---------------------------------------------------------------------------
@@ -65,7 +79,7 @@ def test_gap_scan_writes_csv_and_sidecar(tmp_path, capsys):
     out_file = tmp_path / "gaps.csv"
     code, _, _ = run_cli(capsys, "gap-scan", "--family", "ising-stepwise",
                          "--n", "4", "--points", "81", "--sector", "even",
-                         "--threads", "1", "--out", str(out_file))
+                         "--out", str(out_file))
     assert code == EXIT_OK
     header, rows = read_csv_rows(out_file.read_text())
     assert header == ["s", "gap", "lambda0", "lambda1"]
@@ -82,7 +96,7 @@ def test_gap_scan_refines_between_tied_boundary_samples(tmp_path, capsys):
     out_file = tmp_path / "gaps.csv"
     code, _, _ = run_cli(capsys, "gap-scan", "--family", "cluster2d-stepwise",
                          "--width", "3", "--height", "3", "--points", "9",
-                         "--threads", "1", "--out", str(out_file))
+                         "--out", str(out_file))
     assert code == EXIT_OK
     _, rows = read_csv_rows(out_file.read_text())
     assert all(float(r[1]) == pytest.approx(2.0, abs=1e-9) for r in rows)
@@ -103,7 +117,7 @@ def test_gap_scan_deterministic_output(tmp_path, capsys):
     for _ in range(2):
         code, _, _ = run_cli(capsys, "gap-scan", "--family", "ising-linear",
                              "--n", "4", "--points", "11", "--seed", "7",
-                             "--threads", "2", "--out", str(out_file))
+                             "--out", str(out_file))
         assert code == EXIT_OK
         files.append(out_file.read_text())
     assert strip_wall_clock(files[0]) == strip_wall_clock(files[1])

@@ -26,7 +26,7 @@ from stepgap.ec3 import (
 )
 from stepgap.models import make_path
 from stepgap.pauli import basis_state, blend, uniform_superposition
-from stepgap.spectra import classify_sectors, gap_scan, lowest_eigenpairs
+from stepgap.spectra import gap_scan, sector_levels
 
 RNG = np.random.default_rng(2024)
 
@@ -278,12 +278,13 @@ def test_projector_gap_scan_finds_unique_solution_ground_state():
         assert lam1 == pytest.approx(want[1], abs=1e-9)
 
 
-def test_projector_path_family_classifies_mixed():
+def test_projector_path_family_has_no_sector_labels():
     inst = Ec3Instance(4, ((1, 2, 3), (2, 3, 4)))
     path = make_path("ec3-projector", instance=inst)
     assert path.segment_count == 2
-    res = classify_sectors(lowest_eigenpairs(path.at_progress(0.5), 3))
-    assert "mixed" in res.sector_labels
+    res = sector_levels(path.at_progress(0.5), "all", count=3)
+    assert res.sector_labels is None
+    assert res.eigenvectors.shape == (16, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ against `eigvalsh` of `reference_dense`, its generators by counting where
 two strings differ and by a GF(2) rank of their own.
 """
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -216,6 +212,9 @@ def test_blend_of_compiled_forms_equals_compiled_blend(case):
     want = (1.0 - s) * op_a + s * op_b
     assert got.terms == want.terms
     groups_got, groups_want = flip_groups(got), flip_groups(want)
+    # is_real is carried over from the parents, not read off the groups
+    assert got.is_real == (not any(map(np.iscomplexobj,
+                                       groups_got.values())))
     # a flip group whose terms cancel is dropped from the canonical sum only
     assert set(groups_want) <= set(groups_got)
     for flip, amp in groups_got.items():
@@ -229,8 +228,8 @@ def test_blend_of_compiled_forms_equals_compiled_blend(case):
             assert gather is None
 
 
-@given(symmetric_sums())
-def test_parity_blocks_match_kron_reference(case):
+@given(symmetric_sums(), st.data())
+def test_parity_blocks_match_kron_reference(case, data):
     op, odd = case
     n, half = op.n, 1 << (op.n - 1)
     full = reference_dense(op)
@@ -238,6 +237,8 @@ def test_parity_blocks_match_kron_reference(case):
     levels = []
     for sector, sign in (("even", 1), ("odd", -1)):
         block = op.parity_block(sign)
+        assert block.is_real == (not any(map(np.iscomplexobj,
+                                             flip_groups(block).values())))
         assert np.abs(block.to_dense()
                       - reference_dense(OperatorSum(n - 1, block.terms))
                       ).max(initial=0.0) < 1e-12
@@ -247,13 +248,26 @@ def test_parity_blocks_match_kron_reference(case):
         assert np.abs(full @ vecs - vecs * res.eigenvalues).max() < 1e-10
         assert np.allclose(vecs.conj().T @ vecs, np.eye(half), atol=1e-10)
         levels += list(res.eigenvalues)
-    assert np.abs(np.sort(levels) - np.linalg.eigvalsh(full)).max() < 1e-10
+    want = np.linalg.eigvalsh(full)
+    assert np.abs(np.sort(levels) - want).max() < 1e-10
+    # the merged spectrum at a drawn count and at the full count 2^n
+    for count in (data.draw(st.integers(1, 2 * half)), 2 * half):
+        res = sector_levels(op, "all", count=count)
+        assert np.abs(res.eigenvalues - want[:count]).max() < 1e-10
+        signs = np.array([1 if lab == "even" else -1
+                          for lab in res.sector_labels])
+        assert np.abs(parity @ res.eigenvectors
+                      - res.eigenvectors * signs).max() < 1e-12
     with pytest.raises(ValueError):
         sector_levels(op, "even", count=half + 1)
     bad = op + PauliString(n, odd, 0.5)
     assert parity_symmetric(op) and not parity_symmetric(bad)
     with pytest.raises(ValueError):
         bad.parity_block(1)
+    res = sector_levels(bad, "all", count=2 * half)
+    assert res.sector_labels is None
+    assert np.abs(res.eigenvalues
+                  - np.linalg.eigvalsh(reference_dense(bad))).max() < 1e-10
 
 
 @given(symmetric_sums(), st.integers(0, 2**32 - 1), st.sampled_from((1, -1)))
@@ -301,34 +315,3 @@ def test_pauli_string_apply_matches_reference():
     psi = rng.normal(size=8)
     want = reference_apply(OperatorSum(3, [term]), psi)
     assert np.abs(term.apply(psi) - want).max() < 1e-15
-
-
-def test_compiled_form_built_once_across_threads():
-    """Threads racing on a fresh operator all see one compiled form."""
-    n = 8
-    rng = np.random.default_rng(11)
-    terms = [PauliString(n, tuple(rng.choice(list("IXYZ"), size=n)),
-                         float(rng.normal())) for _ in range(16)]
-    psi = rng.normal(size=1 << n)
-    want = reference_apply(OperatorSum(n, terms), psi)
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            op = OperatorSum(n, terms)
-            barrier = threading.Barrier(8)
-
-            def worker(_):
-                barrier.wait(timeout=10)
-                out = op.apply(psi)
-                return op._compiled(), out
-
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = [f.result(timeout=30)
-                           for f in [pool.submit(worker, i)
-                                     for i in range(8)]]
-            assert all(groups is results[0][0] for groups, _ in results)
-            for _, out in results:
-                assert np.abs(out - want).max() < 1e-12
-    finally:
-        sys.setswitchinterval(old_interval)

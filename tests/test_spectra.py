@@ -1,4 +1,4 @@
-"""Tests for eigensolvers, sector classification and gap scans."""
+"""Tests for eigensolvers, sector-labelled spectra and gap scans."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from stepgap.spectra import (
     GapCurve,
     SpectrumResult,
     _golden_minimize,
-    classify_sectors,
     gap_scan,
     lowest_eigenpairs,
     min_gap_vs_n,
@@ -95,13 +94,15 @@ def test_spectrum_result_requires_ascending():
 
 
 # ---------------------------------------------------------------------------
-# sector classification
+# sector labels of the "all" spectrum
 # ---------------------------------------------------------------------------
 
 def test_ground_doublet_splits_into_even_and_odd():
     _, h_f = ising_endpoints(4)
-    res = classify_sectors(lowest_eigenpairs(h_f, 4))
-    assert set(res.sector_labels[:2]) == {"even", "odd"}
+    res = sector_levels(h_f, "all", count=4)
+    # an exact tie between the blocks lists the even level first
+    assert res.eigenvalues[0] == res.eigenvalues[1]
+    assert res.sector_labels[:2] == ("even", "odd")
     even_idx = res.sector_labels.index("even")
     vec = res.eigenvectors[:, even_idx]
     overlap = abs(np.vdot(ghz_state(4), vec))
@@ -110,30 +111,15 @@ def test_ground_doublet_splits_into_even_and_odd():
 
 def test_uniform_superposition_is_even():
     h_i, _ = ising_endpoints(4)
-    res = classify_sectors(lowest_eigenpairs(h_i, 1))
+    res = sector_levels(h_i, "all", count=1)
     assert res.sector_labels == ("even",)
 
 
-def test_parity_breaking_operator_reports_mixed():
+def test_parity_breaking_operator_has_no_labels():
     op = OperatorSum(2, [PauliString.from_ops(2, {1: "Z"}, -1.0)])
-    res = classify_sectors(lowest_eigenpairs(op, 2))
-    assert "mixed" in res.sector_labels
-
-
-def test_labels_stable_under_solver_seed():
-    h = blend(*make_path("ising-stepwise", n=6).segment(2), 0.4)
-    multisets = []
-    for seed in (0, 1, 2):
-        res = classify_sectors(lowest_eigenpairs(h, 6, method="lanczos",
-                                                 seed=seed, tol=1e-11))
-        multisets.append(sorted(res.sector_labels))
-    assert multisets[0] == multisets[1] == multisets[2]
-
-
-def test_classification_requires_vectors():
-    res = lowest_eigenpairs(ising_endpoints(3)[0], 2, want_vectors=False)
-    with pytest.raises(ValueError):
-        classify_sectors(res)
+    res = sector_levels(op, "all", count=2)
+    assert res.sector_labels is None
+    assert np.allclose(res.eigenvalues, [-1.0, -1.0])
 
 
 def test_sector_levels_even_requests_enough():
@@ -196,14 +182,6 @@ def test_gap_scan_linear_ising_minimum():
     assert g_min == pytest.approx(pair_gap_even(n, 0.5), abs=1e-7)
     assert isinstance(curve, GapCurve)
     assert curve.samples.shape == (41, 4)
-
-
-def test_gap_scan_threads_deterministic():
-    path = make_path("ising-linear", n=5)
-    a = gap_scan(path, points=21, sector="even", threads=1)
-    b = gap_scan(path, points=21, sector="even", threads=4)
-    assert np.array_equal(a.samples, b.samples)
-    assert a.minimum == b.minimum
 
 
 def test_gap_curve_continuous_at_segment_boundaries():
