@@ -36,7 +36,6 @@ from .spectra import (  # noqa: F401
     SpectrumResult,
     gap_scan,
     lowest_eigenpairs,
-    min_gap_vs_n,
     sector_gap,
     sector_ground_state,
     segment_minimum,

@@ -1,8 +1,9 @@
 """Command-line interface: spectra, gap scans, evolution, scaling, EC3, verify.
 
-Every run emits CSV or JSON with a metadata block (tool version, config
-echo, seed, wall time).  Exit codes: 0 success, 2 configuration error,
-3 numerical non-convergence, 4 verification failure.
+Each subcommand takes only the options it reads.  Every run emits CSV or
+JSON with a metadata block (tool version, config echo, wall time).  Exit
+codes: 0 success, 2 configuration error, 3 numerical non-convergence,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _meta_lines(args: argparse.Namespace, wall: float) -> list[str]:
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func",) and v is not None}
-    return [
-        f"# stepgap {__version__}",
-        f"# config {json.dumps(config, default=str, sort_keys=True)}",
-        f"# wall_seconds {wall:.3f}",
-    ]
+def _config(args: argparse.Namespace) -> dict:
+    """The options given or defaulted, echoed in every output."""
+    return {k: v for k, v in sorted(vars(args).items())
+            if k != "func" and v is not None}
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -51,19 +48,21 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list], args, wall: float) -> None:
-    lines = _meta_lines(args, wall)
-    lines.append(",".join(header))
+    lines = [
+        f"# stepgap {__version__}",
+        f"# config {json.dumps(_config(args), default=str, sort_keys=True)}",
+        f"# wall_seconds {wall:.3f}",
+        ",".join(header),
+    ]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     _write_text("\n".join(lines) + "\n", args.out)
 
 
 def _emit_json(payload: dict, args, wall: float) -> None:
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func",) and v is not None}
     doc = {
         "meta": {
             "tool": f"stepgap {__version__}",
-            "config": {k: str(v) for k, v in config.items()},
+            "config": {k: str(v) for k, v in _config(args).items()},
             "wall_seconds": round(wall, 3),
         },
         "data": payload,
@@ -95,7 +94,7 @@ def _parse_tau_grid(text: str) -> list[float]:
 
 
 def _load_path(args) -> "InterpolationPath":
-    kwargs = {"dt": args.dt}
+    kwargs = {}
     if args.family == "cluster2d-stepwise":
         if args.build_order:
             kwargs["build_order"] = build_order_from_file(
@@ -126,8 +125,8 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     path = _load_path(args)
     op = path.at_progress(args.s)
-    res = sector_levels(op, "all", args.count, method=args.method,
-                        seed=args.seed, want_vectors=False)
+    res = sector_levels(op, "all", args.count, want_vectors=False,
+                        method=args.method)
     labels = res.sector_labels or ("all",) * args.count
     rows = [[i, float(w), lab] for i, (w, lab) in
             enumerate(zip(res.eigenvalues, labels))]
@@ -147,8 +146,7 @@ def cmd_gap_scan(args) -> int:
         raise ValueError("gap-scan writes a CSV plus a JSON sidecar; "
                          "--out is required")
     path = _load_path(args)
-    curve = gap_scan(path, points=args.points, sector=args.sector,
-                     seed=args.seed)
+    curve = gap_scan(path, points=args.points, sector=args.sector)
     rows = [[float(s), float(g), float(l0), float(l1)]
             for s, g, l0, l1 in curve.samples]
     wall = time.perf_counter() - t0
@@ -192,7 +190,7 @@ def cmd_scaling(args) -> int:
     rows = []
     for n in _parse_int_list(args.n_list):
         row = runtime_for_fidelity(args.family, n, args.f_target, grid,
-                                   accuracy=args.accuracy, dt=args.dt)
+                                   accuracy=args.accuracy)
         rows.append([n, args.family,
                      row.tau_required if row.reached else "not-reached",
                      int(row.reached), row.f_target])
@@ -255,20 +253,25 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, family: bool = True) -> None:
-    if family:
-        p.add_argument("--family", required=True, choices=PATH_FAMILIES)
-        p.add_argument("--n", type=int)
-        p.add_argument("--width", type=int)
-        p.add_argument("--height", type=int)
-        p.add_argument("--build-order", help="explicit link-order file")
-        p.add_argument("--instance", help="EC3 instance file")
-        p.add_argument("--order", default="given",
-                       choices=ec3.ORDER_STRATEGIES)
-        p.add_argument("--dt", type=float, default=1.0)
+def _add_path(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=PATH_FAMILIES)
+    p.add_argument("--n", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--build-order", help="explicit link-order file")
+    p.add_argument("--instance", help="EC3 instance file")
+    _add_order(p)
+
+
+def _add_order(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--order", default="given", choices=ec3.ORDER_STRATEGIES)
+    p.add_argument("--seed", type=int, default=0,
+                   help="draws the clause permutation of --order random")
+
+
+def _add_output(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", default=formats[0], choices=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,8 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"stepgap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="lowest levels at one point")
-    _add_common(p)
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        # no abbreviations: `scaling --n 4` would pass as `--n-list 4`
+        return sub.add_parser(name, help=text, allow_abbrev=False)
+
+    p = add("spectrum", "lowest levels at one point")
+    _add_path(p)
+    _add_output(p)
     p.add_argument("--s", type=float, default=0.0,
                    help="global path progress in [0, 1]")
     p.add_argument("--count", type=int, default=6)
@@ -289,21 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "dense", "lanczos"))
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("gap-scan", help="gap curve along a path")
-    _add_common(p)
+    p = add("gap-scan", "gap curve along a path (CSV)")
+    _add_path(p)
+    p.add_argument("--out", help="CSV file (required); the minimum goes to "
+                                 "OUT.min.json")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--sector", default="all", choices=("all", "even", "odd"))
     p.set_defaults(func=cmd_gap_scan)
 
-    p = sub.add_parser("evolve", help="adiabatic time evolution")
-    _add_common(p)
+    p = add("evolve", "adiabatic time evolution (JSON)")
+    _add_path(p)
+    _add_output(p, formats=("json",))
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--accuracy", type=float, default=1e-6)
     p.add_argument("--track-parity", action="store_true")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("scaling", help="runtime needed per system size")
-    _add_common(p)
+    p = add("scaling", "runtime needed per system size")
+    p.add_argument("--family", required=True, choices=PATH_FAMILIES)
+    _add_output(p)
     p.add_argument("--n-list", required=True)
     p.add_argument("--f-target", type=float, default=0.99)
     p.add_argument("--tau-grid", required=True,
@@ -311,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accuracy", type=float, default=1e-5)
     p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("ec3", help="counts and projector-path gaps")
-    _add_common(p, family=False)
+    p = add("ec3", "counts and projector-path gaps")
     p.add_argument("--instance", required=True)
-    p.add_argument("--order", default="given", choices=ec3.ORDER_STRATEGIES)
+    _add_order(p)
+    _add_output(p)
     p.set_defaults(func=cmd_ec3)
 
-    p = sub.add_parser("verify", help="analytic-vs-numeric suite")
+    p = add("verify", "analytic-vs-numeric suite")
     p.add_argument("--check", default="all",
                    choices=["all"] + list(verify.CHECKS))
     p.add_argument("--n-list", default="6,8,10")

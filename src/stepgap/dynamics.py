@@ -9,11 +9,15 @@ size.  Krylov exponentials are unitary up to orthogonalization error, so
 the norm is conserved to near machine precision.
 
 Each exponential applies the segment blend (:func:`stepgap.pauli.blend`)
-matrix-free and stops its Krylov space on an a-priori bound.  A path whose
+matrix-free and stops its Krylov space on an a-priori bound
+(:data:`KRYLOV_TOL`, at most :data:`KRYLOV_DIM_MAX` vectors), and
+substeps are halved at most :data:`MAX_REFINEMENTS` times.  A path whose
 operators all commute with the bit flip, started in a state of definite
 parity, is propagated in that parity block
-(:meth:`~stepgap.pauli.OperatorSum.parity_block`) at half the dimension;
-any other runs the same loop at the full dimension.
+(:meth:`~stepgap.pauli.OperatorSum.parity_block`) at half the dimension,
+and its target is the ground state of that sector; any other runs the same
+loop at the full dimension against the global ground state.  One test,
+:func:`_parity_sign`, makes both choices.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ BASE_STEPS_PER_TIME = 1.0
 
 #: Largest Krylov space of one exponential below the full dimension.
 KRYLOV_DIM_MAX = 48
+
+#: Bound on the next Krylov coefficient at which an exponential stops.
+KRYLOV_TOL = 1e-12
+
+#: Substep doublings tried before `evolve` raises ConvergenceError.
+MAX_REFINEMENTS = 12
 
 # Gauss nodes and weights of the two-exponential fourth-order scheme
 _CF4_NODE_1 = 0.5 - np.sqrt(3.0) / 6.0
@@ -74,18 +84,17 @@ def fidelity(psi: np.ndarray, target: np.ndarray) -> float:
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
-def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float,
-                       m: int = KRYLOV_DIM_MAX, tol: float = 1e-12
-                       ) -> np.ndarray:
+def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) psi via a Lanczos subspace with full reorthogonalization.
 
     The next Krylov coefficient ``e_(k+1)^T exp(-i dt T) e_1`` of the Jacobi
     matrix T is ``beta_1 ... beta_k`` times a divided difference of
     exp(-i dt x), so at most ``sqrt(2) beta_1 ... beta_k |dt|^k / k!``
     (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)).  The space
-    stops at k vectors once that bound is below `tol`: one multiply per
-    iteration and one tridiagonal ``eigh`` per call.  Missing the bound with
-    `m` vectors, fewer than the dimension, raises :class:`ConvergenceError`.
+    stops at k vectors once that bound is below :data:`KRYLOV_TOL`: one
+    multiply per iteration and one tridiagonal ``eigh`` per call.  Missing
+    the bound with :data:`KRYLOV_DIM_MAX` vectors, fewer than the dimension,
+    raises :class:`ConvergenceError`.
     """
     dim = len(psi)
     norm0 = dznrm2(psi)
@@ -96,7 +105,7 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float,
     # level-1 BLAS on one basis vector at a time, in place: single-threaded
     # below about 10^4 amplitudes, whereas a matrix product over the basis
     # is a threaded call at 2^12 amplitudes that waits on a busy core
-    for j in range(min(m, dim)):
+    for j in range(min(KRYLOV_DIM_MAX, dim)):
         v = vecs[j]
         w = matvec(v)
         alpha = zdotc(v, w).real
@@ -108,13 +117,14 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float,
             w = zaxpy(u, w, a=-zdotc(u, w))
         beta = dznrm2(w)
         bound *= beta * abs(dt) / (j + 1)
-        if beta < 1e-13 or bound < tol or j + 1 == dim:
+        if beta < 1e-13 or bound < KRYLOV_TOL or j + 1 == dim:
             break
         betas.append(beta)
         vecs.append(zdscal(1.0 / beta, w))
     else:
         raise ConvergenceError(
-            f"Krylov exponential missed tolerance {tol} with {m} vectors "
+            f"Krylov exponential missed tolerance {KRYLOV_TOL} with "
+            f"{KRYLOV_DIM_MAX} vectors "
             f"(dt={dt}, dimension {dim})")
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     w_t, u_t = np.linalg.eigh(tri)
@@ -166,15 +176,14 @@ def _parity_sign(path: InterpolationPath, psi0: np.ndarray) -> int | None:
 
 def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
            accuracy: float = 1e-6, target: np.ndarray | None = None,
-           track_parity: bool = False, max_refinements: int = 12
-           ) -> EvolutionResult:
+           track_parity: bool = False) -> EvolutionResult:
     """Solve i dpsi/dt = H(t) psi over the path rescaled to runtime `tau`.
 
     Substeps per segment start at a coarse density and are doubled until
     the final fidelity (against `target`, or against the previous
     refinement's final state when no target is given) moves by less than
-    `accuracy`.  Raises :class:`ConvergenceError` when the refinement
-    budget is exhausted.
+    `accuracy`.  Raises :class:`ConvergenceError` after
+    :data:`MAX_REFINEMENTS` doublings.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -198,7 +207,7 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
         start = parity_fold(psi0)
     prev_state = None
     prev_metric = None
-    for refinement in range(max_refinements + 1):
+    for refinement in range(MAX_REFINEMENTS + 1):
         psi, step_count, parity_range = _propagate(
             run, start, steps, track_parity and sign is None)
         if sign is not None:
@@ -232,46 +241,39 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
         steps = [2 * m for m in steps]
     raise ConvergenceError(
         f"final-state fidelity did not stabilize to {accuracy} within "
-        f"{max_refinements} substep refinements")
+        f"{MAX_REFINEMENTS} substep refinements")
 
 
 def evolution_target(path: InterpolationPath, psi0: np.ndarray | None = None
                      ) -> np.ndarray:
     """Ground state of the final Hamiltonian in the evolved symmetry sector.
 
-    When the final operator conserves bit-flip parity and the initial state
-    has definite parity, the ground state of that parity sector is returned
-    (the cat state for the periodic bond Hamiltonian); otherwise the global
-    ground state.
+    When :func:`evolve` would propagate `psi0` (default: the uniform
+    superposition) in a parity block, that is when every operator of the
+    path commutes with the bit flip and ``psi0 == +-psi0[::-1]`` to 1e-12,
+    the ground state of that parity sector is returned (the cat state for
+    the periodic bond Hamiltonian); otherwise the global ground state.
     """
-    final = path.operators[-1]
     if psi0 is None:
         psi0 = uniform_superposition(path.n)
-    sector = "all"
-    if parity_symmetric(final):
-        p0 = parity_expectation(psi0)
-        if p0 > 0.999999:
-            sector = "even"
-        elif p0 < -0.999999:
-            sector = "odd"
-    return sector_ground_state(final, sector)
+    sector = {1: "even", -1: "odd", None: "all"}[_parity_sign(path, psi0)]
+    return sector_ground_state(path.operators[-1], sector)
 
 
 def runtime_for_fidelity(family: str, n: int, f_target: float, tau_grid,
-                         accuracy: float = 1e-5, psi0: np.ndarray | None = None,
-                         **path_kwargs) -> ScalingRow:
+                         accuracy: float = 1e-5) -> ScalingRow:
     """Smallest grid runtime whose final fidelity reaches `f_target`.
 
-    Scans `tau_grid` in ascending order and stops at the first hit; a row
-    with ``reached=False`` marks an unreachable target.
+    Starts from the uniform superposition on the path ``make_path(family,
+    n=n)``, scans `tau_grid` in ascending order and stops at the first hit;
+    a row with ``reached=False`` marks an unreachable target.
     """
     taus = [float(t) for t in tau_grid]
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be strictly increasing")
     from .models import make_path
-    path = make_path(family, n=n, **path_kwargs)
-    if psi0 is None:
-        psi0 = uniform_superposition(path.n)
+    path = make_path(family, n=n)
+    psi0 = uniform_superposition(path.n)
     target = evolution_target(path, psi0)
     trace = []
     for tau in taus:

@@ -2,10 +2,10 @@
 
 A clause over three bit positions is satisfied when exactly one of the
 bits is set.  Solution counting is exhaustive over bitmasks (vectorized,
-capped at :data:`BRUTE_FORCE_CAP` bits), one running AND over the clauses
-of an order giving every prefix at once.  The projector Hamiltonians
-``1 - |Psi_k><Psi_k|``, built from the uniform superpositions Psi_k of
-partial solutions, have no useful sparse Pauli form; they are held
+capped at :data:`~stepgap.pauli.STATE_QUBIT_CAP` bits), one running AND
+over the clauses of an order giving every prefix at once.  The projector
+Hamiltonians ``1 - |Psi_k><Psi_k|``, built from the uniform superpositions
+Psi_k of partial solutions, have no useful sparse Pauli form; they are held
 matrix-free as :class:`stepgap.pauli.ProjectorSum` operators, one vector
 each.
 """
@@ -17,11 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import OperatorSum, PauliString, ProjectorSum
-
-#: Exhaustive enumeration, and with it every projector path, refuses
-#: instances above this bit count.
-BRUTE_FORCE_CAP = 24
+from .pauli import (OperatorSum, PauliString, ProjectorSum,
+                    check_state_qubits)
 
 ORDER_STRATEGIES = ("given", "greedy-max-r", "random")
 
@@ -128,12 +125,10 @@ def clause_hamiltonian(n: int, clause: Sequence[int]) -> OperatorSum:
 def _clause_masks(instance: Ec3Instance, clauses):
     """Lazily, per clause, which basis states set exactly one of its bits.
 
-    Refuses instances above :data:`BRUTE_FORCE_CAP` bits before anything
-    is allocated.
+    Refuses instances above :data:`~stepgap.pauli.STATE_QUBIT_CAP` bits
+    before anything is allocated.
     """
-    if instance.n > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"enumeration capped at {BRUTE_FORCE_CAP} bits, got {instance.n}")
+    check_state_qubits(instance.n)
     idx = np.arange(1 << instance.n)
     return (np.bitwise_count(idx & sum(1 << (instance.n - p) for p in c)) == 1
             for c in clauses)

@@ -38,6 +38,10 @@ PAULI_SYMBOLS = "IXYZ"
 #: Largest qubit count for which dense materialization is permitted.
 DENSE_QUBIT_CAP = 14
 
+#: Largest qubit count for which a state vector, a compiled Pauli sum or an
+#: EC3 enumeration is built: 2^24 amplitudes, 256 MB complex.
+STATE_QUBIT_CAP = 24
+
 #: Coefficients below this magnitude are dropped during canonicalization.
 COEFF_CUTOFF = 1e-15
 
@@ -131,6 +135,14 @@ class PauliString:
         return f"{self.coefficient:+g}*{''.join(self.factors)}"
 
 
+def check_state_qubits(n: int) -> None:
+    """Refuse, before anything is allocated, a register above
+    :data:`STATE_QUBIT_CAP` qubits."""
+    if n > STATE_QUBIT_CAP:
+        raise ValueError(f"registers capped at {STATE_QUBIT_CAP} qubits, "
+                         f"got {n}")
+
+
 def _compile(n: int, terms: tuple[PauliString, ...]) -> tuple:
     """Flip-mask groups ``(flip, gather, amps)`` of a Pauli sum, by flip.
 
@@ -138,8 +150,9 @@ def _compile(n: int, terms: tuple[PauliString, ...]) -> tuple:
     ``gather = i ^ flip``; the diagonal group (flip 0) has ``gather=None``.
     A group of one string without Z or Y factors has a constant amplitude,
     kept as one number.  Amplitudes of strings with an odd Y count are
-    complex.
+    complex.  Refuses n above :data:`STATE_QUBIT_CAP`.
     """
+    check_state_qubits(n)
     idx = np.arange(1 << n)
     amps: dict[int, np.ndarray | float | complex] = {}
     for term in terms:
@@ -682,7 +695,9 @@ def basis_state(n: int, bits) -> np.ndarray:
 
 
 def uniform_superposition(n: int) -> np.ndarray:
-    """Equal-amplitude superposition of all basis states (all spins along +x)."""
+    """Equal-amplitude superposition of all basis states (all spins along +x);
+    refuses n above :data:`STATE_QUBIT_CAP`."""
+    check_state_qubits(n)
     return np.full(1 << n, 1.0 / np.sqrt(1 << n))
 
 

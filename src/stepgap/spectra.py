@@ -5,21 +5,25 @@ from a matrix-free Lanczos solver (ARPACK) above that.  A projector sum
 (:class:`stepgap.pauli.ProjectorSum`, the EC3 path) is solved exactly
 instead: the span of its vectors is invariant and its complement
 one degenerate level, so a Rayleigh-Ritz step on that span plus a few
-seeded directions yields the lowest eigenpairs without iteration; it is
-refused, like the dense route, where its basis would outgrow a dense matrix
-of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  An even or odd parity
-sector is solved by construction: a Pauli sum that commutes with the
-bit-flip string is restricted to its parity block of dimension 2^(n-1)
-(:meth:`~stepgap.pauli.OperatorSum.parity_block`), solved once for exactly
-the levels asked for, and its vectors lifted to the full space.  The
-``"all"`` spectrum of such a sum merges the two blocks' levels, so every
-level carries its sector by construction.  Operators without the symmetry,
-projector sums included, have no sectors and are solved in the full space.
+fixed random directions yields the lowest eigenpairs without iteration; it
+is refused, like the dense route, where its basis would outgrow a dense
+matrix of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Start vectors,
+Lanczos and projector alike, are fixed, so a solve repeats exactly.  An
+even or odd parity sector is solved by construction: a Pauli sum that
+commutes with the bit-flip string is restricted to its parity block of
+dimension 2^(n-1) (:meth:`~stepgap.pauli.OperatorSum.parity_block`), solved
+once for exactly the levels asked for, and its vectors lifted to the full
+space.  The ``"all"`` spectrum of such a sum merges the two blocks'
+levels, so every level carries its sector by construction.  Operators
+without the symmetry, projector sums included, have no sectors and are
+solved in the full space.
 
 Every operator along a path, at a global progress value or inside one
-segment (:func:`segment_minimum`), is a :func:`stepgap.pauli.blend` of the
-segment endpoints; only the eigensolver picks the dense or the matrix-free
-route.
+segment (:func:`segment_minimum`, a :func:`gap_scan` of that segment), is a
+:func:`stepgap.pauli.blend` of the segment endpoints; only the eigensolver
+picks the dense or the matrix-free route.  Its two settings, `method` and
+`tol`, are named on :func:`lowest_eigenpairs` alone; the sector, gap and
+scan functions pass them on as ``**solver``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
-from .pauli import (DENSE_QUBIT_CAP, ProjectorSum, blend, parity_lift,
+from .pauli import (DENSE_QUBIT_CAP, ProjectorSum, parity_lift,
                     parity_symmetric)
 
 #: Up to this dimension the dense solver is used even when not forced:
@@ -60,7 +64,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    s: float | None = None
     sector_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -90,15 +93,15 @@ class GapCurve:
 
 
 def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
-                      method: str = "auto", tol: float = 1e-9,
-                      seed: int = 0, s: float | None = None
+                      method: str = "auto", tol: float = 1e-9
                       ) -> SpectrumResult:
     """The `count` smallest eigenvalues of a Hermitian operator.
 
     `method` is ``dense``, ``lanczos`` or ``auto``; auto solves a
     :class:`~stepgap.pauli.ProjectorSum` exactly (:func:`_projector_eigh`)
     and otherwise picks the dense LAPACK route for small dimensions and the
-    matrix-free Lanczos solver above.  The Lanczos route raises
+    matrix-free Lanczos solver above.  `tol` is the Lanczos (ARPACK)
+    tolerance; the Lanczos route starts from a fixed vector and raises
     :class:`ConvergenceError` when the iteration budget is exhausted.
     """
     dim = 1 << op.n
@@ -107,7 +110,7 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and isinstance(op, ProjectorSum):
-        return _projector_eigh(op, count, want_vectors, seed, s)
+        return _projector_eigh(op, count, want_vectors)
     if method == "auto":
         small = dim <= DENSE_SOLVE_DIM or count > dim // 3
         method = "dense" if small and op.n <= DENSE_QUBIT_CAP else "lanczos"
@@ -120,14 +123,13 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
         mat = op.to_dense()
         if want_vectors:
             w, v = scipy.linalg.eigh(mat)
-            return SpectrumResult(w[:count], v[:, :count], s=s)
+            return SpectrumResult(w[:count], v[:, :count])
         w = scipy.linalg.eigvalsh(mat)
-        return SpectrumResult(w[:count], None, s=s)
+        return SpectrumResult(w[:count])
 
     dtype = float if op.is_real else complex
     linop = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=dtype)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
+    v0 = np.random.default_rng(0).standard_normal(dim)
     ncv = min(dim, max(ARPACK_NCV, 2 * count + 1))
     try:
         out = spla.eigsh(linop, k=count, which="SA", ncv=ncv, tol=tol,
@@ -140,17 +142,17 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     if want_vectors:
         w, v = out
         order = np.argsort(w)
-        return SpectrumResult(w[order], v[:, order], s=s)
-    return SpectrumResult(np.sort(out), None, s=s)
+        return SpectrumResult(w[order], v[:, order])
+    return SpectrumResult(np.sort(out))
 
 
-def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool,
-                    seed: int, s: float | None) -> SpectrumResult:
+def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool
+                    ) -> SpectrumResult:
     """Exact lowest eigenpairs of ``shift - sum_j w_j |psi_j><psi_j|``.
 
     span{psi_j} is invariant and every vector orthogonal to it has
     eigenvalue `shift`, so the span of ``Q = qr([psi_1 ... psi_r, R])``,
-    with `count` columns R drawn from `seed`, is invariant and holds the
+    with `count` fixed random columns R, is invariant and holds the
     lowest `count` eigenpairs.  Rayleigh-Ritz on it, ``eigh(Q^T H Q)``, costs
     O(2^n (r + count)^2) and gives them to rounding.  Repeated or linearly
     dependent psi_j are fine: the QR factor Q stays orthonormal.  A basis
@@ -165,31 +167,30 @@ def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool,
             f"exact projector solve refused: a {dim} x {columns} basis "
             f"exceeds a dense matrix of {DENSE_QUBIT_CAP} qubits")
     extra = max(0, columns - rank)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(np.hstack([op.vectors.T,
                                    rng.standard_normal((dim, extra))]))
     proj = op.vectors @ q
     small = op.shift * np.eye(q.shape[1]) - (proj.T * op.weights) @ proj
     w, u = scipy.linalg.eigh(small)
     vectors = q @ u[:, :count] if want_vectors else None
-    return SpectrumResult(w[:count], vectors, s=s)
+    return SpectrumResult(w[:count], vectors)
 
 
 def _block_levels(op, sector: str, count: int, want_vectors: bool,
-                  **solver_kwargs) -> SpectrumResult:
+                  **solver) -> SpectrumResult:
     """The `count` lowest levels of one parity block, vectors lifted."""
     sign = 1 if sector == "even" else -1
     res = lowest_eigenpairs(op.parity_block(sign), count,
-                            want_vectors=want_vectors, **solver_kwargs)
+                            want_vectors=want_vectors, **solver)
     vectors = None if res.eigenvectors is None \
         else parity_lift(res.eigenvectors, sign)
     return SpectrumResult(res.eigenvalues, vectors,
                           sector_labels=(sector,) * count)
 
 
-def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
-                  seed: int = 0, want_vectors: bool = True,
-                  **solver_kwargs) -> SpectrumResult:
+def sector_levels(op, sector: str, count: int = 2, want_vectors: bool = True,
+                  **solver) -> SpectrumResult:
     """The `count` lowest levels of a parity sector.
 
     ``even`` and ``odd`` solve the parity block
@@ -201,19 +202,18 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
     and has ``sector_labels=None``.  A count outside the dimension of the
     sector, a :class:`~stepgap.pauli.ProjectorSum` and a Pauli sum that does
     not commute with the bit flip, the last two for ``even`` and ``odd``,
-    raise ValueError before any solve.
+    raise ValueError before any solve.  `solver` goes to
+    :func:`lowest_eigenpairs`.
     """
-    solver_kwargs.update(method=method, seed=seed)
     if sector == "all":
         if op.n < 2 or not parity_symmetric(op):
             return lowest_eigenpairs(op, count, want_vectors=want_vectors,
-                                     **solver_kwargs)
+                                     **solver)
         dim = 1 << op.n
         if not 1 <= count <= dim:
             raise ValueError(f"count {count} outside 1..{dim}")
         k = min(count, dim // 2)
-        even, odd = (_block_levels(op, block, k, want_vectors,
-                                   **solver_kwargs)
+        even, odd = (_block_levels(op, block, k, want_vectors, **solver)
                      for block in ("even", "odd"))
         w = np.concatenate([even.eigenvalues, odd.eigenvalues])
         order = np.argsort(w, kind="stable")[:count]
@@ -229,20 +229,19 @@ def sector_levels(op, sector: str, count: int = 2, method: str = "auto",
     if not parity_symmetric(op):
         raise ValueError(f"no {sector} sector: the operator does not "
                          f"commute with the bit flip")
-    return _block_levels(op, sector, count, want_vectors, **solver_kwargs)
+    return _block_levels(op, sector, count, want_vectors, **solver)
 
 
-def sector_ground_state(op, sector: str = "even", **kwargs) -> np.ndarray:
+def sector_ground_state(op, sector: str = "even", **solver) -> np.ndarray:
     """Ground-state vector within a parity sector."""
-    res = sector_levels(op, sector, count=1, **kwargs)
+    res = sector_levels(op, sector, count=1, **solver)
     return res.eigenvectors[:, 0]
 
 
-def sector_gap(op, sector: str = "all", method: str = "auto", seed: int = 0,
-               **solver_kwargs) -> tuple[float, float, float]:
+def sector_gap(op, sector: str = "all", **solver
+               ) -> tuple[float, float, float]:
     """(gap, lambda0, lambda1) between the two lowest levels of a sector."""
-    res = sector_levels(op, sector, count=2, method=method, seed=seed,
-                        want_vectors=False, **solver_kwargs)
+    res = sector_levels(op, sector, count=2, want_vectors=False, **solver)
     lam0, lam1 = float(res.eigenvalues[0]), float(res.eigenvalues[1])
     return lam1 - lam0, lam0, lam1
 
@@ -284,21 +283,19 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
 
 
 def gap_scan(path: InterpolationPath, points: int = 200,
-             sector: str = "all", method: str = "auto", seed: int = 0,
-             **solver_kwargs) -> GapCurve:
+             sector: str = "all", **solver) -> GapCurve:
     """Gap between the two lowest (sector-resolved) levels along a path.
 
     Samples `points` uniformly spaced global-s values, then refines the
-    smallest sample as :func:`_refined_minimum` does.
+    smallest sample as :func:`_refined_minimum` does.  `solver` goes to
+    :func:`lowest_eigenpairs`.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
     grid = np.linspace(0.0, 1.0, points)
 
     def eval_gap(s_global: float) -> tuple[float, float, float]:
-        op = path.at_progress(float(s_global))
-        return sector_gap(op, sector, method=method, seed=seed,
-                          **solver_kwargs)
+        return sector_gap(path.at_progress(float(s_global)), sector, **solver)
 
     samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
     return GapCurve(samples, sector, _refined_minimum(
@@ -306,34 +303,13 @@ def gap_scan(path: InterpolationPath, points: int = 200,
 
 
 def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",
-                    points: int = 41, method: str = "auto", seed: int = 0,
-                    **solver_kwargs) -> tuple[float, float]:
+                    points: int = 41, **solver) -> tuple[float, float]:
     """Refined (s_local, gap) minimum of one path segment.
 
-    `s_local` runs over [0, 1] within segment k; `points` samples are
-    refined as :func:`_refined_minimum` does.
+    The :func:`gap_scan` minimum of segment k alone, as a path of unit
+    duration, so its progress is `s_local`.
     """
     if not 0 <= k < path.segment_count:
         raise ValueError(f"segment {k} outside 0..{path.segment_count - 1}")
-    op_a, op_b = path.segment(k)
-
-    def eval_gap(s_local: float) -> float:
-        return sector_gap(blend(op_a, op_b, float(s_local)), sector,
-                          method=method, seed=seed, **solver_kwargs)[0]
-
-    grid = np.linspace(0.0, 1.0, points)
-    return _refined_minimum(eval_gap, grid,
-                            np.array([eval_gap(s) for s in grid]))
-
-
-def min_gap_vs_n(family: str, n_list, sector: str = "even",
-                 points: int = 200, seed: int = 0,
-                 **path_kwargs) -> list[tuple[int, float]]:
-    """Minimum path gap per system size, for scaling studies."""
-    from .models import make_path
-    out = []
-    for n in n_list:
-        path = make_path(family, n=n, **path_kwargs)
-        curve = gap_scan(path, points=points, sector=sector, seed=seed)
-        out.append((int(n), float(curve.minimum[1])))
-    return out
+    segment = InterpolationPath(path.segment(k), (1.0,), path.family)
+    return gap_scan(segment, points, sector, **solver).minimum

@@ -1,12 +1,16 @@
 """CLI tests: subcommands, output formats, determinism and exit codes."""
 
+import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stepgap import ec3
-from stepgap.cli import EXIT_CONFIG, EXIT_OK, _parse_tau_grid, main
+from stepgap.cli import (EXIT_CONFIG, EXIT_OK, _parse_tau_grid, build_parser,
+                         main)
+from stepgap.pauli import STATE_QUBIT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +145,19 @@ def test_evolve_json_fields(tmp_path, capsys):
     assert data["tau"] == 40.0
 
 
+def test_evolve_takes_json_format_only(tmp_path, capsys):
+    out_file = tmp_path / "evo.json"
+    code, _, _ = run_cli(capsys, "evolve", "--family", "ising-stepwise",
+                         "--n", "3", "--tau", "2", "--format", "json",
+                         "--out", str(out_file))
+    assert code == EXIT_OK
+    assert json.loads(out_file.read_text())["data"]["tau"] == 2.0
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--family", "ising-stepwise", "--n", "3", "--tau",
+              "2", "--format", "csv"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_scaling_csv(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--family", "ising-stepwise",
                            "--n-list", "3,4", "--f-target", "0.8",
@@ -235,7 +252,7 @@ def test_ec3_projector_gap_scan_above_dense_cap(tmp_path, capsys):
 def test_ec3_projector_above_enumeration_cap_is_config_error(tmp_path,
                                                              capsys):
     inst_file = tmp_path / "inst.txt"
-    inst_file.write_text(f"{ec3.BRUTE_FORCE_CAP + 1} 1\n1 2 3\n")
+    inst_file.write_text(f"{STATE_QUBIT_CAP + 1} 1\n1 2 3\n")
     code, _, err = run_cli(capsys, "gap-scan", "--family", "ec3-projector",
                            "--instance", str(inst_file), "--points", "5",
                            "--out", str(tmp_path / "pg.csv"))
@@ -309,3 +326,79 @@ def test_even_sector_hunt_without_symmetry_is_config_error(tmp_path, capsys):
     assert "no even sector: the operator does not commute with the bit flip" \
         in err
     assert not out_file.exists()
+
+
+# ---------------------------------------------------------------------------
+# option set
+# ---------------------------------------------------------------------------
+
+def _options(parser):
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[-1] for a in sub._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, sub in subs.choices.items()}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    path = {"--family", "--n", "--width", "--height", "--build-order",
+            "--instance", "--order", "--seed"}
+    assert _options(build_parser()) == {
+        "spectrum": path | {"--out", "--format", "--s", "--count",
+                            "--method"},
+        "gap-scan": path | {"--out", "--points", "--sector"},
+        "evolve": path | {"--out", "--format", "--tau", "--accuracy",
+                          "--track-parity"},
+        "scaling": {"--family", "--out", "--format", "--n-list",
+                    "--f-target", "--tau-grid", "--accuracy"},
+        "ec3": {"--instance", "--order", "--seed", "--out", "--format"},
+        "verify": {"--check", "--n-list", "--points", "--kappa-max"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap-scan", "--family", "ising-linear", "--n", "4", "--dt", "2"],
+    ["gap-scan", "--family", "ising-linear", "--n", "4", "--format", "json"],
+    ["scaling", "--family", "ising-linear", "--n-list", "3",
+     "--tau-grid", "1,2", "--n", "4"],
+    ["scaling", "--family", "ising-linear", "--n-list", "3",
+     "--tau-grid", "1,2", "--width", "3"],
+    ["scaling", "--family", "ising-linear", "--n-list", "3",
+     "--tau-grid", "1,2", "--seed", "1"],
+], ids=["gap-scan-dt", "gap-scan-format", "scaling-n", "scaling-width",
+        "scaling-seed"])
+def test_removed_options_exit_2(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_echo_names_no_duration(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "ising-stepwise",
+                           "--n", "3", "--count", "2")
+    assert code == EXIT_OK
+    line = next(ln for ln in out.splitlines() if ln.startswith("# config "))
+    config = json.loads(line[len("# config "):])
+    assert "dt" not in config
+    assert config["family"] == "ising-stepwise" and config["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "ising-linear", "--n", "40"],
+    ["evolve", "--family", "ising-stepwise", "--n", "30", "--tau", "1"],
+    ["gap-scan", "--family", "cluster1d-stepwise", "--n", "29",
+     "--points", "3"],
+], ids=["spectrum", "evolve", "gap-scan"])
+def test_oversized_register_refused_before_allocating(argv, tmp_path,
+                                                      capsys):
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, *argv, "--out",
+                               str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert f"capped at {STATE_QUBIT_CAP} qubits" in err
+    assert peak < 1 << 20

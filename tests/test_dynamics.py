@@ -20,6 +20,8 @@ from stepgap.pauli import (
     PauliString,
     basis_state,
     ghz_state,
+    parity_expectation,
+    parity_operator,
     uniform_superposition,
 )
 from stepgap.spectra import ConvergenceError, lowest_eigenpairs
@@ -300,6 +302,30 @@ def test_evolution_target_without_symmetry_uses_global_ground():
     target = evolution_target(path)
     w, v = np.linalg.eigh(h_broken.to_dense())
     assert fidelity(target, v[:, 0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_target_sector_is_the_block_evolve_runs_in():
+    # X^n has its even levels at +1 and its odd levels at -1
+    n = 4
+    h_i, _ = ising_endpoints(n)
+    flip = parity_operator(n)
+    even = uniform_superposition(n)
+    path = InterpolationPath((h_i, flip), (1.0,))
+    assert parity_expectation(evolution_target(path, even)) == \
+        pytest.approx(1.0, abs=1e-12)
+    # a start of nearly, not exactly, definite parity runs in the full
+    # space, so its target is the global ground state
+    odd = (basis_state(n, 0) - basis_state(n, (1 << n) - 1)) / np.sqrt(2.0)
+    near = even + 1e-7 * odd
+    near /= np.linalg.norm(near)
+    assert parity_expectation(near) > 0.999999
+    assert parity_expectation(evolution_target(path, near)) == \
+        pytest.approx(-1.0, abs=1e-12)
+    # so does a path with one operator that breaks the symmetry
+    broken = OperatorSum(n, [PauliString.from_ops(n, {1: "Z"}, -1.0)])
+    path = InterpolationPath((h_i, broken, flip), (1.0, 1.0))
+    assert parity_expectation(evolution_target(path, even)) == \
+        pytest.approx(-1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

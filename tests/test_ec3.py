@@ -7,7 +7,6 @@ import pytest
 
 from stepgap.analytic import projector_two_level
 from stepgap.ec3 import (
-    BRUTE_FORCE_CAP,
     Ec3Instance,
     SolutionCountChain,
     UnsatisfiablePrefixError,
@@ -25,7 +24,8 @@ from stepgap.ec3 import (
     solution_superposition,
 )
 from stepgap.models import make_path
-from stepgap.pauli import basis_state, blend, uniform_superposition
+from stepgap.pauli import (STATE_QUBIT_CAP, basis_state, blend,
+                           uniform_superposition)
 from stepgap.spectra import gap_scan, sector_levels
 
 RNG = np.random.default_rng(2024)
@@ -248,7 +248,7 @@ def test_projector_final_ground_is_unique_solution():
 
 
 def test_projector_cap_and_empty_prefix():
-    big = Ec3Instance(BRUTE_FORCE_CAP + 1, ((1, 2, 3),))
+    big = Ec3Instance(STATE_QUBIT_CAP + 1, ((1, 2, 3),))
     with pytest.raises(ValueError):
         projector_hamiltonian(big, (0,))[0]
     dead = Ec3Instance(4, ((1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4)))

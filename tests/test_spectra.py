@@ -18,7 +18,6 @@ from stepgap.spectra import (
     _golden_minimize,
     gap_scan,
     lowest_eigenpairs,
-    min_gap_vs_n,
     sector_gap,
     sector_ground_state,
     sector_levels,
@@ -235,21 +234,26 @@ def test_gap_scan_validation():
 # scaling tables
 # ---------------------------------------------------------------------------
 
+def min_gaps(family, n_list, sector, points):
+    """Minimum path gap per system size."""
+    return [(n, gap_scan(make_path(family, n=n), points=points,
+                         sector=sector).minimum[1]) for n in n_list]
+
+
 def test_min_gap_vs_n_linear_ising():
-    rows = min_gap_vs_n("ising-linear", [4, 6], sector="even", points=41)
+    rows = min_gaps("ising-linear", [4, 6], sector="even", points=41)
     for n, g in rows:
         assert g == pytest.approx(pair_gap_even(n, 0.5), abs=1e-6)
 
 
 def test_min_gap_vs_n_stepwise_constant():
-    rows = min_gap_vs_n("ising-stepwise", [4, 6], sector="even", points=161)
+    rows = min_gaps("ising-stepwise", [4, 6], sector="even", points=161)
     for _, g in rows:
         assert g == pytest.approx(np.sqrt(2), abs=1e-6)
 
 
 def test_min_gap_vs_n_cluster_constant():
-    rows = min_gap_vs_n("cluster1d-stepwise", [5, 6], sector="all",
-                        points=161)
+    rows = min_gaps("cluster1d-stepwise", [5, 6], sector="all", points=161)
     for _, g in rows:
         assert g == pytest.approx(np.sqrt(2), abs=1e-6)
 
