@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__, ec3, verify
 from .dynamics import evolve, evolution_target, runtime_for_fidelity
-from .models import PATH_FAMILIES, build_order_from_file, make_path
+from .models import (N_FAMILIES, PATH_FAMILIES, build_order_from_file,
+                     make_path)
 from .pauli import uniform_superposition
 from .spectra import ConvergenceError, gap_scan, sector_levels
 
@@ -93,9 +94,38 @@ def _parse_tau_grid(text: str) -> list[float]:
     return vals
 
 
+#: path options that only some families read, by argparse dest
+_FAMILY_OPTIONS = {
+    "n": N_FAMILIES,
+    "width": ("cluster2d-stepwise",),
+    "height": ("cluster2d-stepwise",),
+    "build_order": ("cluster2d-stepwise",),
+    "instance": ("ec3-projector",),
+    "order": ("ec3-projector",),
+}
+
+
+def _clause_order_options(args) -> None:
+    """Refuse --seed without --order random, then fill in the defaults
+    (order given, seed 0) that the config echo reports."""
+    if args.seed is not None and args.order != "random":
+        raise ValueError("--seed draws only the clause permutation of "
+                         "--order random")
+    args.order = args.order or "given"
+    args.seed = args.seed or 0
+
+
 def _load_path(args) -> "InterpolationPath":
+    for dest, families in _FAMILY_OPTIONS.items():
+        if getattr(args, dest) is not None and args.family not in families:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to "
+                             f"family {args.family!r}")
+    _clause_order_options(args)
     kwargs = {}
     if args.family == "cluster2d-stepwise":
+        if args.build_order and (args.width, args.height) != (None, None):
+            raise ValueError("--width and --height do not apply with "
+                             "--build-order, whose header gives the grid")
         if args.build_order:
             kwargs["build_order"] = build_order_from_file(
                 Path(args.build_order).read_text(encoding="utf-8"))
@@ -156,6 +186,7 @@ def cmd_gap_scan(args) -> int:
         "minimum_gap": curve.minimum[1],
         "sector": curve.sector,
         "points": args.points,
+        "evaluations": curve.evaluations,
     }
     Path(str(args.out) + ".min.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
@@ -208,6 +239,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_ec3(args) -> int:
     t0 = time.perf_counter()
+    _clause_order_options(args)
     inst = ec3.parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     order = ec3.order_clauses(inst, args.order, seed=args.seed)
     chain = ec3.solution_counts(inst, order)
@@ -264,9 +296,11 @@ def _add_path(p: argparse.ArgumentParser) -> None:
 
 
 def _add_order(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", default="given", choices=ec3.ORDER_STRATEGIES)
-    p.add_argument("--seed", type=int, default=0,
-                   help="draws the clause permutation of --order random")
+    p.add_argument("--order", choices=ec3.ORDER_STRATEGIES,
+                   help="clause order (default: given)")
+    p.add_argument("--seed", type=int,
+                   help="draws the clause permutation of --order random "
+                        "(default: 0)")
 
 
 def _add_output(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
@@ -314,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evolve)
 
     p = add("scaling", "runtime needed per system size")
-    p.add_argument("--family", required=True, choices=PATH_FAMILIES)
+    p.add_argument("--family", required=True, choices=N_FAMILIES)
     _add_output(p)
     p.add_argument("--n-list", required=True)
     p.add_argument("--f-target", type=float, default=0.99)

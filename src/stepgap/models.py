@@ -15,11 +15,15 @@ import numpy as np
 
 from .pauli import OperatorSum, PauliString, blend
 
-PATH_FAMILIES = (
+#: The families built from the register size `n` alone.
+N_FAMILIES = (
     "ising-linear",
     "ising-stepwise",
     "cluster1d-linear",
     "cluster1d-stepwise",
+)
+
+PATH_FAMILIES = N_FAMILIES + (
     "cluster2d-stepwise",
     "ec3-projector",
 )

@@ -24,6 +24,11 @@ segment (:func:`segment_minimum`, a :func:`gap_scan` of that segment), is a
 picks the dense or the matrix-free route.  Its two settings, `method` and
 `tol`, are named on :func:`lowest_eigenpairs` alone; the sector, gap and
 scan functions pass them on as ``**solver``.
+
+A gap scan samples a uniform grid and refines its smallest sample, and any
+dip between tied samples, by Brent's method (parabolic steps with a
+golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
+starts at a point whose gap is already known, so no gap is computed twice.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ DEGENERACY_TOL = 1e-8
 ARPACK_NCV = 60
 ARPACK_MAXITER = 2000
 
-GOLDEN_XTOL = 1e-6
+#: Width in s to which :func:`gap_scan` refines a minimum.
+REFINE_XTOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -80,12 +86,15 @@ class SpectrumResult:
 class GapCurve:
     """Sampled gap along a path plus the refined minimum.
 
-    `samples` has rows (global_s, gap, lambda0, lambda1).
+    `samples` has rows (global_s, gap, lambda0, lambda1); `evaluations`
+    counts the gap evaluations behind them and the minimum, tie probes
+    included.
     """
 
     samples: np.ndarray
     sector: str
     minimum: tuple[float, float]
+    evaluations: int
 
     def __post_init__(self):
         if np.any(self.samples[:, 1] < -1e-10):
@@ -246,38 +255,92 @@ def sector_gap(op, sector: str = "all", **solver
     return lam1 - lam0, lam0, lam1
 
 
-def _golden_minimize(f: Callable[[float], float], a: float, b: float,
-                     xtol: float = GOLDEN_XTOL) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
+def _brent_minimize(f: Callable[[float], float], a: float, b: float,
+                    xtol: float = REFINE_XTOL,
+                    start: tuple[float, float] | None = None
+                    ) -> tuple[float, float]:
+    """(x, f(x)) of the best point Brent's method evaluates on [a, b].
+
+    Parabolic steps through the three best points, with a golden-section
+    step wherever a parabola would leave the bracket or fail to shrink it
+    (Brent 1973, ch. 5).  Stops once the bracket is about `xtol` wide
+    (``tol = 1.5e-8 |x| + xtol / 3``).  `start` is an interior point whose
+    value is known and not above f(a) or f(b); without it the first point
+    is the golden section of [a, b].
+    """
+    golden = 0.5 * (3.0 - np.sqrt(5.0))
+    if start is None:
+        x = a + golden * (b - a)
+        fx = f(x)
+    else:
+        x, fx = start
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = 1.5e-8 * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if (abs(p) < abs(0.5 * q * e_prev)
+                    and q * (a - x) < p < q * (b - x)):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = np.copysign(tol1, xm - x)
+                parabolic = True
+        if not parabolic:
+            e = (a if x >= xm else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else np.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
                      values: np.ndarray) -> tuple[float, float]:
-    """(s, f(s)) of the smallest sample, golden-section refined on its
-    bracketing interval and on each interval whose ends tie it within
-    DEGENERACY_TOL but whose midpoint lies below (a dip between tied
-    segment boundaries); ties go to the first refinement, then the sample."""
+    """(s, f(s)) of the smallest sample, Brent-refined to about REFINE_XTOL
+    in s on its bracketing interval and on each interval whose ends tie it
+    within DEGENERACY_TOL but whose midpoint lies below (a dip between tied
+    segment boundaries).  Each run starts at a point of known value: the
+    smallest sample, or the midpoint probe of the tie test, so no value is
+    computed twice.  Ties go to the first refinement, then the sample."""
     k = int(np.argmin(values))
     tie, mid = values[k] + DEGENERACY_TOL, 0.5 * (grid[1:] + grid[:-1])
-    brackets = [(k - 1, k + 1)] if 0 < k < len(grid) - 1 else []
-    brackets += [(j, j + 1) for j in range(len(grid) - 1)
-                 if max(values[j], values[j + 1]) <= tie
-                 and f(mid[j]) < values[k] - DEGENERACY_TOL]
-    found = [_golden_minimize(f, grid[lo], grid[hi]) for lo, hi in brackets]
+    runs = [(k - 1, k + 1, grid[k], values[k])] \
+        if 0 < k < len(grid) - 1 else []
+    for j in range(len(grid) - 1):
+        if max(values[j], values[j + 1]) <= tie:
+            probe = f(mid[j])
+            if probe < values[k] - DEGENERACY_TOL:
+                runs.append((j, j + 1, mid[j], probe))
+    found = [_brent_minimize(f, grid[lo], grid[hi], start=(s, v))
+             for lo, hi, s, v in runs]
     s_min, v_min = min(found + [(grid[k], values[k])], key=lambda c: c[1])
     return float(s_min), float(v_min)
 
@@ -287,19 +350,23 @@ def gap_scan(path: InterpolationPath, points: int = 200,
     """Gap between the two lowest (sector-resolved) levels along a path.
 
     Samples `points` uniformly spaced global-s values, then refines the
-    smallest sample as :func:`_refined_minimum` does.  `solver` goes to
+    smallest sample to about REFINE_XTOL in s by Brent's method, started at
+    that sample, as :func:`_refined_minimum` does.  `solver` goes to
     :func:`lowest_eigenpairs`.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
     grid = np.linspace(0.0, 1.0, points)
+    evaluations = 0
 
     def eval_gap(s_global: float) -> tuple[float, float, float]:
+        nonlocal evaluations
+        evaluations += 1
         return sector_gap(path.at_progress(float(s_global)), sector, **solver)
 
     samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
-    return GapCurve(samples, sector, _refined_minimum(
-        lambda s: eval_gap(s)[0], grid, samples[:, 1]))
+    minimum = _refined_minimum(lambda s: eval_gap(s)[0], grid, samples[:, 1])
+    return GapCurve(samples, sector, minimum, evaluations)
 
 
 def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",

@@ -23,7 +23,7 @@ from stepgap.analytic import (
 )
 from stepgap.models import make_path
 from stepgap.spectra import (
-    _golden_minimize,
+    _brent_minimize,
     lowest_eigenpairs,
     sector_gap,
     sector_levels,
@@ -124,7 +124,7 @@ def test_first_step_even_gap_at_minimum():
 def test_first_step_minimizer_location():
     def even_gap(s):
         return 2.0 * np.sqrt(5 * s * s - 8 * s + 4)
-    s_star, _ = _golden_minimize(even_gap, 0.0, 1.0, xtol=1e-9)
+    s_star, _ = _brent_minimize(even_gap, 0.0, 1.0, xtol=1e-9)
     assert s_star == pytest.approx(0.8, abs=1e-6)
 
 

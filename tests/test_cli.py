@@ -120,11 +120,27 @@ def test_gap_scan_deterministic_output(tmp_path, capsys):
     files = []
     for _ in range(2):
         code, _, _ = run_cli(capsys, "gap-scan", "--family", "ising-linear",
-                             "--n", "4", "--points", "11", "--seed", "7",
+                             "--n", "4", "--points", "11",
                              "--out", str(out_file))
         assert code == EXIT_OK
         files.append(out_file.read_text())
     assert strip_wall_clock(files[0]) == strip_wall_clock(files[1])
+
+
+def test_gap_scan_sidecar_counts_evaluations(tmp_path, capsys):
+    # the minimum lies at s = 1/2, between the samples 0.4 and 0.6: six
+    # samples plus ten refinement evaluations
+    out_file = tmp_path / "gaps.csv"
+    counts = []
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "gap-scan", "--family", "ising-linear",
+                             "--n", "10", "--sector", "even", "--points", "6",
+                             "--out", str(out_file))
+        assert code == EXIT_OK
+        sidecar = json.loads((tmp_path / "gaps.csv.min.json").read_text())
+        assert sidecar["minimum_s"] == pytest.approx(0.5, abs=1e-6)
+        counts.append(sidecar["evaluations"])
+    assert counts == [16, 16]
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +184,15 @@ def test_scaling_csv(capsys):
     assert len(rows) == 2
     for row in rows:
         assert row[3] == "1"
+
+
+@pytest.mark.parametrize("family", ["cluster2d-stepwise", "ec3-projector"])
+def test_scaling_offers_only_families_built_from_n(family, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--family", family, "--n-list", "4",
+              "--tau-grid", "1,2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_bad_tau_grid_is_config_error(capsys):
@@ -372,6 +397,47 @@ def test_removed_options_exit_2(argv, tmp_path):
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert exc.value.code == EXIT_CONFIG
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--family", "ising-linear", "--n", "4", "--width", "9"], "--width"),
+    (["--family", "ising-stepwise", "--n", "4", "--height", "2"],
+     "--height"),
+    (["--family", "cluster1d-stepwise", "--n", "4", "--build-order",
+      "order.txt"], "--build-order"),
+    (["--family", "cluster2d-stepwise", "--width", "2", "--height", "2",
+      "--n", "4"], "--n"),
+    (["--family", "cluster2d-stepwise", "--build-order", "order.txt",
+      "--width", "9"], "--width"),
+    (["--family", "ising-linear", "--n", "4", "--instance", "nothere"],
+     "--instance"),
+    (["--family", "cluster2d-stepwise", "--width", "2", "--height", "2",
+      "--order", "random"], "--order"),
+    (["--family", "ising-linear", "--n", "4", "--seed", "4"], "--seed"),
+    (["--family", "ising-linear", "--n", "4", "--width", "9", "--instance",
+      "nothere", "--seed", "4", "--order", "random"], "--width"),
+], ids=["width", "height", "build-order", "n", "width-with-build-order",
+        "instance", "order", "seed", "all-unread"])
+def test_path_options_the_family_does_not_read_exit_2(argv, option, capsys):
+    code, out, err = run_cli(capsys, "spectrum", *argv, "--count", "2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert option in err
+
+
+def test_seed_without_random_order_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("4 2\n1 2 3\n2 3 4\n")
+    for argv in (["gap-scan", "--family", "ec3-projector", "--instance",
+                  str(inst), "--order", "greedy-max-r", "--points", "3",
+                  "--out", str(tmp_path / "gaps.csv")],
+                 ["ec3", "--instance", str(inst)]):
+        code, _, err = run_cli(capsys, *argv, "--seed", "4")
+        assert code == EXIT_CONFIG
+        assert "--order random" in err
+        code, _, _ = run_cli(capsys, *argv, "--seed", "4", "--order",
+                             "random")
+        assert code == EXIT_OK
 
 
 def test_config_echo_names_no_duration(capsys):

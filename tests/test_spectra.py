@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepgap.models import (
     chain_lattice,
@@ -14,8 +15,9 @@ from stepgap.pauli import OperatorSum, PauliString, blend, ghz_state
 from stepgap.spectra import (
     ConvergenceError,
     GapCurve,
+    REFINE_XTOL,
     SpectrumResult,
-    _golden_minimize,
+    _brent_minimize,
     gap_scan,
     lowest_eigenpairs,
     sector_gap,
@@ -159,13 +161,88 @@ def test_sector_levels_is_one_block_solve_with_every_even_level(n,
 
 
 # ---------------------------------------------------------------------------
-# golden-section refinement
+# minimum refinement
 # ---------------------------------------------------------------------------
 
+def golden_minimize(f, a, b, xtol=REFINE_XTOL):
+    """Reference: golden-section minimum of a unimodal function on [a, b]."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > xtol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
 def test_golden_minimize_quadratic():
-    s, v = _golden_minimize(lambda x: (x - 0.3) ** 2 + 1.0, 0.0, 1.0)
+    s, v = _brent_minimize(lambda x: (x - 0.3) ** 2 + 1.0, 0.0, 1.0)
     assert s == pytest.approx(0.3, abs=1e-6)
     assert v == pytest.approx(1.0, abs=1e-10)
+
+
+def _unimodal(kind, c, scale, quartic, shift):
+    """A function on the line with its one minimum at c."""
+    if kind == "quartic":
+        return lambda x: scale * (x - c) ** 2 + quartic * (x - c) ** 4 + shift
+    if kind == "gap":  # 2 sqrt(1 - 2s(1 - s)), the linear-path gap shape
+        return lambda x: scale * 2.0 * np.sqrt(
+            1.0 - 2.0 * (0.5 + x - c) * (0.5 - x + c)) + shift
+    return lambda x: abs(x - c)
+
+
+@given(st.sampled_from(("quartic", "gap", "kink")),
+       st.floats(-2.0, 1.0), st.floats(0.05, 1.0), st.floats(0.02, 0.98),
+       st.floats(0.1, 10.0), st.floats(0.0, 10.0), st.floats(-3.0, 3.0),
+       st.none() | st.floats(-0.99, 0.99))
+def test_brent_matches_golden_section(kind, a, width, where, scale, quartic,
+                                      shift, start):
+    b = a + width
+    c = a + where * width
+    f = _unimodal(kind, c, scale, quartic, shift)
+    calls = {"brent": 0, "golden": 0}
+
+    def counted(name):
+        def g(x):
+            calls[name] += 1
+            return f(x)
+        return g
+
+    seed = None
+    if start is not None:  # no farther from c than the nearer end
+        x0 = c + start * min(c - a, b - c)
+        seed = (x0, f(x0))
+    s, v = _brent_minimize(counted("brent"), a, b, start=seed)
+    _, v_ref = golden_minimize(counted("golden"), a, b)
+    assert a <= s <= b and v == f(s)
+    if kind == "kink":
+        # parabolas fit a V badly: held to the golden section's own bound,
+        # its final bracket width
+        assert abs(s - c) <= REFINE_XTOL
+        assert calls["brent"] <= calls["golden"] + 2
+    else:
+        assert abs(s - c) <= 2 * REFINE_XTOL
+        assert v <= v_ref + 1e-10
+        assert calls["brent"] <= calls["golden"]
+
+
+def test_brent_start_is_not_evaluated_again():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return (x - 0.3) ** 2
+
+    s, v = _brent_minimize(f, 0.0, 1.0, start=(0.25, 0.0025))
+    assert 0.25 not in seen
+    assert s == pytest.approx(0.3, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
