@@ -282,12 +282,11 @@ def ising_step_hamiltonian(n: int, k: int) -> OperatorSum:
 def cluster_hamiltonian(lattice: LatticeGraph) -> OperatorSum:
     """One term per node: -sigma^x on the node times sigma^z on its neighbors."""
     n = lattice.node_count
-    terms = []
-    for mu in range(1, n + 1):
-        ops = {mu: "X"}
-        ops.update({nu: "Z" for nu in lattice.neighbors(mu)})
-        terms.append(PauliString.from_ops(n, ops, -1.0))
-    return OperatorSum(n, terms)
+    ops = {mu: {mu: "X"} for mu in range(1, n + 1)}
+    for a, b in lattice.links:
+        ops[a][b] = ops[b][a] = "Z"
+    return OperatorSum(n, [PauliString.from_ops(n, o, -1.0)
+                           for o in ops.values()])
 
 
 def cluster1d_endpoints(n: int) -> tuple[OperatorSum, OperatorSum]:
@@ -404,7 +403,6 @@ class InterpolationPath:
 
 def make_path(family: str, *, n: int | None = None, width: int | None = None,
               height: int | None = None, boundary: str = "periodic",
-              dt: float | Sequence[float] = 1.0,
               build_order: BuildOrder | None = None,
               instance=None, clause_order: Sequence[int] | None = None,
               ) -> InterpolationPath:
@@ -412,8 +410,8 @@ def make_path(family: str, *, n: int | None = None, width: int | None = None,
 
     Linear families yield a single segment from the initial to the final
     Hamiltonian; stepwise families yield the full chain of intermediate
-    Hamiltonians.  `dt` is either one duration used for every segment or a
-    sequence with one entry per segment.
+    Hamiltonians.  Every segment has duration 1, and
+    :meth:`InterpolationPath.rescaled` sets the total runtime.
     """
     if family not in PATH_FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from "
@@ -439,15 +437,7 @@ def make_path(family: str, *, n: int | None = None, width: int | None = None,
         ops = list(ec3.projector_hamiltonian(_require(instance, "instance"),
                                              clause_order))
 
-    segments = len(ops) - 1
-    if np.isscalar(dt):
-        durations = (float(dt),) * segments
-    else:
-        durations = tuple(float(d) for d in dt)
-        if len(durations) != segments:
-            raise ValueError(
-                f"need {segments} durations, got {len(durations)}")
-    return InterpolationPath(tuple(ops), durations, family)
+    return InterpolationPath(tuple(ops), (1.0,) * (len(ops) - 1), family)
 
 
 def _require(value, name):

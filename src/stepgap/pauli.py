@@ -6,6 +6,12 @@ Conventions used throughout the package:
   bit of a computational-basis index, i.e. basis state ``|z_1 z_2 ... z_n>``
   has index ``z = z_1*2^(n-1) + ... + z_n``.
 * State vectors are plain complex or real numpy arrays of length ``2**n``.
+* A Pauli string is its symplectic row (Aaronson & Gottesman, PRA 70,
+  052328, 2004): two ints ``x`` and ``z`` with bit ``n - q`` set where
+  qubit q carries X or Y, respectively Z or Y, so Y is ``x & z`` and the
+  string acts as ``i^y X^x Z^z`` with y = popcount(x & z).  It is built
+  from a label (:meth:`PauliString.from_label`, ``"XZIY"``) or a sparse map
+  of symbols (:meth:`PauliString.from_ops`); ``factors`` spells it out.
 * Operators are real-weighted sums of Pauli strings (:class:`OperatorSum`).
   Each one is compiled once, on first use, into flip-mask groups: every
   Pauli string moves basis state ``i`` to ``i ^ flip``, so the terms that
@@ -33,8 +39,6 @@ from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-PAULI_SYMBOLS = "IXYZ"
-
 #: Largest qubit count for which dense materialization is permitted.
 DENSE_QUBIT_CAP = 14
 
@@ -49,12 +53,7 @@ COEFF_CUTOFF = 1e-15
 _Y_PHASES = (1.0, 1j, -1.0, -1j)
 
 
-def _bit(n: int, qubit: int) -> int:
-    """Bit position of 1-based `qubit` inside a basis index (qubit 1 = MSB)."""
-    return n - qubit
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """A signed tensor product of single-qubit Pauli factors.
 
@@ -62,69 +61,74 @@ class PauliString:
     ----------
     n : int
         Number of qubits.
-    factors : tuple[str, ...]
-        One symbol from ``"IXYZ"`` per qubit; ``factors[q-1]`` acts on qubit q.
+    x, z : int
+        Symplectic row: bit ``n - q`` of `x` is set where qubit q carries X
+        or Y, of `z` where it carries Z or Y.
     coefficient : float
         Real weight.  Real coefficients keep every operator Hermitian.
     """
 
     n: int
-    factors: tuple[str, ...]
+    x: int
+    z: int
     coefficient: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
-        if len(self.factors) != self.n:
-            raise ValueError(
-                f"expected {self.n} factors, got {len(self.factors)}")
-        bad = [f for f in self.factors if f not in PAULI_SYMBOLS]
-        if bad:
-            raise ValueError(f"invalid Pauli symbols {bad!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        xz = self.x | self.z  # negative when x or z is
+        if xz < 0 or xz.bit_length() > self.n:
+            raise ValueError(f"(x, z) = ({self.x}, {self.z}) outside "
+                             f"[0, 2^{self.n})")
         object.__setattr__(self, "coefficient", float(self.coefficient))
+
+    @classmethod
+    def from_label(cls, label: str, coefficient: float = 1.0
+                   ) -> "PauliString":
+        """Build from one symbol of ``"IXYZ"`` per qubit, qubit 1 first."""
+        if not label:
+            raise ValueError("need at least one qubit, got an empty label")
+        bad = set(label) - set("IXYZ")
+        if bad:
+            raise ValueError(f"invalid Pauli symbols {sorted(bad)!r}")
+        x, z = (int(label.translate(str.maketrans("IXYZ", bits)), 2)
+                for bits in ("0110", "0011"))
+        return cls(len(label), x, z, coefficient)
 
     @classmethod
     def from_ops(cls, n: int, ops: Mapping[int, str] | None = None,
                  coefficient: float = 1.0) -> "PauliString":
         """Build from a sparse map ``{qubit (1-based): symbol}``."""
-        factors = ["I"] * n
+        x = z = 0
         for qubit, sym in (ops or {}).items():
             if not 1 <= qubit <= n:
                 raise ValueError(f"qubit {qubit} outside [1, {n}]")
-            factors[qubit - 1] = sym
-        return cls(n, tuple(factors), coefficient)
+            if sym not in ("I", "X", "Y", "Z"):
+                raise ValueError(f"invalid Pauli symbol {sym!r}")
+            bit = 1 << (n - qubit)
+            if sym in "XY":
+                x |= bit
+            if sym in "YZ":
+                z |= bit
+        return cls(n, x, z, coefficient)
 
     @classmethod
     def identity(cls, n: int, coefficient: float = 1.0) -> "PauliString":
-        return cls(n, ("I",) * n, coefficient)
+        return cls(n, 0, 0, coefficient)
 
     @property
     def y_count(self) -> int:
-        return sum(1 for f in self.factors if f == "Y")
+        return (self.x & self.z).bit_count()
 
-    def factor(self, qubit: int) -> str:
-        """Pauli symbol acting on 1-based `qubit`."""
-        return self.factors[qubit - 1]
-
-    def masks(self) -> tuple[int, int]:
-        """(flip mask, phase mask): bits set where X/Y respectively Z/Y act."""
-        flip = 0
-        zmask = 0
-        for q, f in enumerate(self.factors, start=1):
-            b = 1 << _bit(self.n, q)
-            if f in ("X", "Y"):
-                flip |= b
-            if f in ("Z", "Y"):
-                zmask |= b
-        return flip, zmask
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Return ``coefficient * (tensor Pauli action) @ psi``."""
-        return OperatorSum(self.n, [self]).apply(psi)
+    @property
+    def factors(self) -> tuple[str, ...]:
+        """One symbol from ``"IXYZ"`` per qubit; ``factors[q-1]`` acts on
+        qubit q."""
+        return tuple("IXZY"[(self.x >> b & 1) + 2 * (self.z >> b & 1)]
+                     for b in range(self.n - 1, -1, -1))
 
     def __mul__(self, scalar: float) -> "PauliString":
-        return PauliString(self.n, self.factors, self.coefficient * scalar)
+        return PauliString(self.n, self.x, self.z, self.coefficient * scalar)
 
     __rmul__ = __mul__
 
@@ -156,7 +160,7 @@ def _compile(n: int, terms: tuple[PauliString, ...]) -> tuple:
     idx = np.arange(1 << n)
     amps: dict[int, np.ndarray | float | complex] = {}
     for term in terms:
-        flip, zmask = term.masks()
+        flip, zmask = term.x, term.z
         # P|j> = c i^y (-1)^popcount(j & zmask) |j ^ flip>, taken at j = i^flip
         weight = term.coefficient * _Y_PHASES[term.y_count % 4]
         if (flip & zmask).bit_count() % 2:
@@ -172,31 +176,32 @@ def _compile(n: int, terms: tuple[PauliString, ...]) -> tuple:
 class OperatorSum:
     """A Hermitian operator given as a real-weighted sum of Pauli strings.
 
-    Terms are canonicalized on construction: duplicate factor patterns are
-    merged, coefficients below :data:`COEFF_CUTOFF` dropped, and the term
-    order fixed, so equal operators compare equal.  The flip-mask groups
-    that :meth:`apply` and :meth:`to_dense` read are compiled on first use
-    and kept.  A :func:`blend` of two sums is built from their groups and
-    canonicalizes its terms only when they are read.  Instances are
-    immutable.  The package starts no threads; if a caller's threads race on
-    the first use of an operator, each compiles an equal tuple and publishes
-    it with a single attribute store.
+    Terms are canonicalized on construction: duplicate symplectic rows are
+    merged, coefficients below :data:`COEFF_CUTOFF` dropped, and the terms
+    sorted by ``(x, z)``, so equal operators compare equal.  The flip-mask
+    groups that :meth:`apply` and :meth:`to_dense` read are compiled on
+    first use and kept.  A :func:`blend` of two sums is built from their
+    groups and canonicalizes its terms only when they are read.  Instances
+    are immutable.  The package starts no threads; if a caller's threads
+    race on the first use of an operator, each compiles an equal tuple and
+    publishes it with a single attribute store.
     """
 
     __slots__ = ("n", "_terms", "_groups", "_real", "_terms_of")
 
     def __init__(self, n: int, terms: Iterable[PauliString] = ()):
-        merged: dict[tuple[str, ...], float] = {}
+        merged: dict[tuple[int, int], PauliString] = {}
         for term in terms:
             if term.n != n:
                 raise ValueError(
                     f"term on {term.n} qubits in an {n}-qubit sum")
-            merged[term.factors] = merged.get(term.factors, 0.0) \
-                + term.coefficient
-        canon = tuple(
-            PauliString(n, factors, coeff)
-            for factors, coeff in sorted(merged.items())
-            if abs(coeff) > COEFF_CUTOFF)
+            key = term.x, term.z
+            if key in merged:  # strings are immutable: a lone one is kept
+                term = PauliString(n, *key, merged[key].coefficient
+                                   + term.coefficient)
+            merged[key] = term
+        canon = tuple(merged[key] for key in sorted(merged)
+                      if abs(merged[key].coefficient) > COEFF_CUTOFF)
         self._init(n, canon, None, None, None)
 
     def _init(self, n, terms, groups, terms_of, real) -> None:
@@ -335,15 +340,19 @@ def parity_lift(phi: np.ndarray, sign: int) -> np.ndarray:
 def _block_terms(op: OperatorSum, sign: int) -> tuple[PauliString, ...]:
     """Terms of ``op.parity_block(sign)``: ``A (x) Q`` with A on qubit 1
     gives Q for A = I, Z and ``sign <0|A|1> Q X^(n-1)`` for A = X, Y."""
+    half = 1 << (op.n - 1)
     out = []
     for term in op.terms:
-        lead, rest, coeff = term.factors[0], term.factors[1:], term.coefficient
-        if lead in "XY":
-            # <0|Y|1> = -i; per factor Q X is X, I, -iZ, iY for I, X, Y, Z
-            coeff *= sign * ((-1j) ** (rest.count("Y") + (lead == "Y"))
-                             * 1j ** rest.count("Z")).real
-            rest = tuple("XIZY"["IXYZ".index(f)] for f in rest)
-        out.append(PauliString(op.n - 1, rest, coeff))
+        x, z, coeff = term.x & (half - 1), term.z & (half - 1), \
+            term.coefficient
+        if term.x & half:
+            # <0|Y|1> = -i; per factor Q X is X, I, -iZ, iY for I, X, Y, Z,
+            # so the phase is i^(#Z - #Y - lead Y), +-1 for an even Z count
+            power = (z & ~x).bit_count() - (x & z).bit_count() \
+                - (term.z >> (op.n - 1))
+            coeff *= sign * (1 - power % 4)
+            x ^= half - 1
+        out.append(PauliString(op.n - 1, x, z, coeff))
     return OperatorSum(op.n - 1, out).terms
 
 
@@ -376,53 +385,36 @@ class GateSpec:
         return gate.to_dense()
 
 
-# Conjugation rules S (P_c ⊗ Q_t) S for the Hermitian gates above, as
-# (sign, new_control_factor, new_target_factor).  Verified against dense
-# matrices in the test suite.
-_CNOT_RULES = {
-    ("I", "I"): (1, "I", "I"), ("I", "X"): (1, "I", "X"),
-    ("I", "Y"): (1, "Z", "Y"), ("I", "Z"): (1, "Z", "Z"),
-    ("X", "I"): (1, "X", "X"), ("X", "X"): (1, "X", "I"),
-    ("X", "Y"): (1, "Y", "Z"), ("X", "Z"): (-1, "Y", "Y"),
-    ("Y", "I"): (1, "Y", "X"), ("Y", "X"): (1, "Y", "I"),
-    ("Y", "Y"): (-1, "X", "Z"), ("Y", "Z"): (1, "X", "Y"),
-    ("Z", "I"): (1, "Z", "I"), ("Z", "X"): (1, "Z", "X"),
-    ("Z", "Y"): (1, "I", "Y"), ("Z", "Z"): (1, "I", "Z"),
-}
-
-_CZ_RULES = {
-    ("I", "I"): (1, "I", "I"), ("I", "X"): (1, "Z", "X"),
-    ("I", "Y"): (1, "Z", "Y"), ("I", "Z"): (1, "I", "Z"),
-    ("X", "I"): (1, "X", "Z"), ("X", "X"): (1, "Y", "Y"),
-    ("X", "Y"): (-1, "Y", "X"), ("X", "Z"): (1, "X", "I"),
-    ("Y", "I"): (1, "Y", "Z"), ("Y", "X"): (-1, "X", "Y"),
-    ("Y", "Y"): (1, "X", "X"), ("Y", "Z"): (1, "Y", "I"),
-    ("Z", "I"): (1, "Z", "I"), ("Z", "X"): (1, "I", "X"),
-    ("Z", "Y"): (1, "I", "Y"), ("Z", "Z"): (1, "Z", "Z"),
-}
-
-
 def conjugate(op: OperatorSum, gate: GateSpec) -> OperatorSum:
     """Similarity transform ``S @ op @ S`` by a CNOT or CZ gate.
 
     Pauli strings map to Pauli strings under both gates, so the result is
-    again an :class:`OperatorSum` with real coefficients.
+    again an :class:`OperatorSum` with real coefficients.  On the
+    symplectic rows (Aaronson & Gottesman, PRA 70, 052328, 2004), with the
+    bits read before the update: CNOT sets ``x_t ^= x_c``, ``z_c ^= z_t``
+    and flips the sign when ``x_c z_t (x_t ^ z_c ^ 1)``; CZ sets
+    ``z_t ^= x_c``, ``z_c ^= x_t`` and flips it when
+    ``x_c x_t (z_c ^ z_t)``.
     """
-    if gate.control > op.n or gate.target > op.n:
+    n = op.n
+    if gate.control > n or gate.target > n:
         raise ValueError(
-            f"gate on qubits ({gate.control},{gate.target}) outside 1..{op.n}")
-    rules = _CNOT_RULES if gate.kind == "CNOT" else _CZ_RULES
+            f"gate on qubits ({gate.control},{gate.target}) outside 1..{n}")
+    c, t = n - gate.control, n - gate.target
     out = []
     for term in op.terms:
-        pc = term.factor(gate.control)
-        qt = term.factor(gate.target)
-        sign, new_c, new_t = rules[(pc, qt)]
-        factors = list(term.factors)
-        factors[gate.control - 1] = new_c
-        factors[gate.target - 1] = new_t
-        out.append(PauliString(op.n, tuple(factors),
-                               sign * term.coefficient))
-    return OperatorSum(op.n, out)
+        x, z = term.x, term.z
+        xc, zc, xt, zt = x >> c & 1, z >> c & 1, x >> t & 1, z >> t & 1
+        if gate.kind == "CNOT":
+            flip = xc & zt & (xt ^ zc ^ 1)
+            x ^= xc << t
+            z ^= zt << c
+        else:
+            flip = xc & xt & (zc ^ zt)
+            z ^= xc << t | xt << c
+        out.append(PauliString(n, x, z, -term.coefficient if flip
+                               else term.coefficient))
+    return OperatorSum(n, out)
 
 
 def _anticommute(u: int, v: int, n: int) -> int:
@@ -519,53 +511,54 @@ def taper(op: OperatorSum) -> Tapering:
     """
     n, terms = op.n, op.terms
     low, xall = (1 << n) - 1, ((1 << n) - 1) << n
-    packed = [flip << n | zmask for flip, zmask in map(PauliString.masks,
-                                                        terms)]
+    packed = [term.x << n | term.z for term in terms]
     kernel = _null_space([(v & low) << n | v >> n for v in packed], 2 * n)
     vectors = list(kernel.values())
     if not any(_anticommute(v, xall, n) for v in packed):
         # X^n is the sum of the basis vectors of its free bits: swap one out
         del kernel[next(f for f in kernel if xall >> f & 1)]
         vectors = [xall, *kernel.values()]
-    generators = tuple(
-        PauliString(n, tuple("IXZY"[(g >> (2 * n - 1 - j) & 1)
-                                    + 2 * (g >> (n - 1 - j) & 1)]
-                             for j in range(n)))
-        for g in _commuting_subset(vectors, n))
+    generators = tuple(PauliString(n, g >> n, g & low)
+                       for g in _commuting_subset(vectors, n))
 
-    r, strings = len(generators), generators + terms
-    chars = np.array([p.factors for p in strings],
-                     dtype="<U1").reshape(len(strings), n)
-    x, z = (chars == "X") | (chars == "Y"), (chars == "Z") | (chars == "Y")
-    q = np.count_nonzero(x & z, axis=1)
-    free, pivots = np.ones(n, dtype=bool), []
+    r = len(generators)
+    rows = [(p.x, p.z, p.y_count) for p in generators + terms]
+    free, pivots = low, []
     for i in range(r):
         # generator i has no X on earlier pivots; S turns its free Y into X
         # and H its free X into Z, so it is a Z string
-        ys = free & x[i] & z[i]
-        q += x[:, ys].sum(axis=1)
-        z[:, ys] ^= x[:, ys]
-        xs = free & x[i]
-        q += 2 * (x[:, xs] & z[:, xs]).sum(axis=1)
-        x[:, xs], z[:, xs] = z[:, xs], x[:, xs]
+        gx, gz, _ = rows[i]
+        ys, xs = free & gx & gz, free & gx
+        stepped = []
+        for x, z, q in rows:
+            q += (x & ys).bit_count()
+            z ^= x & ys
+            q += 2 * (x & z & xs).bit_count()
+            stepped.append((x & ~xs | z & xs, z & ~xs | x & xs, q))
         # CNOT(t -> p) clears its Z on every other qubit t
-        p = int(np.flatnonzero(free & z[i])[0])
-        others = z[i].copy()
-        others[p] = False
-        x[:, p] ^= np.logical_xor.reduce(x[:, others], axis=1)
-        z[:, others] ^= z[:, [p]]
-        free[p] = False
+        gz = stepped[i][1]
+        p = (free & gz).bit_length() - 1
+        others = gz ^ 1 << p
+        rows = [(x ^ ((x & others).bit_count() & 1) << p,
+                 z ^ others if z >> p & 1 else z, q) for x, z, q in stepped]
+        free ^= 1 << p
         pivots.append(p)
 
-    order = pivots + list(np.flatnonzero(free))
-    x, z = x[r:, order], z[r:, order]
+    def reorder(v: int) -> int:
+        # pivot qubits first, in generator order, then the free ones
+        head = 0
+        for p in pivots:
+            head = head << 1 | v >> p & 1
+        for p in sorted(pivots, reverse=True):
+            v = v >> (p + 1) << p | v & ((1 << p) - 1)
+        return head << (n - r) | v
+
     # i^q X^x Z^z is i^(q - y) times the string with y = popcount(x & z)
     # factors Y, and i^(q - y) is +-1 for a Hermitian string
-    signs = 1 - (q[r:] - np.count_nonzero(x & z, axis=1)) % 4
-    letters = np.array(tuple("IXZY"))[x + 2 * z]
     return Tapering(generators, OperatorSum(n, [
-        PauliString(n, tuple(row.tolist()), sign * term.coefficient)
-        for row, sign, term in zip(letters, signs.tolist(), terms)]))
+        PauliString(n, reorder(x), reorder(z),
+                    (1 - (q - (x & z).bit_count()) % 4) * term.coefficient)
+        for (x, z, q), term in zip(rows[r:], terms)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,13 +713,12 @@ def parity_expectation(psi: np.ndarray) -> float:
 
 
 def parity_symmetric(op) -> bool:
-    """True when `op` is a Pauli sum that commutes exactly with X^n (index
-    i to ~i): every compiled amplitude vector is reversal-symmetric,
-    ``d_f[~i] == d_f[i]``.  A :class:`ProjectorSum` gives False."""
-    return isinstance(op, OperatorSum) and all(
-        np.ndim(amp) == 0 or np.array_equal(amp, amp[::-1])
-        for _, _, amp in op._compiled())
+    """True when `op` is a Pauli sum that commutes with X^n: every term
+    has an even number of Z and Y factors.  A :class:`ProjectorSum` gives
+    False."""
+    return isinstance(op, OperatorSum) and not any(
+        term.z.bit_count() & 1 for term in op.terms)
 
 
 def parity_operator(n: int) -> OperatorSum:
-    return OperatorSum(n, [PauliString(n, ("X",) * n, 1.0)])
+    return OperatorSum(n, [PauliString(n, (1 << n) - 1, 0, 1.0)])

@@ -329,7 +329,10 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
     within DEGENERACY_TOL but whose midpoint lies below (a dip between tied
     segment boundaries).  Each run starts at a point of known value: the
     smallest sample, or the midpoint probe of the tie test, so no value is
-    computed twice.  Ties go to the first refinement, then the sample."""
+    computed twice.  The value reported is the lowest found; s is the
+    smallest among the runs' results and the sample whose values lie
+    within DEGENERACY_TOL of it, so of tied dips the leftmost is reported,
+    whichever run found the lowest value."""
     k = int(np.argmin(values))
     tie, mid = values[k] + DEGENERACY_TOL, 0.5 * (grid[1:] + grid[:-1])
     runs = [(k - 1, k + 1, grid[k], values[k])] \
@@ -340,8 +343,9 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
             if probe < values[k] - DEGENERACY_TOL:
                 runs.append((j, j + 1, mid[j], probe))
     found = [_brent_minimize(f, grid[lo], grid[hi], start=(s, v))
-             for lo, hi, s, v in runs]
-    s_min, v_min = min(found + [(grid[k], values[k])], key=lambda c: c[1])
+             for lo, hi, s, v in runs] + [(grid[k], values[k])]
+    v_min = min(v for _, v in found)
+    s_min = min(s for s, v in found if v <= v_min + DEGENERACY_TOL)
     return float(s_min), float(v_min)
 
 

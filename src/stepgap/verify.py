@@ -162,10 +162,9 @@ def conjugation_spectrum_deviation(sizes=(4, 6, 8), trials: int = 3,
     for kind in ("CNOT", "CZ"):
         for n in sizes:
             for _ in range(trials):
-                terms = [PauliString(n,
-                                     tuple(rng.choice(list("IXYZ"), size=n)),
-                                     float(rng.normal()))
-                         for _ in range(2 * n)]
+                terms = [PauliString.from_label(
+                    "".join(rng.choice(list("IXYZ"), size=n)),
+                    float(rng.normal())) for _ in range(2 * n)]
                 op = OperatorSum(n, terms)
                 gate = GateSpec(kind, int(rng.integers(1, n)), n)
                 w0 = np.linalg.eigvalsh(op.to_dense())

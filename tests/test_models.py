@@ -279,7 +279,8 @@ def test_make_path_stepwise_counts():
 
 
 def test_path_endpoint_evaluation_is_exact():
-    path = make_path("ising-stepwise", n=4, dt=0.7)
+    path = make_path("ising-stepwise", n=4).rescaled(2.8)
+    assert path.durations == pytest.approx((0.7,) * 4)
     assert path.at_time(path.tau) == path.operators[-1]
     assert path.at_time(0.0) == path.operators[0]
 
@@ -320,7 +321,8 @@ def test_path_time_bounds_checked():
 
 
 def test_path_rescaled_preserves_shape():
-    path = make_path("cluster1d-stepwise", n=5, dt=2.0)
+    path = make_path("cluster1d-stepwise", n=5).rescaled(8.0)
+    assert path.durations == pytest.approx((2.0,) * 4)
     fast = path.rescaled(1.0)
     assert fast.tau == pytest.approx(1.0)
     assert fast.segment_count == path.segment_count
@@ -329,10 +331,16 @@ def test_path_rescaled_preserves_shape():
 
 
 def test_path_custom_durations():
-    path = make_path("ising-stepwise", n=3, dt=[1.0, 2.0, 3.0])
-    assert path.tau == pytest.approx(6.0)
+    # named paths have unit segments; other durations come from rescaling
+    # or from an InterpolationPath built directly
+    path = make_path("ising-stepwise", n=3)
+    assert path.durations == (1.0, 1.0, 1.0)
+    custom = InterpolationPath(path.operators, (1.0, 2.0, 3.0), path.family)
+    assert custom.tau == pytest.approx(6.0)
     with pytest.raises(ValueError):
-        make_path("ising-stepwise", n=3, dt=[1.0, 2.0])
+        InterpolationPath(path.operators, (1.0, 2.0))
+    with pytest.raises(TypeError):
+        make_path("ising-stepwise", n=3, dt=1.0)
 
 
 def test_make_path_param_validation():
@@ -349,7 +357,7 @@ def test_make_path_param_validation():
 # ---------------------------------------------------------------------------
 
 def _qubits_of(term):
-    return {q for q in range(1, term.n + 1) if term.factor(q) != "I"}
+    return {q for q in range(1, term.n + 1) if term.factors[q - 1] != "I"}
 
 
 def test_ising_mid_step_cnot_decouples_moving_qubit():
@@ -361,7 +369,7 @@ def test_ising_mid_step_cnot_decouples_moving_qubit():
         qubits = _qubits_of(term)
         if k + 2 in qubits:
             assert qubits == {k + 2}
-            sym = term.factor(k + 2)
+            sym = term.factors[k + 1]
             if sym == "X":
                 assert term.coefficient == pytest.approx(-(1 - s))
             else:

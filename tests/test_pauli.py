@@ -27,8 +27,8 @@ SYMBOLS = "IXYZ"
 
 def random_operator(n, n_terms, rng):
     terms = [
-        PauliString(n, tuple(rng.choice(list(SYMBOLS), size=n)),
-                    float(rng.normal()))
+        PauliString.from_label("".join(rng.choice(list(SYMBOLS), size=n)),
+                               float(rng.normal()))
         for _ in range(n_terms)
     ]
     return OperatorSum(n, terms)
@@ -47,11 +47,46 @@ def random_state(n, rng, complex_=True):
 
 def test_pauli_string_validation():
     with pytest.raises(ValueError):
-        PauliString(3, ("X", "Z"))
+        PauliString(2, 4, 0)
     with pytest.raises(ValueError):
-        PauliString(2, ("X", "Q"))
+        PauliString.from_label("XQ")
     with pytest.raises(ValueError):
         PauliString.from_ops(2, {3: "X"})
+    with pytest.raises(ValueError):
+        PauliString.from_ops(2, {1: "Q"})
+    with pytest.raises(ValueError):
+        PauliString.from_label("")
+    with pytest.raises(ValueError):
+        PauliString(0, 0, 0)
+
+
+labels = st.text("IXYZ", min_size=1, max_size=8)
+
+
+@given(labels, st.floats(-2.0, 2.0, allow_nan=False))
+def test_label_round_trips_through_bits(label, coeff):
+    p = PauliString.from_label(label, coeff)
+    assert (p.n, "".join(p.factors), p.coefficient) == (len(label), label,
+                                                         coeff)
+    assert p.y_count == label.count("Y")
+    ops = {q: f for q, f in enumerate(label, start=1) if f != "I"}
+    assert PauliString.from_ops(len(label), ops, coeff) == p
+    assert str(p) == f"{coeff:+g}*{label}"
+
+
+@given(labels, st.sampled_from("xz"), st.integers(1, 3),
+       st.text("ABQixyz ", min_size=1, max_size=3))
+def test_bad_labels_and_rows_raise(label, which, excess, junk):
+    n = len(label)
+    with pytest.raises(ValueError):
+        PauliString.from_label(label + junk)
+    # a bit at or above n, then a negative row
+    row = {"x": 0, "z": 0, which: 1 << (n + excess - 1)}
+    with pytest.raises(ValueError):
+        PauliString(n, row["x"], row["z"])
+    row[which] = -1
+    with pytest.raises(ValueError):
+        PauliString(n, row["x"], row["z"])
 
 
 def test_operator_sum_merges_duplicates():
@@ -128,7 +163,7 @@ def test_apply_matches_dense_on_random_states():
 
 
 def test_apply_y_phases_exact():
-    op = OperatorSum(2, [PauliString(2, ("Y", "I"), 1.0)])
+    op = OperatorSum(2, [PauliString.from_label("YI", 1.0)])
     # Y|0> = i|1>, Y|1> = -i|0>
     assert np.allclose(op.apply(basis_state(2, [0, 1]).astype(complex)),
                        1j * basis_state(2, [1, 1]))
@@ -137,8 +172,8 @@ def test_apply_y_phases_exact():
 
 
 def test_real_operator_keeps_real_dtype():
-    op = OperatorSum(3, [PauliString(3, ("Y", "Y", "I"), 0.5),
-                         PauliString(3, ("Z", "I", "X"), -1.0)])
+    op = OperatorSum(3, [PauliString.from_label("YYI", 0.5),
+                         PauliString.from_label("ZIX", -1.0)])
     assert op.is_real
     out = op.apply(np.ones(8))
     assert out.dtype == np.float64
@@ -202,6 +237,29 @@ def test_conjugation_rules_match_dense(kind):
                 got = conjugate(op, gate).to_dense()
                 want = smat @ op.to_dense() @ smat
                 assert np.abs(got - want).max() < 1e-13, (kind, pc, qt)
+
+
+@st.composite
+def conjugation_cases(draw):
+    """A random Pauli sum on 3-6 qubits and a CNOT or CZ on two distinct
+    qubits in either order."""
+    n = draw(st.integers(3, 6))
+    terms = draw(st.lists(st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                                    st.floats(-2.0, 2.0, allow_nan=False)),
+                          min_size=1, max_size=6))
+    control, target = draw(st.permutations(range(1, n + 1)))[:2]
+    gate = GateSpec(draw(st.sampled_from(("CNOT", "CZ"))), control, target)
+    return OperatorSum(n, [PauliString.from_label(f, c) for f, c in terms]), \
+        gate
+
+
+@given(conjugation_cases())
+def test_conjugation_matches_dense_gate(case):
+    op, gate = case
+    smat = gate.to_matrix(op.n)
+    got = conjugate(op, gate).to_dense()
+    want = smat @ op.to_dense() @ smat
+    assert np.abs(got - want).max(initial=0.0) < 1e-13
 
 
 def test_conjugation_identities_zz_cnot():
@@ -295,9 +353,9 @@ def real_operator(n, n_terms, rng):
     its matrix is real symmetric."""
     terms = []
     while len(terms) < n_terms:
-        labels = tuple(rng.choice(list(SYMBOLS), size=n))
-        if labels.count("Y") % 2 == 0:
-            terms.append(PauliString(n, labels, float(rng.normal())))
+        label = "".join(rng.choice(list(SYMBOLS), size=n))
+        if label.count("Y") % 2 == 0:
+            terms.append(PauliString.from_label(label, float(rng.normal())))
     return OperatorSum(n, terms)
 
 

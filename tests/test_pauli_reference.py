@@ -27,12 +27,26 @@ _PAULI_MATRICES = {
 }
 
 
+def y_count(term: PauliString) -> int:
+    return term.factors.count("Y")
+
+
+def reference_masks(term: PauliString) -> tuple[int, int]:
+    """(flip mask, phase mask) of a term, read off its symbols: qubit 1 is
+    the leading bit, set where X/Y respectively Z/Y act."""
+    flip = zmask = 0
+    for f in term.factors:
+        flip = flip << 1 | (f in "XY")
+        zmask = zmask << 1 | (f in "YZ")
+    return flip, zmask
+
+
 def reference_term_matrix(term: PauliString) -> np.ndarray:
     """Dense matrix of one term; real when the Y count is even."""
     mat = np.array([[term.coefficient]], dtype=complex)
     for f in term.factors:
         mat = np.kron(mat, _PAULI_MATRICES[f])
-    if term.y_count % 2 == 0:
+    if y_count(term) % 2 == 0:
         return mat.real.copy()
     return mat
 
@@ -40,7 +54,7 @@ def reference_term_matrix(term: PauliString) -> np.ndarray:
 def reference_dense(op: OperatorSum) -> np.ndarray:
     """Sum of the per-term Kronecker matrices, real for a real operator."""
     dim = 1 << op.n
-    dtype = float if all(t.y_count % 2 == 0 for t in op.terms) else complex
+    dtype = float if all(y_count(t) % 2 == 0 for t in op.terms) else complex
     mat = np.zeros((dim, dim), dtype=dtype)
     for term in op.terms:
         block = reference_term_matrix(term)
@@ -52,12 +66,12 @@ def reference_apply(op: OperatorSum, psi: np.ndarray) -> np.ndarray:
     """``op @ psi`` one term at a time, masks and signs rebuilt per call."""
     n = op.n
     idx = np.arange(1 << n, dtype=np.uint64)
-    complex_out = np.iscomplexobj(psi) or any(t.y_count % 2 for t in op.terms)
+    complex_out = np.iscomplexobj(psi) or any(y_count(t) % 2 for t in op.terms)
     out = np.zeros(1 << n, dtype=complex if complex_out else float)
     for term in op.terms:
-        flip, zmask = term.masks()
-        phase = 1j ** term.y_count
-        if term.y_count % 2 == 0:
+        flip, zmask = reference_masks(term)
+        phase = 1j ** y_count(term)
+        if y_count(term) % 2 == 0:
             phase = phase.real
         # signs evaluated at y^flip equal signs at y up to a constant parity
         phase *= -1.0 if bin(flip & zmask).count("1") % 2 else 1.0
@@ -82,6 +96,11 @@ def flip_groups(op: OperatorSum) -> dict[int, np.ndarray]:
 coefficients = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
+def label_string(factors, coefficient=1.0) -> PauliString:
+    """The string of a sequence of symbols, qubit 1 first."""
+    return PauliString.from_label("".join(factors), coefficient)
+
+
 @st.composite
 def pauli_sums(draw, n=None):
     """Random Pauli sums on 1-8 qubits, Y factors and duplicates included."""
@@ -89,7 +108,7 @@ def pauli_sums(draw, n=None):
         n = draw(st.integers(1, 8))
     factors = st.tuples(*[st.sampled_from("IXYZ")] * n)
     terms = draw(st.lists(st.tuples(factors, coefficients), max_size=12))
-    return OperatorSum(n, [PauliString(n, f, c) for f, c in terms])
+    return OperatorSum(n, [label_string(f, c) for f, c in terms])
 
 
 @st.composite
@@ -119,7 +138,7 @@ def symmetric_sums(draw):
     terms = draw(st.lists(st.tuples(factors.map(_even_zy), coefficients),
                           max_size=12))
     odd = draw(factors.filter(lambda f: sum(x in "YZ" for x in f) % 2))
-    return OperatorSum(n, [PauliString(n, f, c) for f, c in terms]), odd
+    return OperatorSum(n, [label_string(f, c) for f, c in terms]), odd
 
 
 def strings_commute(a, b) -> bool:
@@ -143,13 +162,13 @@ def planted_symmetry_sums(draw):
         factors = factors.map(_even_zy)
     terms = draw(st.lists(st.tuples(factors, coefficients), min_size=n,
                           max_size=2 * n + 4))
-    op = OperatorSum(n, [PauliString(n, f, c) for f, c in terms])
+    op = OperatorSum(n, [label_string(f, c) for f, c in terms])
     if mode != "planted":
         return op
     perms = draw(st.lists(st.permutations("XYZ"), min_size=n, max_size=n))
-    op = OperatorSum(n, [PauliString(n, tuple(
-        f if f == "I" else perm["XYZ".index(f)]
-        for f, perm in zip(t.factors, perms)), t.coefficient)
+    op = OperatorSum(n, [label_string(
+        (f if f == "I" else perm["XYZ".index(f)]
+         for f, perm in zip(t.factors, perms)), t.coefficient)
         for t in op.terms])
     if n > 1:
         pairs = st.tuples(st.integers(1, n), st.integers(1, n))
@@ -233,7 +252,7 @@ def test_parity_blocks_match_kron_reference(case, data):
     op, odd = case
     n, half = op.n, 1 << (op.n - 1)
     full = reference_dense(op)
-    parity = reference_dense(OperatorSum(n, [PauliString(n, ("X",) * n)]))
+    parity = reference_dense(OperatorSum(n, [label_string("X" * n)]))
     levels = []
     for sector, sign in (("even", 1), ("odd", -1)):
         block = op.parity_block(sign)
@@ -260,7 +279,7 @@ def test_parity_blocks_match_kron_reference(case, data):
                       - res.eigenvectors * signs).max() < 1e-12
     with pytest.raises(ValueError):
         sector_levels(op, "even", count=half + 1)
-    bad = op + PauliString(n, odd, 0.5)
+    bad = op + label_string(odd, 0.5)
     assert parity_symmetric(op) and not parity_symmetric(bad)
     with pytest.raises(ValueError):
         bad.parity_block(1)
@@ -311,7 +330,7 @@ def test_tapered_blocks_hold_the_full_spectrum(op):
 
 def test_pauli_string_apply_matches_reference():
     rng = np.random.default_rng(3)
-    term = PauliString(3, ("Y", "Z", "X"), -0.7)
+    op = OperatorSum(3, [PauliString.from_label("YZX", -0.7)])
     psi = rng.normal(size=8)
-    want = reference_apply(OperatorSum(3, [term]), psi)
-    assert np.abs(term.apply(psi) - want).max() < 1e-15
+    want = reference_apply(op, psi)
+    assert np.abs(op.apply(psi) - want).max() < 1e-15

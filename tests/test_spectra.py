@@ -18,6 +18,7 @@ from stepgap.spectra import (
     REFINE_XTOL,
     SpectrumResult,
     _brent_minimize,
+    _refined_minimum,
     gap_scan,
     lowest_eigenpairs,
     sector_gap,
@@ -243,6 +244,29 @@ def test_brent_start_is_not_evaluated_again():
     s, v = _brent_minimize(f, 0.0, 1.0, start=(0.25, 0.0025))
     assert 0.25 not in seen
     assert s == pytest.approx(0.3, abs=1e-6)
+
+
+def test_tied_dips_report_the_leftmost():
+    # samples at 0.25, 0.5, 0.75 tie, with a dip between each pair; the
+    # right dip is lower by 1e-12, well inside DEGENERACY_TOL
+    seen = []
+
+    def f(x):
+        value = min(1.0 + 4.0 * (x - 0.375) ** 2,
+                    1.0 - 1e-12 + 4.0 * (x - 0.625) ** 2)
+        seen.append((x, value))
+        return value
+
+    grid = np.linspace(0.0, 1.0, 5)
+    values = np.array([f(x) for x in grid])
+    seen.clear()
+    s, v = _refined_minimum(f, grid, values)
+    assert s == pytest.approx(0.375, abs=REFINE_XTOL)
+    # the gap is still the lowest value found, at the right dip
+    assert v == min(value for _, value in seen)
+    assert v == pytest.approx(1.0 - 1e-12, abs=1e-15)
+    assert any(abs(x - 0.625) <= REFINE_XTOL and value == v
+               for x, value in seen)
 
 
 # ---------------------------------------------------------------------------
