@@ -26,7 +26,9 @@ Conventions used throughout the package:
 * :func:`taper` finds a maximal commuting set of Pauli strings that commute
   with every term and maps them by a Clifford to single-qubit Z's; the
   mapped sum is block diagonal, and the blocks' spectra together are the
-  full spectrum (:meth:`Tapering.spectrum`).
+  full spectrum (:meth:`Tapering.spectrum`).  Two sums tapered together
+  share the map, so every blend of them is block diagonal too
+  (:meth:`Tapering.stacks`).
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
   vectors and weights.
@@ -187,7 +189,8 @@ class OperatorSum:
     publishes it with a single attribute store.
     """
 
-    __slots__ = ("n", "_terms", "_groups", "_real", "_terms_of")
+    __slots__ = ("n", "_terms", "_groups", "_real", "_terms_of",
+                 "_symmetric")
 
     def __init__(self, n: int, terms: Iterable[PauliString] = ()):
         merged: dict[tuple[int, int], PauliString] = {}
@@ -204,11 +207,12 @@ class OperatorSum:
                       if abs(merged[key].coefficient) > COEFF_CUTOFF)
         self._init(n, canon, None, None, None)
 
-    def _init(self, n, terms, groups, terms_of, real) -> None:
+    def _init(self, n, terms, groups, terms_of, real, symmetric=None) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_terms_of", terms_of)
         object.__setattr__(self, "_real", real)
+        object.__setattr__(self, "_symmetric", symmetric)
         object.__setattr__(self, "_groups", groups)
 
     def __setattr__(self, *_):
@@ -469,37 +473,77 @@ class Tapering:
     `generators` are independent Pauli strings that commute with each other
     and with every term, ``X^n`` first when it is one of the symmetries.
     `operator` is the sum under a Clifford map C of H, S and CNOT gates and
-    a qubit reordering that takes generator j to ``+-Z_j``, so with
+    a qubit reordering that takes generator j to ``signs[j] Z_j``, so with
     r = len(generators) none of its terms flips qubits 1..r: it is block
     diagonal, one block of dimension 2^(n-r) per value of those qubits.
+    `carried` is the second sum given to :func:`taper`, under the same map.
     """
 
     generators: tuple[PauliString, ...]
+    signs: tuple[int, ...]
     operator: OperatorSum
+    carried: OperatorSum | None = None
+
+    @property
+    def block_dim(self) -> int:
+        return 1 << (self.operator.n - len(self.generators))
+
+    def stacks(self, sector: str = "all") -> list[np.ndarray]:
+        """The blocks of `operator` and, when there is one, of `carried`,
+        each as a stack ``(blocks, d, d)`` with d = :attr:`block_dim`.
+
+        Block b is where qubits 1..r read the bits of b, qubit 1 leading.
+        ``all`` keeps the 2^r blocks; ``even`` and ``odd`` keep the half
+        where ``X^n``, generator 0 and mapped to ``signs[0] Z_1``, reads +1
+        or -1, and raise ValueError when ``X^n`` is not a generator.  All
+        2^r blocks together larger than a dense matrix of
+        :data:`DENSE_QUBIT_CAP` qubits are refused before anything is
+        allocated.
+        """
+        n, r = self.operator.n, len(self.generators)
+        blocks = slice(None)
+        if sector != "all":
+            if sector not in ("even", "odd"):
+                raise ValueError(f"unknown sector {sector!r}")
+            if not r or self.generators[0] != PauliString(n, (1 << n) - 1, 0):
+                raise ValueError(f"no {sector} sector: X^n is not a "
+                                 f"symmetry of the tapered sum")
+            half = 1 << (r - 1)
+            lower = (self.signs[0] == 1) == (sector == "even")
+            blocks = slice(0, half) if lower else slice(half, None)
+        return [_block_stack(op, r, blocks)
+                for op in (self.operator, self.carried) if op is not None]
 
     def spectrum(self) -> np.ndarray:
-        """All 2^n eigenvalues, ascending: one batched ``eigvalsh`` over the
-        stack of 2^r blocks.  A stack of more elements than a dense matrix
-        of :data:`DENSE_QUBIT_CAP` qubits is refused before it is
-        allocated."""
-        op, r = self.operator, len(self.generators)
-        dim = 1 << (op.n - r)
-        if (1 << op.n) * dim > 4 ** DENSE_QUBIT_CAP:
-            raise ValueError(
-                f"tapered spectrum refused: {1 << r} blocks of {dim} x {dim} "
-                f"exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
-        stack = np.zeros((1 << r, dim, dim),
-                         dtype=float if op.is_real else complex)
-        rows = np.arange(dim)
-        for flip, _, amp in op._compiled():
-            # flip < dim: no term flips a tapered (leading) qubit
-            stack[:, rows, rows ^ flip] = np.broadcast_to(
-                amp, (1 << op.n,)).reshape(1 << r, dim)
+        """All 2^n eigenvalues of `operator`, ascending: one batched
+        ``eigvalsh`` over its stack of blocks."""
+        stack = _block_stack(self.operator, len(self.generators))
         return np.sort(np.linalg.eigvalsh(stack), axis=None)
 
 
-def taper(op: OperatorSum) -> Tapering:
-    """The :class:`Tapering` of a Pauli sum.
+def _block_stack(op: OperatorSum, r: int, blocks: slice = slice(None)
+                 ) -> np.ndarray:
+    """The diagonal blocks `blocks` of a sum none of whose terms flips
+    qubits 1..r, stacked along the first axis; refused, before anything is
+    allocated, when the 2^r blocks exceed a dense matrix of
+    :data:`DENSE_QUBIT_CAP` qubits."""
+    dim = 1 << (op.n - r)
+    if (1 << op.n) * dim > 4 ** DENSE_QUBIT_CAP:
+        raise ValueError(
+            f"tapered blocks refused: {1 << r} blocks of {dim} x {dim} "
+            f"exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
+    count = len(range(1 << r)[blocks])
+    stack = np.zeros((count, dim, dim), dtype=float if op.is_real else complex)
+    rows = np.arange(dim)
+    for flip, _, amp in op._compiled():
+        # flip < dim: no term flips a tapered (leading) qubit
+        stack[:, rows, rows ^ flip] = np.broadcast_to(
+            amp, (1 << op.n,)).reshape(1 << r, dim)[blocks]
+    return stack
+
+
+def taper(op: OperatorSum, other: OperatorSum | None = None) -> Tapering:
+    """The :class:`Tapering` of a Pauli sum, or of two under one map.
 
     Each term is a symplectic row ``(x|z)``; the strings that commute with
     every term form the GF(2) kernel of those rows, reduced to a commuting
@@ -507,9 +551,15 @@ def taper(op: OperatorSum) -> Tapering:
     kernel.  Generators and terms are then carried through H, S and CNOT
     gates in the form ``i^q X^x Z^z`` (tableau as in Aaronson & Gottesman,
     PRA 70, 052328, 2004): H swaps x and z and adds 2 to q where both are
-    set, S adds x to z and to q, and CNOT changes no phase.
+    set, S adds x to z and to q, and CNOT changes no phase.  With `other`,
+    the symmetries are those of the terms of both sums, so every
+    straight-line combination of the two is block diagonal under the one
+    map, and `other` comes out as :attr:`Tapering.carried`.
     """
-    n, terms = op.n, op.terms
+    n = op.n
+    if other is not None and other.n != n:
+        raise ValueError("qubit counts differ")
+    terms = op.terms + (() if other is None else other.terms)
     low, xall = (1 << n) - 1, ((1 << n) - 1) << n
     packed = [term.x << n | term.z for term in terms]
     kernel = _null_space([(v & low) << n | v >> n for v in packed], 2 * n)
@@ -554,11 +604,16 @@ def taper(op: OperatorSum) -> Tapering:
         return head << (n - r) | v
 
     # i^q X^x Z^z is i^(q - y) times the string with y = popcount(x & z)
-    # factors Y, and i^(q - y) is +-1 for a Hermitian string
-    return Tapering(generators, OperatorSum(n, [
-        PauliString(n, reorder(x), reorder(z),
-                    (1 - (q - (x & z).bit_count()) % 4) * term.coefficient)
-        for (x, z, q), term in zip(rows[r:], terms)]))
+    # factors Y, and i^(q - y) is +-1 for a Hermitian string; generator j
+    # ends as i^q Z on pivot j
+    mapped = [PauliString(n, reorder(x), reorder(z),
+                          (1 - (q - (x & z).bit_count()) % 4)
+                          * term.coefficient)
+              for (x, z, q), term in zip(rows[r:], terms)]
+    cut = len(op.terms)
+    return Tapering(generators, tuple(1 - q % 4 for _, _, q in rows[:r]),
+                    OperatorSum(n, mapped[:cut]),
+                    None if other is None else OperatorSum(n, mapped[cut:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,9 +713,12 @@ def blend(op_a, op_b, s: float):
             amps[flip] = amps.get(flip, 0.0) + weight * amp
     out = object.__new__(OperatorSum)
     groups = tuple((flip, gathers[flip], amps[flip]) for flip in sorted(amps))
+    # a blend of two symmetric sums is symmetric; otherwise (an odd term
+    # may cancel at this s) parity_symmetric reads the terms
     out._init(op_a.n, None, groups,
               lambda: ((1.0 - s) * op_a + s * op_b).terms,
-              op_a._real and op_b._real)
+              op_a._real and op_b._real,
+              parity_symmetric(op_a) and parity_symmetric(op_b) or None)
     return out
 
 
@@ -715,9 +773,14 @@ def parity_expectation(psi: np.ndarray) -> float:
 def parity_symmetric(op) -> bool:
     """True when `op` is a Pauli sum that commutes with X^n: every term
     has an even number of Z and Y factors.  A :class:`ProjectorSum` gives
-    False."""
-    return isinstance(op, OperatorSum) and not any(
-        term.z.bit_count() & 1 for term in op.terms)
+    False.  The answer is kept on the sum; a :func:`blend` of two
+    symmetric sums carries it without building its terms."""
+    if not isinstance(op, OperatorSum):
+        return False
+    if op._symmetric is None:
+        object.__setattr__(op, "_symmetric", not any(
+            term.z.bit_count() & 1 for term in op.terms))
+    return op._symmetric
 
 
 def parity_operator(n: int) -> OperatorSum:

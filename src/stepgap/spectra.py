@@ -29,6 +29,11 @@ A gap scan samples a uniform grid and refines its smallest sample, and any
 dip between tied samples, by Brent's method (parabolic steps with a
 golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
 starts at a point whose gap is already known, so no gap is computed twice.
+A scan tapers the two endpoints of each segment once under one Clifford
+map (:func:`stepgap.pauli.taper`); where the blocks are at most
+:data:`DENSE_SOLVE_DIM` wide, a sample is one batched ``eigvalsh`` of the
+blended blocks of its sector, which a stepwise segment leaves at 2 x 2 or
+4 x 4 for any n.  Other segments solve each sample as above.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
-from .pauli import (DENSE_QUBIT_CAP, ProjectorSum, parity_lift,
-                    parity_symmetric)
+from .pauli import (DENSE_QUBIT_CAP, OperatorSum, ProjectorSum, parity_lift,
+                    parity_symmetric, taper)
 
 #: Up to this dimension the dense solver is used even when not forced:
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
+#: A gap scan's segment whose tapered blocks are no wider is solved as one
+#: batched dense ``eigvalsh`` over them.
 DENSE_SOLVE_DIM = 256
 
 #: Gap samples closer than this to the smallest one count as tied.
@@ -327,26 +334,57 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
     """(s, f(s)) of the smallest sample, Brent-refined to about REFINE_XTOL
     in s on its bracketing interval and on each interval whose ends tie it
     within DEGENERACY_TOL but whose midpoint lies below (a dip between tied
-    segment boundaries).  Each run starts at a point of known value: the
-    smallest sample, or the midpoint probe of the tie test, so no value is
-    computed twice.  The value reported is the lowest found; s is the
-    smallest among the runs' results and the sample whose values lie
-    within DEGENERACY_TOL of it, so of tied dips the leftmost is reported,
-    whichever run found the lowest value."""
-    k = int(np.argmin(values))
-    tie, mid = values[k] + DEGENERACY_TOL, 0.5 * (grid[1:] + grid[:-1])
-    runs = [(k - 1, k + 1, grid[k], values[k])] \
-        if 0 < k < len(grid) - 1 else []
+    segment boundaries).  Of samples tied within DEGENERACY_TOL, the
+    bracketed one is the rightmost interior one, so the runs do not rest
+    on rounding.  Each run starts at a point of known value: that sample, or
+    the midpoint probe of the tie test, so no value is computed twice.  The
+    value reported is the lowest found; s is the smallest among the runs'
+    results and the samples whose values lie within DEGENERACY_TOL of it,
+    so of tied dips and tied samples the leftmost is reported."""
+    low = values.min()
+    tie, mid = low + DEGENERACY_TOL, 0.5 * (grid[1:] + grid[:-1])
+    inner = np.flatnonzero(values[1:-1] <= tie)
+    runs = [(k, k + 2, grid[k + 1], values[k + 1]) for k in inner[-1:]]
     for j in range(len(grid) - 1):
         if max(values[j], values[j + 1]) <= tie:
             probe = f(mid[j])
-            if probe < values[k] - DEGENERACY_TOL:
+            if probe < low - DEGENERACY_TOL:
                 runs.append((j, j + 1, mid[j], probe))
     found = [_brent_minimize(f, grid[lo], grid[hi], start=(s, v))
-             for lo, hi, s, v in runs] + [(grid[k], values[k])]
+             for lo, hi, s, v in runs] + list(zip(grid, values))
     v_min = min(v for _, v in found)
     s_min = min(s for s, v in found if v <= v_min + DEGENERACY_TOL)
     return float(s_min), float(v_min)
+
+
+def _segment_stacks(op_a, op_b, sector: str, solver: dict
+                    ) -> list[np.ndarray] | None:
+    """The sector's tapered block stacks ``[A, B]`` of the segment from
+    `op_a` to `op_b`, or None where the segment is solved per sample.
+
+    Both endpoints are tapered under one Clifford map
+    (``taper(op_a, op_b)``), so the operator at local s has the blocks
+    ``(1 - s) A + s B``.  This needs two Pauli sums, no method but
+    ``auto``, blocks of at most DENSE_SOLVE_DIM and stacks within the size
+    guard of :meth:`~stepgap.pauli.Tapering.stacks`, and, for ``even`` or
+    ``odd``, two parity-symmetric endpoints on n >= 2 qubits; without
+    them :func:`sector_gap` solves each sample, and refuses a sector the
+    operator does not have.
+    """
+    if (solver.get("method", "auto") != "auto"
+            or solver.keys() - {"method", "tol"}
+            or not isinstance(op_a, OperatorSum)
+            or not isinstance(op_b, OperatorSum)
+            or sector != "all" and not (op_a.n >= 2 and parity_symmetric(op_a)
+                                        and parity_symmetric(op_b))):
+        return None
+    tapering = taper(op_a, op_b)
+    if tapering.block_dim > DENSE_SOLVE_DIM:
+        return None
+    try:
+        return tapering.stacks(sector)
+    except ValueError:  # the size guard
+        return None
 
 
 def gap_scan(path: InterpolationPath, points: int = 200,
@@ -355,18 +393,35 @@ def gap_scan(path: InterpolationPath, points: int = 200,
 
     Samples `points` uniformly spaced global-s values, then refines the
     smallest sample to about REFINE_XTOL in s by Brent's method, started at
-    that sample, as :func:`_refined_minimum` does.  `solver` goes to
-    :func:`lowest_eigenpairs`.
+    that sample, as :func:`_refined_minimum` does.  Each segment is tapered
+    once, when a sample first falls in it, and where
+    :func:`_segment_stacks` gives its blocks each sample is one batched
+    ``eigvalsh`` of them; only the current segment's blocks are kept.
+    Other samples are :func:`sector_gap` calls, to which `solver` goes.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
+    if sector not in ("all", "even", "odd"):
+        raise ValueError(f"unknown sector {sector!r}")
     grid = np.linspace(0.0, 1.0, points)
     evaluations = 0
+    current, stacks = None, None  # the segment last sampled and its blocks
 
     def eval_gap(s_global: float) -> tuple[float, float, float]:
-        nonlocal evaluations
+        nonlocal evaluations, current, stacks
         evaluations += 1
-        return sector_gap(path.at_progress(float(s_global)), sector, **solver)
+        k, s = path.locate(float(s_global) * path.tau)
+        if k != current:
+            current, stacks = k, _segment_stacks(*path.segment(k), sector,
+                                                 solver)
+        if stacks is None:
+            return sector_gap(path.at_progress(float(s_global)), sector,
+                              **solver)
+        a, b = stacks
+        w = np.partition(np.linalg.eigvalsh((1.0 - s) * a + s * b), 1,
+                         axis=None)
+        lam0, lam1 = float(w[0]), float(w[1])
+        return lam1 - lam0, lam0, lam1
 
     samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
     minimum = _refined_minimum(lambda s: eval_gap(s)[0], grid, samples[:, 1])

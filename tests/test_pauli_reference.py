@@ -130,10 +130,11 @@ def _even_zy(factors):
 
 
 @st.composite
-def symmetric_sums(draw):
+def symmetric_sums(draw, n=None):
     """Random parity-symmetric Pauli sums on 2-8 qubits, plus one string
     with an odd number of Z and Y factors."""
-    n = draw(st.integers(2, 8))
+    if n is None:
+        n = draw(st.integers(2, 8))
     factors = st.tuples(*[st.sampled_from("IXYZ")] * n)
     terms = draw(st.lists(st.tuples(factors.map(_even_zy), coefficients),
                           max_size=12))
@@ -326,6 +327,83 @@ def test_tapered_blocks_hold_the_full_spectrum(op):
         assert gens[0].factors == xall
     assert all(f in "IZ" for t in tapering.operator.terms
                for f in t.factors[:r])
+
+
+@given(planted_symmetry_sums(), st.data())
+def test_one_tapering_blocks_every_blend_of_two_sums(op, data):
+    # the terms split at random into two endpoints, tapered under one map
+    ends = data.draw(st.lists(st.booleans(), min_size=len(op.terms),
+                              max_size=len(op.terms)))
+    op_a = OperatorSum(op.n, [t for t, e in zip(op.terms, ends) if e])
+    op_b = OperatorSum(op.n, [t for t, e in zip(op.terms, ends) if not e])
+    s = data.draw(st.floats(0.0, 1.0, allow_nan=False))
+    tapering = taper(op_a, op_b)
+    mixed = blend(op_a, op_b, s)
+
+    def blocks(sector):
+        stack_a, stack_b = tapering.stacks(sector)
+        return np.sort(np.linalg.eigvalsh((1 - s) * stack_a + s * stack_b),
+                       axis=None)
+
+    full = reference_dense(mixed)
+    want = np.linalg.eigvalsh(full)
+    assert np.abs(blocks("all") - want).max() < 1e-10
+    # block b is the joint eigenspace where generator j reads
+    # signs[j] (-1)^(bit j of b), qubit 1 the leading bit
+    gens, r = tapering.generators, len(tapering.generators)
+    b = data.draw(st.integers(0, (1 << r) - 1))
+    proj = np.eye(1 << op.n)
+    for j, (g, sign) in enumerate(zip(gens, tapering.signs)):
+        value = sign * (-1) ** (b >> (r - 1 - j) & 1)
+        proj = proj @ (np.eye(1 << op.n) + value * reference_dense(
+            OperatorSum(op.n, [g]))) / 2
+    w, v = np.linalg.eigh(proj)
+    span = v[:, w > 0.5]
+    stack_a, stack_b = tapering.stacks()
+    assert np.abs(np.linalg.eigvalsh(span.conj().T @ full @ span)
+                  - np.linalg.eigvalsh((1 - s) * stack_a[b] + s * stack_b[b])
+                  ).max() < 1e-10
+    if tapering.generators[:1] == (PauliString(op.n, (1 << op.n) - 1, 0),):
+        assert len(tapering.signs) == len(tapering.generators)
+        if op.n >= 2:
+            for sector, sign in (("even", 1), ("odd", -1)):
+                block = mixed.parity_block(sign).to_dense()
+                assert np.abs(blocks(sector)
+                              - np.linalg.eigvalsh(block)).max() < 1e-10
+    else:
+        with pytest.raises(ValueError):
+            tapering.stacks("even")
+
+
+def term_parity(op: OperatorSum) -> bool:
+    """The definition: every term has an even number of Z and Y factors."""
+    return all(sum(f in "YZ" for f in t.factors) % 2 == 0 for t in op.terms)
+
+
+@given(sum_pairs())
+def test_parity_flag_of_a_blend_matches_its_terms(case):
+    op_a, op_b, s = case
+    assert parity_symmetric(blend(op_a, op_b, s)) \
+        == term_parity((1.0 - s) * op_a + s * op_b)
+
+
+@given(st.data())
+def test_parity_flag_of_a_symmetric_blend_needs_no_terms(data):
+    op_a, odd = data.draw(symmetric_sums())
+    op_b, _ = data.draw(symmetric_sums(op_a.n))
+    s = data.draw(st.floats(0.0, 1.0, allow_nan=False))
+    c = data.draw(coefficients.filter(lambda x: abs(x) > 1e-3))
+    mixed = blend(op_a, op_b, s)
+    assert parity_symmetric(mixed)
+    assert mixed._terms is None  # the blend's terms were never built
+    # an odd string on one end, and on both with weights that cancel at
+    # s = 1/2: the flag falls back to the terms
+    odd_a = op_a + label_string(odd, c)
+    odd_b = op_b + label_string(odd, -c)
+    for ends, at in (((odd_a, op_b), s), ((op_a, odd_b), s),
+                     ((odd_a, odd_b), s), ((odd_a, odd_b), 0.5)):
+        assert parity_symmetric(blend(*ends, at)) \
+            == term_parity((1.0 - at) * ends[0] + at * ends[1])
 
 
 def test_pauli_string_apply_matches_reference():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stepgap import spectra
 from stepgap.models import (
     chain_lattice,
     cluster_hamiltonian,
@@ -269,6 +270,31 @@ def test_tied_dips_report_the_leftmost():
                for x, value in seen)
 
 
+def test_tied_samples_report_the_leftmost():
+    # the samples at 0.25 and 0.75 are minima that tie within 1e-12, the
+    # right one lower; the refinement starts there and finds nothing lower
+    def dips(left):
+        def f(x):
+            calls.append(x)
+            return min(left + 4.0 * (x - 0.25) ** 2,
+                       1.0 - 1e-12 + 4.0 * (x - 0.75) ** 2)
+        return f
+
+    grid = np.linspace(0.0, 1.0, 5)
+    counts = []
+    for left, want in ((1.0, 0.25), (1.1, 0.75)):
+        calls = []
+        f = dips(left)
+        values = np.array([f(x) for x in grid])
+        calls.clear()
+        s, v = _refined_minimum(f, grid, values)
+        assert s == want
+        assert v == pytest.approx(1.0 - 1e-12, abs=1e-15)
+        counts.append(len(calls))
+    # the tied sample costs no evaluation
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # gap scans
 # ---------------------------------------------------------------------------
@@ -321,6 +347,53 @@ def test_last_segment_minimum_sits_at_boundary():
     s_min, g_min = segment_minimum(path, n - 1, sector="even")
     assert s_min == pytest.approx(0.0)
     assert g_min == pytest.approx(2.0, abs=1e-8)
+
+
+ROUTE_CASES = [("ising-stepwise", {"n": n}, sector) for n in range(4, 11)
+               for sector in ("all", "even", "odd")] \
+    + [("cluster1d-stepwise", {"n": n}, "all") for n in range(4, 11)] \
+    + [("cluster2d-stepwise", {"width": w, "height": 2}, "all")
+       for w in (2, 3)]
+
+
+@pytest.mark.parametrize("family, size, sector", ROUTE_CASES)
+def test_tapered_scan_matches_the_per_sample_dense_route(family, size, sector,
+                                                         monkeypatch):
+    path = make_path(family, **size)
+    want = gap_scan(path, points=5, sector=sector, method="dense")
+    # every sample of the tapered route is a batched block solve
+    per_sample = []
+    monkeypatch.setattr(spectra, "sector_gap",
+                        lambda *args, **kw: per_sample.append(args))
+    got = gap_scan(path, points=5, sector=sector)
+    assert per_sample == []
+    assert got.evaluations == want.evaluations
+    assert np.abs(got.samples - want.samples).max() <= 1e-10
+    assert abs(got.minimum[1] - want.minimum[1]) <= 1e-10
+    # a bracket may hold several equal dips, and rounding picks the one a
+    # refinement settles in: the tapered route's point is a minimum of the
+    # dense route's curve
+    s_got = got.minimum[0]
+    assert abs(sector_gap(path.at_progress(s_got), sector, method="dense")[0]
+               - want.minimum[1]) <= 1e-10
+
+
+def test_scan_takes_the_per_sample_route_outside_the_tapered_one(
+        monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(kw.get("method"))
+        return sector_gap(*args, **kw)
+
+    monkeypatch.setattr(spectra, "sector_gap", counted)
+    # an explicit method, and blocks of 2^(n-1) > DENSE_SOLVE_DIM
+    for path, solver in ((make_path("ising-stepwise", n=4),
+                          {"method": "dense"}),
+                         (make_path("ising-linear", n=10), {})):
+        calls.clear()
+        curve = gap_scan(path, points=3, sector="even", **solver)
+        assert calls == [solver.get("method")] * curve.evaluations
 
 
 def test_gap_scan_validation():
