@@ -11,13 +11,14 @@ the norm is conserved to near machine precision.
 Each exponential applies the segment blend (:func:`stepgap.pauli.blend`)
 matrix-free and stops its Krylov space on an a-priori bound
 (:data:`KRYLOV_TOL`, at most :data:`KRYLOV_DIM_MAX` vectors), and
-substeps are halved at most :data:`MAX_REFINEMENTS` times.  A path whose
-operators all commute with the bit flip, started in a state of definite
-parity, is propagated in that parity block
-(:meth:`~stepgap.pauli.OperatorSum.parity_block`) at half the dimension,
-and its target is the ground state of that sector; any other runs the same
-loop at the full dimension against the global ground state.  One test,
-:func:`_parity_sign`, makes both choices.
+substeps are halved at most :data:`MAX_REFINEMENTS` times.  The operators
+of a path are tapered together (:func:`stepgap.pauli.taper`); a start
+state that lies in one of their blocks is propagated in that block, and
+its target is the ground state of that block.  Any other start, and a
+path of projector sums, runs in the full space (r = 0) against the global
+ground state.  One test, :func:`_start_block`, makes both choices.  On
+the Ising paths the one symmetry is ``X^n``, so a start of definite
+parity runs in its parity block at half the dimension.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 
 from .models import InterpolationPath
-from .pauli import (blend, n_qubits, parity_expectation, parity_fold,
-                    parity_lift, parity_symmetric, uniform_superposition)
-from .spectra import ConvergenceError, sector_ground_state
+from .pauli import (OperatorSum, Tapering, blend, n_qubits,
+                    parity_expectation, taper, uniform_superposition)
+from .spectra import ConvergenceError, _tapered_levels, sector_ground_state
 
 #: Initial substep density (substeps per unit time) before refinement.
 BASE_STEPS_PER_TIME = 1.0
@@ -136,9 +137,9 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _propagate(path: InterpolationPath, psi0: np.ndarray,
-               steps_per_segment: list[int], track_parity: bool):
+               steps_per_segment: list[int], parity=None):
     psi = psi0.astype(complex)
-    parity_lo = parity_hi = parity_expectation(psi) if track_parity else None
+    parity_lo = parity_hi = parity(psi) if parity else None
     total_steps = 0
     for k in range(path.segment_count):
         op_a, op_b = path.segment(k)
@@ -156,22 +157,24 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
             psi = _krylov_expm_apply(blend(op_a, op_b, s_eff_second).apply,
                                      psi, 0.5 * seg_dt)
             total_steps += 1
-            if track_parity:
-                p = parity_expectation(psi)
+            if parity:
+                p = parity(psi)
                 parity_lo = min(parity_lo, p)
                 parity_hi = max(parity_hi, p)
-    parity_range = (parity_lo, parity_hi) if track_parity else None
+    parity_range = (parity_lo, parity_hi) if parity else None
     return psi, total_steps, parity_range
 
 
-def _parity_sign(path: InterpolationPath, psi0: np.ndarray) -> int | None:
-    """+1 or -1 when every operator of the path commutes with the bit flip
-    and ``psi0 == sign * psi0[::-1]`` to 1e-12, else None."""
-    if path.n > 1 and all(map(parity_symmetric, path.operators)):
-        for sign in (1, -1):
-            if np.max(np.abs(psi0 - sign * psi0[::-1])) <= 1e-12:
-                return sign
-    return None
+def _start_block(path: InterpolationPath, psi0: np.ndarray
+                 ) -> tuple[Tapering | None, int | None]:
+    """The tapering of all the path's operators together and the block
+    that holds `psi0`: the only one with an amplitude above 1e-12, else
+    None.  Both are None for a path with a projector sum."""
+    if not all(isinstance(op, OperatorSum) for op in path.operators):
+        return None, None
+    tapering = taper(*path.operators)
+    held = np.flatnonzero(np.abs(tapering.fold(psi0)).max(axis=1) > 1e-12)
+    return tapering, int(held[0]) if len(held) == 1 else None
 
 
 def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
@@ -198,23 +201,26 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     run = path.rescaled(tau)
     steps = [max(1, int(np.ceil(d * BASE_STEPS_PER_TIME)))
              for d in run.durations]
-    sign = _parity_sign(run, psi0)
-    start = psi0
-    if sign is not None:
+    tapering, b = _start_block(run, psi0)
+    start, lift, parity = psi0, (lambda phi: phi), None
+    # a block of one state has no Pauli form: r = n runs in the full space
+    if b is not None and tapering.block_dim > 1:
         run = InterpolationPath(
-            tuple(op.parity_block(sign) for op in run.operators),
+            tuple(tapering.block(k, b) for k in range(len(run.operators))),
             run.durations, run.family)
-        start = parity_fold(psi0)
+        start, parity = tapering.fold(psi0)[b], tapering.parity(b)
+        lift = lambda phi: tapering.lift(phi, b)  # noqa: E731
+    measure = None if parity is not None or not track_parity \
+        else lambda phi: parity_expectation(lift(phi))
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
-        psi, step_count, parity_range = _propagate(
-            run, start, steps, track_parity and sign is None)
-        if sign is not None:
-            # the block holds only states of parity `sign`
-            psi = parity_lift(psi, sign)
-            if track_parity:
-                parity_range = (float(sign), float(sign))
+        psi, step_count, parity_range = _propagate(run, start, steps,
+                                                   measure)
+        psi = lift(psi)
+        if track_parity and parity is not None:
+            # X^n is a generator: the block holds one parity only
+            parity_range = (float(parity), float(parity))
         if target is not None:
             metric = fidelity(psi, target)
         else:
@@ -246,18 +252,21 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
 
 def evolution_target(path: InterpolationPath, psi0: np.ndarray | None = None
                      ) -> np.ndarray:
-    """Ground state of the final Hamiltonian in the evolved symmetry sector.
+    """Ground state of the final Hamiltonian in the evolved symmetry block.
 
-    When :func:`evolve` would propagate `psi0` (default: the uniform
-    superposition) in a parity block, that is when every operator of the
-    path commutes with the bit flip and ``psi0 == +-psi0[::-1]`` to 1e-12,
-    the ground state of that parity sector is returned (the cat state for
-    the periodic bond Hamiltonian); otherwise the global ground state.
+    When `psi0` (default: the uniform superposition) lies in one block of
+    the path's operators tapered together, as :func:`_start_block` finds,
+    the ground state of the final operator in that block is returned (on
+    the Ising paths, the even cat state of the bond Hamiltonian);
+    otherwise the global ground state.
     """
     if psi0 is None:
         psi0 = uniform_superposition(path.n)
-    sector = {1: "even", -1: "odd", None: "all"}[_parity_sign(path, psi0)]
-    return sector_ground_state(path.operators[-1], sector)
+    tapering, b = _start_block(path, psi0)
+    if b is None:
+        return sector_ground_state(path.operators[-1], "all")
+    return _tapered_levels(tapering, range(b, b + 1), 1, True,
+                           k=len(path.operators) - 1).eigenvectors[:, 0]
 
 
 def runtime_for_fidelity(family: str, n: int, f_target: float, tau_grid,

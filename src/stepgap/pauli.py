@@ -19,16 +19,18 @@ Conventions used throughout the package:
   phase and Z signs included) and ``(H psi)[i] = sum_f d_f[i] psi[i ^ f]``.
   The matrix-free action, the dense matrix and the straight-line blend of
   two operators all read this compiled form.
-* A Pauli sum that commutes with the bit-flip string has two parity
-  blocks, sums on n - 1 qubits folded from its compiled form;
-  :func:`parity_fold` and :func:`parity_lift` carry states of definite
-  parity to a block and back.
-* :func:`taper` finds a maximal commuting set of Pauli strings that commute
-  with every term and maps them by a Clifford to single-qubit Z's; the
-  mapped sum is block diagonal, and the blocks' spectra together are the
-  full spectrum (:meth:`Tapering.spectrum`).  Two sums tapered together
-  share the map, so every blend of them is block diagonal too
-  (:meth:`Tapering.stacks`).
+* :func:`taper` is the one symmetry reduction: it finds a maximal
+  commuting set of Pauli strings that commute with every term of one or
+  more sums and maps them by a Clifford to single-qubit Z's.  Each mapped
+  sum is block diagonal, one block per joint eigenvalue of the symmetries,
+  and the blocks' spectra together are the full spectrum
+  (:meth:`Tapering.spectrum`).  Sums tapered together share the map, so
+  every blend of them is block diagonal too.  A block comes as a dense
+  stack (:meth:`Tapering.stack`) or as a sum on the untapered qubits
+  (:meth:`Tapering.block`); the map is kept as its gates, which carry
+  states to the blocks and back (:meth:`Tapering.fold`,
+  :meth:`Tapering.lift`).  When the bit-flip string ``X^n`` is a
+  symmetry, its blocks make up the even and odd parity sectors.
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
   vectors and weights.
@@ -37,6 +39,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -189,8 +192,7 @@ class OperatorSum:
     publishes it with a single attribute store.
     """
 
-    __slots__ = ("n", "_terms", "_groups", "_real", "_terms_of",
-                 "_symmetric")
+    __slots__ = ("n", "_terms", "_groups", "_real", "_terms_of")
 
     def __init__(self, n: int, terms: Iterable[PauliString] = ()):
         merged: dict[tuple[int, int], PauliString] = {}
@@ -207,12 +209,11 @@ class OperatorSum:
                       if abs(merged[key].coefficient) > COEFF_CUTOFF)
         self._init(n, canon, None, None, None)
 
-    def _init(self, n, terms, groups, terms_of, real, symmetric=None) -> None:
+    def _init(self, n, terms, groups, terms_of, real) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_terms_of", terms_of)
         object.__setattr__(self, "_real", real)
-        object.__setattr__(self, "_symmetric", symmetric)
         object.__setattr__(self, "_groups", groups)
 
     def __setattr__(self, *_):
@@ -220,7 +221,7 @@ class OperatorSum:
 
     @property
     def terms(self) -> tuple[PauliString, ...]:
-        """Canonical terms; for a blend or parity block, built when read."""
+        """Canonical terms; for a blend, built when read."""
         if self._terms is None:
             object.__setattr__(self, "_terms", self._terms_of())
         return self._terms
@@ -296,68 +297,6 @@ class OperatorSum:
         for _, gather, amp in self._compiled():
             mat[rows, rows if gather is None else gather] = amp
         return mat
-
-    def parity_block(self, sign: int) -> "OperatorSum":
-        """This operator in the bit-flip sector of `sign` (+1 even, -1 odd),
-        a sum on n - 1 qubits: block state z stands for ``(|z> + sign |~z>)
-        / sqrt(2)``, z with its leading bit clear.  A flip with the leading
-        bit set folds into ``f ^ (2^n - 1)`` with factor `sign`, and each
-        amplitude is cut to its first half.  Needs n >= 2 and
-        :func:`parity_symmetric`."""
-        if sign not in (1, -1) or self.n < 2 or not parity_symmetric(self):
-            raise ValueError("a parity block needs sign +1 or -1, n >= 2 and "
-                             "an operator that commutes with the bit flip")
-        half, full = 1 << (self.n - 1), (1 << self.n) - 1
-        amps: dict[int, np.ndarray | float | complex] = {}
-        gathers: dict[int, np.ndarray | None] = {0: None}
-        for flip, gather, amp in self._compiled():
-            amp = amp[:half] if np.ndim(amp) else amp
-            if flip & half:
-                flip, amp = flip ^ full, sign * amp
-            elif flip:
-                # i ^ flip keeps the leading bit: the gather's first half
-                gathers[flip] = gather[:half]
-            amps[flip] = amps.get(flip, 0.0) + amp
-        idx = np.arange(half)
-        groups = tuple((flip, gathers[flip] if flip in gathers else idx ^ flip,
-                        amp) for flip, amp in sorted(amps.items()))
-        out = object.__new__(OperatorSum)
-        # every group folds into the block, so it is complex when one is
-        out._init(self.n - 1, None, groups, lambda: _block_terms(self, sign),
-                  self._real)
-        return out
-
-
-def parity_fold(psi: np.ndarray) -> np.ndarray:
-    """Block vector of a state of definite parity in the basis of
-    :meth:`OperatorSum.parity_block`: sqrt(2) times its first half."""
-    return np.sqrt(2.0) * psi[:len(psi) // 2]
-
-
-def parity_lift(phi: np.ndarray, sign: int) -> np.ndarray:
-    """The state of parity `sign` whose :func:`parity_fold` is `phi`,
-    ``(phi, sign * reversed phi) / sqrt(2)``; a 2-d `phi` lifts column by
-    column."""
-    return np.concatenate([phi, sign * phi[::-1]]) / np.sqrt(2.0)
-
-
-def _block_terms(op: OperatorSum, sign: int) -> tuple[PauliString, ...]:
-    """Terms of ``op.parity_block(sign)``: ``A (x) Q`` with A on qubit 1
-    gives Q for A = I, Z and ``sign <0|A|1> Q X^(n-1)`` for A = X, Y."""
-    half = 1 << (op.n - 1)
-    out = []
-    for term in op.terms:
-        x, z, coeff = term.x & (half - 1), term.z & (half - 1), \
-            term.coefficient
-        if term.x & half:
-            # <0|Y|1> = -i; per factor Q X is X, I, -iZ, iY for I, X, Y, Z,
-            # so the phase is i^(#Z - #Y - lead Y), +-1 for an even Z count
-            power = (z & ~x).bit_count() - (x & z).bit_count() \
-                - (term.z >> (op.n - 1))
-            coeff *= sign * (1 - power % 4)
-            x ^= half - 1
-        out.append(PauliString(op.n - 1, x, z, coeff))
-    return OperatorSum(op.n - 1, out).terms
 
 
 @dataclass(frozen=True)
@@ -467,99 +406,173 @@ def _commuting_subset(vectors: list[int], n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Tapering:
-    """A Pauli sum with its commuting Pauli symmetries tapered off (Bravyi,
+    """Pauli sums with their commuting Pauli symmetries tapered off (Bravyi,
     Gambetta, Mezzacapo & Temme, arXiv:1701.08213).
 
     `generators` are independent Pauli strings that commute with each other
-    and with every term, ``X^n`` first when it is one of the symmetries.
-    `operator` is the sum under a Clifford map C of H, S and CNOT gates and
-    a qubit reordering that takes generator j to ``signs[j] Z_j``, so with
-    r = len(generators) none of its terms flips qubits 1..r: it is block
-    diagonal, one block of dimension 2^(n-r) per value of those qubits.
-    `carried` is the second sum given to :func:`taper`, under the same map.
+    and with every term of every sum, ``X^n`` first when it is one of the
+    symmetries.  `operators` are the sums under a Clifford map C that takes
+    generator j to ``signs[j] Z_j``, so with r = len(generators) none of
+    their terms flips qubits 1..r: each is block diagonal, block b of
+    dimension 2^(n-r) being where qubits 1..r read the bits of b, qubit 1
+    leading, and generator j reads ``signs[j] (-1)^(bit j of b)`` there.
+    `steps` records C, gate by gate: per generator, the S gates on the
+    qubits `ys`, CNOTs from the pivot p onto the other qubits of `xs` and
+    H on p when `xs` is not empty, and CNOTs from the qubits of `fan_in`
+    onto p, all as bit masks of basis indices; then the pivots move to
+    qubits 1..r in generator order.
     """
 
     generators: tuple[PauliString, ...]
     signs: tuple[int, ...]
-    operator: OperatorSum
-    carried: OperatorSum | None = None
+    operators: tuple[OperatorSum, ...]
+    steps: tuple[tuple[int, int, int, int], ...]
 
     @property
     def block_dim(self) -> int:
-        return 1 << (self.operator.n - len(self.generators))
+        return 1 << (self.operators[0].n - len(self.generators))
 
-    def stacks(self, sector: str = "all") -> list[np.ndarray]:
-        """The blocks of `operator` and, when there is one, of `carried`,
-        each as a stack ``(blocks, d, d)`` with d = :attr:`block_dim`.
+    def parity(self, b: int) -> int | None:
+        """The eigenvalue of ``X^n`` on block b, or None when ``X^n`` is not
+        a generator; an X string, it maps to +Z_1 with no phase."""
+        n, r = self.operators[0].n, len(self.generators)
+        if self.generators[:1] != (PauliString(n, (1 << n) - 1, 0),):
+            return None
+        return 1 - 2 * (b >> (r - 1) & 1)
 
-        Block b is where qubits 1..r read the bits of b, qubit 1 leading.
-        ``all`` keeps the 2^r blocks; ``even`` and ``odd`` keep the half
-        where ``X^n``, generator 0 and mapped to ``signs[0] Z_1``, reads +1
-        or -1, and raise ValueError when ``X^n`` is not a generator.  All
-        2^r blocks together larger than a dense matrix of
-        :data:`DENSE_QUBIT_CAP` qubits are refused before anything is
-        allocated.
-        """
-        n, r = self.operator.n, len(self.generators)
-        blocks = slice(None)
-        if sector != "all":
-            if sector not in ("even", "odd"):
-                raise ValueError(f"unknown sector {sector!r}")
-            if not r or self.generators[0] != PauliString(n, (1 << n) - 1, 0):
-                raise ValueError(f"no {sector} sector: X^n is not a "
-                                 f"symmetry of the tapered sum")
-            half = 1 << (r - 1)
-            lower = (self.signs[0] == 1) == (sector == "even")
-            blocks = slice(0, half) if lower else slice(half, None)
-        return [_block_stack(op, r, blocks)
-                for op in (self.operator, self.carried) if op is not None]
+    def sector(self, name: str) -> range:
+        """The blocks of sector `name`: ``all`` of them, or for ``even`` and
+        ``odd`` the half where ``X^n`` reads +1 or -1; raises ValueError
+        when ``X^n`` is not a generator."""
+        r = len(self.generators)
+        if name == "all":
+            return range(1 << r)
+        if name not in ("even", "odd"):
+            raise ValueError(f"unknown sector {name!r}")
+        if self.parity(0) is None:
+            raise ValueError(f"no {name} sector: the operator does not "
+                             f"commute with the bit flip")
+        half = 1 << (r - 1)
+        return range(half) if name == "even" else range(half, 1 << r)
+
+    def stack(self, k: int, blocks: range) -> np.ndarray:
+        """Blocks `blocks` of ``operators[k]`` as dense matrices, stacked
+        ``(len(blocks), d, d)`` with d = :attr:`block_dim`; refused, before
+        anything is allocated, above :data:`STATE_QUBIT_CAP` qubits and
+        when they exceed a dense matrix of :data:`DENSE_QUBIT_CAP`
+        qubits."""
+        op, r, dim = self.operators[k], len(self.generators), self.block_dim
+        check_state_qubits(op.n)
+        if len(blocks) * dim * dim > 4 ** DENSE_QUBIT_CAP:
+            raise ValueError(
+                f"tapered blocks refused: {len(blocks)} blocks of {dim} x "
+                f"{dim} exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
+        stack = np.zeros((len(blocks), dim, dim),
+                         dtype=float if op.is_real else complex)
+        rows = np.arange(dim)
+        for flip, _, amp in op._compiled():
+            # flip < dim: no term flips a tapered (leading) qubit
+            amps = np.broadcast_to(amp, (1 << op.n,)).reshape(1 << r, dim)
+            stack[:, rows, rows ^ flip] = amps[blocks.start:blocks.stop]
+        return stack
+
+    def block(self, k: int, b: int) -> OperatorSum:
+        """Block b of ``operators[k]`` as a sum on the n - r untapered
+        qubits: each tapered Z is replaced by its value on the block."""
+        op = self.operators[k]
+        m = op.n - len(self.generators)
+        return OperatorSum(m, [
+            PauliString(m, t.x, t.z & ((1 << m) - 1), -t.coefficient
+                        if (t.z >> m & b).bit_count() & 1 else t.coefficient)
+            for t in op.terms])
 
     def spectrum(self) -> np.ndarray:
-        """All 2^n eigenvalues of `operator`, ascending: one batched
+        """All 2^n eigenvalues of ``operators[0]``, ascending: one batched
         ``eigvalsh`` over its stack of blocks."""
-        stack = _block_stack(self.operator, len(self.generators))
+        stack = self.stack(0, range(1 << len(self.generators)))
         return np.sort(np.linalg.eigvalsh(stack), axis=None)
 
+    def fold(self, psi: np.ndarray) -> np.ndarray:
+        """``C psi`` as rows of :attr:`block_dim` amplitudes, row b its part
+        in block b."""
+        return self._carry(psi[:, None], False).reshape(-1, self.block_dim)
 
-def _block_stack(op: OperatorSum, r: int, blocks: slice = slice(None)
-                 ) -> np.ndarray:
-    """The diagonal blocks `blocks` of a sum none of whose terms flips
-    qubits 1..r, stacked along the first axis; refused, before anything is
-    allocated, when the 2^r blocks exceed a dense matrix of
-    :data:`DENSE_QUBIT_CAP` qubits."""
-    dim = 1 << (op.n - r)
-    if (1 << op.n) * dim > 4 ** DENSE_QUBIT_CAP:
-        raise ValueError(
-            f"tapered blocks refused: {1 << r} blocks of {dim} x {dim} "
-            f"exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
-    count = len(range(1 << r)[blocks])
-    stack = np.zeros((count, dim, dim), dtype=float if op.is_real else complex)
-    rows = np.arange(dim)
-    for flip, _, amp in op._compiled():
-        # flip < dim: no term flips a tapered (leading) qubit
-        stack[:, rows, rows ^ flip] = np.broadcast_to(
-            amp, (1 << op.n,)).reshape(1 << r, dim)[blocks]
-    return stack
+    def lift(self, phi: np.ndarray, b) -> np.ndarray:
+        """The state whose :meth:`fold` holds `phi` in row b alone; a 2-d
+        `phi` lifts column by column, column j into row ``b[j]``."""
+        cols = phi.reshape(len(phi), -1)
+        rows = np.zeros((1 << len(self.generators),) + cols.shape, phi.dtype)
+        rows[b, :, np.arange(cols.shape[1])] = cols.T
+        return self._carry(rows.reshape(-1, cols.shape[1]), True).reshape(
+            (-1,) + phi.shape[1:])
+
+    def _carry(self, psi: np.ndarray, inverse: bool) -> np.ndarray:
+        """``C psi``, or ``C^dagger psi``, gate by gate from `steps`; the
+        rows of psi are the basis states."""
+        n = self.operators[0].n
+        idx = np.arange(1 << n)
+        order = _reorder(idx, [p for _, _, p, _ in self.steps], n)
+        phases = np.array(_Y_PHASES).conj() if inverse \
+            else np.array(_Y_PHASES)
+        if inverse:
+            psi = psi[order]
+        for ys, xs, p, fan_in in self.steps[::-1] if inverse else self.steps:
+            gates = [
+                lambda v: v * phases[np.bitwise_count(idx & ys) % 4, None],
+                lambda v: v[idx ^ (idx >> p & 1) * (xs ^ 1 << p)],
+                lambda v: _hadamard(v, p),
+                lambda v: v[idx ^ (np.bitwise_count(idx & fan_in)
+                                   .astype(np.intp) & 1) << p]]
+            if not xs:
+                del gates[1:3]
+            if not ys:
+                del gates[0]
+            for gate in gates[::-1] if inverse else gates:
+                psi = gate(psi)
+        if inverse:
+            return psi
+        out = np.empty_like(psi)
+        out[order] = psi
+        return out
 
 
-def taper(op: OperatorSum, other: OperatorSum | None = None) -> Tapering:
-    """The :class:`Tapering` of a Pauli sum, or of two under one map.
+def _hadamard(psi: np.ndarray, p: int) -> np.ndarray:
+    """H on the qubit of bit p; the rows of psi are the basis states."""
+    v = psi.reshape(-1, 2, 1 << p, psi.shape[1])
+    return (np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1)
+            / np.sqrt(2.0)).reshape(psi.shape)
+
+
+def _reorder(v, pivots: list[int], n: int):
+    """Bits `pivots` of v moved to the top in order, the rest kept in order
+    below them; v an int or an integer array."""
+    head = 0
+    for p in pivots:
+        head = head << 1 | v >> p & 1
+    for p in sorted(pivots, reverse=True):
+        v = v >> (p + 1) << p | v & ((1 << p) - 1)
+    return head << (n - len(pivots)) | v
+
+
+def taper(*ops: OperatorSum) -> Tapering:
+    """The :class:`Tapering` of one or more Pauli sums under one map.
 
     Each term is a symplectic row ``(x|z)``; the strings that commute with
-    every term form the GF(2) kernel of those rows, reduced to a commuting
-    set by symplectic Gram-Schmidt with ``X^n`` first when it is in the
-    kernel.  Generators and terms are then carried through H, S and CNOT
-    gates in the form ``i^q X^x Z^z`` (tableau as in Aaronson & Gottesman,
-    PRA 70, 052328, 2004): H swaps x and z and adds 2 to q where both are
-    set, S adds x to z and to q, and CNOT changes no phase.  With `other`,
-    the symmetries are those of the terms of both sums, so every
-    straight-line combination of the two is block diagonal under the one
-    map, and `other` comes out as :attr:`Tapering.carried`.
+    every term of every sum form the GF(2) kernel of those rows, reduced to
+    a commuting set by symplectic Gram-Schmidt with ``X^n`` first when it
+    is in the kernel, so every straight-line combination of the sums is
+    block diagonal under the one map.  Generators and terms are then
+    carried through the gates in the form ``i^q X^x Z^z`` (tableau as in
+    Aaronson & Gottesman, PRA 70, 052328, 2004): S adds x to z and to q, H
+    swaps x and z and adds 2 to q where both are set, and CNOT changes no
+    phase.  Per generator, S turns its free Y factors into X, CNOTs from
+    the pivot, one of its free X qubits, clear the others, H on the pivot
+    alone makes it a Z, and CNOTs into the pivot clear its other Z's.
     """
-    n = op.n
-    if other is not None and other.n != n:
+    n = ops[0].n
+    if any(op.n != n for op in ops):
         raise ValueError("qubit counts differ")
-    terms = op.terms + (() if other is None else other.terms)
+    terms = tuple(t for op in ops for t in op.terms)
     low, xall = (1 << n) - 1, ((1 << n) - 1) << n
     packed = [term.x << n | term.z for term in terms]
     kernel = _null_space([(v & low) << n | v >> n for v in packed], 2 * n)
@@ -573,47 +586,44 @@ def taper(op: OperatorSum, other: OperatorSum | None = None) -> Tapering:
 
     r = len(generators)
     rows = [(p.x, p.z, p.y_count) for p in generators + terms]
-    free, pivots = low, []
+    free, steps = low, []
     for i in range(r):
-        # generator i has no X on earlier pivots; S turns its free Y into X
-        # and H its free X into Z, so it is a Z string
+        # generator i has no X on earlier pivots
         gx, gz, _ = rows[i]
         ys, xs = free & gx & gz, free & gx
-        stepped = []
-        for x, z, q in rows:
-            q += (x & ys).bit_count()
-            z ^= x & ys
-            q += 2 * (x & z & xs).bit_count()
-            stepped.append((x & ~xs | z & xs, z & ~xs | x & xs, q))
-        # CNOT(t -> p) clears its Z on every other qubit t
-        gz = stepped[i][1]
-        p = (free & gz).bit_length() - 1
-        others = gz ^ 1 << p
-        rows = [(x ^ ((x & others).bit_count() & 1) << p,
-                 z ^ others if z >> p & 1 else z, q) for x, z, q in stepped]
+        rows = [(x, z ^ x & ys, q + (x & ys).bit_count()) for x, z, q in rows]
+        if xs:
+            p = xs.bit_length() - 1
+            fan_out = xs ^ 1 << p
+            stepped = []
+            for x, z, q in rows:
+                if x >> p & 1:
+                    x ^= fan_out
+                z ^= ((z & fan_out).bit_count() & 1) << p
+                swap = (x ^ z) & 1 << p
+                stepped.append((x ^ swap, z ^ swap,
+                                q + 2 * (x >> p & z >> p & 1)))
+            rows = stepped
+        else:
+            p = (free & gz).bit_length() - 1
+        fan_in = rows[i][1] ^ 1 << p
+        rows = [(x ^ ((x & fan_in).bit_count() & 1) << p,
+                 z ^ fan_in if z >> p & 1 else z, q) for x, z, q in rows]
         free ^= 1 << p
-        pivots.append(p)
+        steps.append((ys, xs, p, fan_in))
 
-    def reorder(v: int) -> int:
-        # pivot qubits first, in generator order, then the free ones
-        head = 0
-        for p in pivots:
-            head = head << 1 | v >> p & 1
-        for p in sorted(pivots, reverse=True):
-            v = v >> (p + 1) << p | v & ((1 << p) - 1)
-        return head << (n - r) | v
-
+    pivots = [p for _, _, p, _ in steps]
     # i^q X^x Z^z is i^(q - y) times the string with y = popcount(x & z)
     # factors Y, and i^(q - y) is +-1 for a Hermitian string; generator j
     # ends as i^q Z on pivot j
-    mapped = [PauliString(n, reorder(x), reorder(z),
+    mapped = [PauliString(n, _reorder(x, pivots, n), _reorder(z, pivots, n),
                           (1 - (q - (x & z).bit_count()) % 4)
                           * term.coefficient)
               for (x, z, q), term in zip(rows[r:], terms)]
-    cut = len(op.terms)
+    cuts = list(accumulate((len(op.terms) for op in ops), initial=0))
     return Tapering(generators, tuple(1 - q % 4 for _, _, q in rows[:r]),
-                    OperatorSum(n, mapped[:cut]),
-                    None if other is None else OperatorSum(n, mapped[cut:]))
+                    tuple(OperatorSum(n, mapped[a:b])
+                          for a, b in zip(cuts, cuts[1:])), tuple(steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -713,12 +723,9 @@ def blend(op_a, op_b, s: float):
             amps[flip] = amps.get(flip, 0.0) + weight * amp
     out = object.__new__(OperatorSum)
     groups = tuple((flip, gathers[flip], amps[flip]) for flip in sorted(amps))
-    # a blend of two symmetric sums is symmetric; otherwise (an odd term
-    # may cancel at this s) parity_symmetric reads the terms
     out._init(op_a.n, None, groups,
               lambda: ((1.0 - s) * op_a + s * op_b).terms,
-              op_a._real and op_b._real,
-              parity_symmetric(op_a) and parity_symmetric(op_b) or None)
+              op_a._real and op_b._real)
     return out
 
 
@@ -768,19 +775,6 @@ def parity_apply(psi: np.ndarray) -> np.ndarray:
 def parity_expectation(psi: np.ndarray) -> float:
     """Expectation of the bit-flip string, real for any normalized state."""
     return float(np.real(np.vdot(psi, parity_apply(psi))))
-
-
-def parity_symmetric(op) -> bool:
-    """True when `op` is a Pauli sum that commutes with X^n: every term
-    has an even number of Z and Y factors.  A :class:`ProjectorSum` gives
-    False.  The answer is kept on the sum; a :func:`blend` of two
-    symmetric sums carries it without building its terms."""
-    if not isinstance(op, OperatorSum):
-        return False
-    if op._symmetric is None:
-        object.__setattr__(op, "_symmetric", not any(
-            term.z.bit_count() & 1 for term in op.terms))
-    return op._symmetric
 
 
 def parity_operator(n: int) -> OperatorSum:

@@ -8,32 +8,34 @@ one degenerate level, so a Rayleigh-Ritz step on that span plus a few
 fixed random directions yields the lowest eigenpairs without iteration; it
 is refused, like the dense route, where its basis would outgrow a dense
 matrix of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Start vectors,
-Lanczos and projector alike, are fixed, so a solve repeats exactly.  An
-even or odd parity sector is solved by construction: a Pauli sum that
-commutes with the bit-flip string is restricted to its parity block of
-dimension 2^(n-1) (:meth:`~stepgap.pauli.OperatorSum.parity_block`), solved
-once for exactly the levels asked for, and its vectors lifted to the full
-space.  The ``"all"`` spectrum of such a sum merges the two blocks'
-levels, so every level carries its sector by construction.  Operators
-without the symmetry, projector sums included, have no sectors and are
-solved in the full space.
+Lanczos and projector alike, are fixed, so a solve repeats exactly.
+
+Symmetry is handled by construction, by one mechanism: a Pauli sum is
+tapered (:func:`stepgap.pauli.taper`), which splits it into blocks, one
+per joint eigenvalue of its commuting Pauli symmetries.  Blocks at most
+:data:`DENSE_SOLVE_DIM` wide are solved together as one batched dense
+stack, wider ones one by one as sums on the untapered qubits by the
+eigensolver above; vectors are lifted to the full space through the
+recorded Clifford map.  When the bit-flip string ``X^n`` is a symmetry,
+half the blocks make up the even sector and half the odd one, so every
+level carries its sector by construction.  Projector sums have no sectors
+and are solved in the full space.
 
 Every operator along a path, at a global progress value or inside one
 segment (:func:`segment_minimum`, a :func:`gap_scan` of that segment), is a
-:func:`stepgap.pauli.blend` of the segment endpoints; only the eigensolver
-picks the dense or the matrix-free route.  Its two settings, `method` and
-`tol`, are named on :func:`lowest_eigenpairs` alone; the sector, gap and
-scan functions pass them on as ``**solver``.
+:func:`stepgap.pauli.blend` of the segment endpoints.  The eigensolver's
+two settings, `method` and `tol`, are named on :func:`lowest_eigenpairs`
+alone and pick the solver of each wide block; the sector, gap and scan
+functions pass them on as ``**solver``.
 
 A gap scan samples a uniform grid and refines its smallest sample, and any
 dip between tied samples, by Brent's method (parabolic steps with a
 golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
 starts at a point whose gap is already known, so no gap is computed twice.
-A scan tapers the two endpoints of each segment once under one Clifford
-map (:func:`stepgap.pauli.taper`); where the blocks are at most
-:data:`DENSE_SOLVE_DIM` wide, a sample is one batched ``eigvalsh`` of the
-blended blocks of its sector, which a stepwise segment leaves at 2 x 2 or
-4 x 4 for any n.  Other segments solve each sample as above.
+A scan tapers the two endpoints of each segment once under one map, so a
+sample is a solve of the blended blocks of its sector: one batched
+``eigvalsh`` where they are narrow, which a stepwise segment leaves at
+2 x 2 or 4 x 4 for any n.
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
-from .pauli import (DENSE_QUBIT_CAP, OperatorSum, ProjectorSum, parity_lift,
-                    parity_symmetric, taper)
+from .pauli import (DENSE_QUBIT_CAP, OperatorSum, ProjectorSum, Tapering,
+                    blend, taper)
 
 #: Up to this dimension the dense solver is used even when not forced:
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
-#: A gap scan's segment whose tapered blocks are no wider is solved as one
-#: batched dense ``eigvalsh`` over them.
+#: Tapered blocks no wider are solved as one batched dense stack.
 DENSE_SOLVE_DIM = 256
 
 #: Gap samples closer than this to the smallest one count as tied.
@@ -193,59 +194,65 @@ def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool
     return SpectrumResult(w[:count], vectors)
 
 
-def _block_levels(op, sector: str, count: int, want_vectors: bool,
-                  **solver) -> SpectrumResult:
-    """The `count` lowest levels of one parity block, vectors lifted."""
-    sign = 1 if sector == "even" else -1
-    res = lowest_eigenpairs(op.parity_block(sign), count,
-                            want_vectors=want_vectors, **solver)
-    vectors = None if res.eigenvectors is None \
-        else parity_lift(res.eigenvectors, sign)
-    return SpectrumResult(res.eigenvalues, vectors,
-                          sector_labels=(sector,) * count)
+def _tapered_levels(tapering: Tapering, blocks: range, count: int,
+                    want_vectors: bool, k: int = 0, **solver
+                    ) -> SpectrumResult:
+    """The `count` lowest levels of ``tapering.operators[k]`` over
+    `blocks`, vectors lifted to the full space: one batched dense solve of
+    blocks at most DENSE_SOLVE_DIM wide, else :func:`lowest_eigenpairs` of
+    each block sum with `solver`.  Levels merge by value, the lower block
+    first on ties, and carry their parity when ``X^n`` is a generator."""
+    dim = tapering.block_dim
+    if not 1 <= count <= len(blocks) * dim:
+        raise ValueError(f"count {count} outside 1..{len(blocks) * dim}")
+    if dim <= DENSE_SOLVE_DIM:
+        stack = tapering.stack(k, blocks)
+        w, v = np.linalg.eigh(stack) if want_vectors \
+            else (np.linalg.eigvalsh(stack), None)
+    else:
+        res = [lowest_eigenpairs(tapering.block(k, b), min(count, dim),
+                                 want_vectors=want_vectors, **solver)
+               for b in blocks]
+        w = np.stack([x.eigenvalues for x in res])
+        v = np.stack([x.eigenvectors for x in res]) if want_vectors else None
+    order = np.argsort(w, axis=None, kind="stable")[:count]
+    which, level = np.divmod(order, w.shape[1])
+    vectors = None if v is None else tapering.lift(
+        v[which, :, level].T, np.asarray(blocks)[which])
+    labels = None if tapering.parity(0) is None else tuple(
+        "even" if tapering.parity(blocks[i]) == 1 else "odd" for i in which)
+    return SpectrumResult(w.ravel()[order], vectors, labels)
+
+
+def _taper_sector(ops, sector: str) -> tuple[Tapering, range] | None:
+    """``taper(*ops)`` and the blocks of `sector`, or None where a
+    projector sum leaves no sectors; ValueError for an unknown sector or
+    an even or odd one of projector sums or of sums without ``X^n``."""
+    if sector not in ("all", "even", "odd"):
+        raise ValueError(f"unknown sector {sector!r}")
+    if not all(isinstance(op, OperatorSum) for op in ops):
+        if sector != "all":
+            raise ValueError(f"no {sector} sector for a projector sum, whose "
+                             f"levels are not parity eigenstates; use 'all'")
+        return None
+    tapering = taper(*ops)
+    return tapering, tapering.sector(sector)
 
 
 def sector_levels(op, sector: str, count: int = 2, want_vectors: bool = True,
                   **solver) -> SpectrumResult:
     """The `count` lowest levels of a parity sector.
 
-    ``even`` and ``odd`` solve the parity block
-    (:meth:`~stepgap.pauli.OperatorSum.parity_block`) once and lift its
-    vectors.  ``all`` of a Pauli sum on n >= 2 qubits that commutes with
-    the bit flip solves both blocks for min(count, 2^(n-1)) levels each and
-    merges them by value, even first on exact ties, so every level carries
-    its block's label; any other operator is solved once in the full space
-    and has ``sector_labels=None``.  A count outside the dimension of the
-    sector, a :class:`~stepgap.pauli.ProjectorSum` and a Pauli sum that does
-    not commute with the bit flip, the last two for ``even`` and ``odd``,
-    raise ValueError before any solve.  `solver` goes to
-    :func:`lowest_eigenpairs`.
+    A Pauli sum is tapered and the sector's blocks solved by
+    :func:`_tapered_levels`, with `solver`; a projector sum is solved once
+    in the full space, unlabelled.  A count outside the sector, and the
+    refusals of :func:`_taper_sector`, raise ValueError before any solve.
     """
-    if sector == "all":
-        if op.n < 2 or not parity_symmetric(op):
-            return lowest_eigenpairs(op, count, want_vectors=want_vectors,
-                                     **solver)
-        dim = 1 << op.n
-        if not 1 <= count <= dim:
-            raise ValueError(f"count {count} outside 1..{dim}")
-        k = min(count, dim // 2)
-        even, odd = (_block_levels(op, block, k, want_vectors, **solver)
-                     for block in ("even", "odd"))
-        w = np.concatenate([even.eigenvalues, odd.eigenvalues])
-        order = np.argsort(w, kind="stable")[:count]
-        vectors = np.hstack([even.eigenvectors, odd.eigenvectors])[:, order] \
-            if want_vectors else None
-        return SpectrumResult(w[order], vectors, sector_labels=tuple(
-            "even" if i < k else "odd" for i in order))
-    if sector not in ("even", "odd"):
-        raise ValueError(f"unknown sector {sector!r}")
-    if isinstance(op, ProjectorSum):
-        raise ValueError(f"no {sector} sector for a projector sum, whose "
-                         f"levels are not parity eigenstates; use 'all'")
-    if not parity_symmetric(op):
-        raise ValueError(f"no {sector} sector: the operator does not "
-                         f"commute with the bit flip")
-    return _block_levels(op, sector, count, want_vectors, **solver)
+    tapered = _taper_sector((op,), sector)
+    if tapered is None:
+        return lowest_eigenpairs(op, count, want_vectors=want_vectors,
+                                 **solver)
+    return _tapered_levels(*tapered, count, want_vectors, **solver)
 
 
 def sector_ground_state(op, sector: str = "even", **solver) -> np.ndarray:
@@ -357,75 +364,62 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
     return float(s_min), float(v_min)
 
 
-def _segment_stacks(op_a, op_b, sector: str, solver: dict
-                    ) -> list[np.ndarray] | None:
-    """The sector's tapered block stacks ``[A, B]`` of the segment from
-    `op_a` to `op_b`, or None where the segment is solved per sample.
-
-    Both endpoints are tapered under one Clifford map
-    (``taper(op_a, op_b)``), so the operator at local s has the blocks
-    ``(1 - s) A + s B``.  This needs two Pauli sums, no method but
-    ``auto``, blocks of at most DENSE_SOLVE_DIM and stacks within the size
-    guard of :meth:`~stepgap.pauli.Tapering.stacks`, and, for ``even`` or
-    ``odd``, two parity-symmetric endpoints on n >= 2 qubits; without
-    them :func:`sector_gap` solves each sample, and refuses a sector the
-    operator does not have.
-    """
-    if (solver.get("method", "auto") != "auto"
-            or solver.keys() - {"method", "tol"}
-            or not isinstance(op_a, OperatorSum)
-            or not isinstance(op_b, OperatorSum)
-            or sector != "all" and not (op_a.n >= 2 and parity_symmetric(op_a)
-                                        and parity_symmetric(op_b))):
-        return None
-    tapering = taper(op_a, op_b)
-    if tapering.block_dim > DENSE_SOLVE_DIM:
-        return None
-    try:
-        return tapering.stacks(sector)
-    except ValueError:  # the size guard
-        return None
-
-
 def gap_scan(path: InterpolationPath, points: int = 200,
              sector: str = "all", **solver) -> GapCurve:
     """Gap between the two lowest (sector-resolved) levels along a path.
 
     Samples `points` uniformly spaced global-s values, then refines the
     smallest sample to about REFINE_XTOL in s by Brent's method, started at
-    that sample, as :func:`_refined_minimum` does.  Each segment is tapered
-    once, when a sample first falls in it, and where
-    :func:`_segment_stacks` gives its blocks each sample is one batched
-    ``eigvalsh`` of them; only the current segment's blocks are kept.
-    Other samples are :func:`sector_gap` calls, to which `solver` goes.
+    that sample, as :func:`_refined_minimum` does.  An even or odd sector
+    is refused before any solve unless ``X^n`` is a symmetry of every
+    operator of the path.  Each segment is set up by
+    :func:`_segment_levels` when a sample first falls in it, and only the
+    current one is kept; `solver` goes to every eigensolve.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
-    if sector not in ("all", "even", "odd"):
-        raise ValueError(f"unknown sector {sector!r}")
+    if sector != "all":
+        _taper_sector(path.operators, sector)
     grid = np.linspace(0.0, 1.0, points)
     evaluations = 0
-    current, stacks = None, None  # the segment last sampled and its blocks
+    current, levels = None, None  # the segment last sampled, its solver
 
     def eval_gap(s_global: float) -> tuple[float, float, float]:
-        nonlocal evaluations, current, stacks
+        nonlocal evaluations, current, levels
         evaluations += 1
         k, s = path.locate(float(s_global) * path.tau)
         if k != current:
-            current, stacks = k, _segment_stacks(*path.segment(k), sector,
+            current, levels = k, _segment_levels(path.segment(k), sector,
                                                  solver)
-        if stacks is None:
+        if levels is None:
             return sector_gap(path.at_progress(float(s_global)), sector,
                               **solver)
-        a, b = stacks
-        w = np.partition(np.linalg.eigvalsh((1.0 - s) * a + s * b), 1,
-                         axis=None)
-        lam0, lam1 = float(w[0]), float(w[1])
+        lam0, lam1 = (float(x) for x in np.partition(levels(s), 1)[:2])
         return lam1 - lam0, lam0, lam1
 
     samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
     minimum = _refined_minimum(lambda s: eval_gap(s)[0], grid, samples[:, 1])
     return GapCurve(samples, sector, minimum, evaluations)
+
+
+def _segment_levels(ends, sector: str, solver: dict
+                    ) -> Callable[[float], np.ndarray] | None:
+    """The sector's low levels of a segment at local s, from its endpoints
+    tapered once under one map: one batched ``eigvalsh`` of the blended
+    stacks where the blocks are at most DENSE_SOLVE_DIM wide, else the
+    lowest two of each blended block sum.  None for projector sums, which
+    :func:`gap_scan` solves per sample with :func:`sector_gap`."""
+    tapered = _taper_sector(ends, sector)
+    if tapered is None:
+        return None
+    tapering, blocks = tapered
+    if tapering.block_dim <= DENSE_SOLVE_DIM:
+        a, b = (tapering.stack(k, blocks) for k in (0, 1))
+        return lambda s: np.linalg.eigvalsh((1.0 - s) * a + s * b).ravel()
+    sums = [(tapering.block(0, j), tapering.block(1, j)) for j in blocks]
+    return lambda s: np.concatenate([
+        lowest_eigenpairs(blend(a, b, s), 2, want_vectors=False,
+                          **solver).eigenvalues for a, b in sums])
 
 
 def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",

@@ -296,12 +296,25 @@ def test_evolution_target_is_even_cat_for_ising():
 def test_evolution_target_without_symmetry_uses_global_ground():
     n = 3
     h_i, _ = ising_endpoints(n)
-    h_broken = OperatorSum(n, [PauliString.from_ops(n, {1: "Z"}, -2.0),
-                               PauliString.from_ops(n, {2: "X"}, -0.5)])
+    # a Z on every qubit leaves the path no symmetry
+    h_kept = OperatorSum(n, [PauliString.from_ops(n, {1: "Z"}, -2.0),
+                             PauliString.from_ops(n, {2: "X"}, -0.5)])
+    h_broken = h_kept + OperatorSum(n, [
+        PauliString.from_ops(n, {2: "Z"}, -0.3),
+        PauliString.from_ops(n, {3: "Z"}, -0.1)])
     path = InterpolationPath((h_i, h_broken), (1.0,))
     target = evolution_target(path)
     w, v = np.linalg.eigh(h_broken.to_dense())
     assert fidelity(target, v[:, 0]) == pytest.approx(1.0, abs=1e-10)
+    # without the Z's on qubits 2 and 3 the path keeps X_2 and X_3, and
+    # the target is the ground state where both read +1, like the start
+    path = InterpolationPath((h_i, h_kept), (1.0,))
+    x2, x3 = (OperatorSum(n, [PauliString.from_ops(n, {q: "X"})]).to_dense()
+              for q in (2, 3))
+    proj = (np.eye(1 << n) + x2) @ (np.eye(1 << n) + x3) / 4
+    w, v = np.linalg.eigh(proj @ h_kept.to_dense() @ proj - 10 * proj)
+    assert fidelity(evolution_target(path), v[:, 0]) == \
+        pytest.approx(1.0, abs=1e-10)
 
 
 def test_target_sector_is_the_block_evolve_runs_in():

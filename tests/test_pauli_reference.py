@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
-                           conjugate, parity_fold, parity_lift,
-                           parity_symmetric, taper)
+                           conjugate, taper)
 from stepgap.spectra import sector_levels
 
 _PAULI_MATRICES = {
@@ -248,6 +247,13 @@ def test_blend_of_compiled_forms_equals_compiled_blend(case):
             assert gather is None
 
 
+def parity_fold(full: np.ndarray, sign: int) -> np.ndarray:
+    """The dense parity block: ``H + sign H X^n`` on the basis states with
+    the leading bit clear, H on span{|z> + sign |~z>}."""
+    half = len(full) // 2
+    return (full + sign * full[:, ::-1])[:half, :half]
+
+
 @given(symmetric_sums(), st.data())
 def test_parity_blocks_match_kron_reference(case, data):
     op, odd = case
@@ -256,13 +262,9 @@ def test_parity_blocks_match_kron_reference(case, data):
     parity = reference_dense(OperatorSum(n, [label_string("X" * n)]))
     levels = []
     for sector, sign in (("even", 1), ("odd", -1)):
-        block = op.parity_block(sign)
-        assert block.is_real == (not any(map(np.iscomplexobj,
-                                             flip_groups(block).values())))
-        assert np.abs(block.to_dense()
-                      - reference_dense(OperatorSum(n - 1, block.terms))
-                      ).max(initial=0.0) < 1e-12
         res = sector_levels(op, sector, count=half)
+        assert np.abs(res.eigenvalues - np.linalg.eigvalsh(
+            parity_fold(full, sign))).max() < 1e-10
         vecs = res.eigenvectors
         assert np.abs(parity @ vecs - sign * vecs).max() < 1e-12
         assert np.abs(full @ vecs - vecs * res.eigenvalues).max() < 1e-10
@@ -281,28 +283,38 @@ def test_parity_blocks_match_kron_reference(case, data):
     with pytest.raises(ValueError):
         sector_levels(op, "even", count=half + 1)
     bad = op + label_string(odd, 0.5)
-    assert parity_symmetric(op) and not parity_symmetric(bad)
-    with pytest.raises(ValueError):
-        bad.parity_block(1)
+    assert taper(op).parity(0) is not None and taper(bad).parity(0) is None
+    with pytest.raises(ValueError, match="bit flip"):
+        sector_levels(bad, "even")
     res = sector_levels(bad, "all", count=2 * half)
     assert res.sector_labels is None
     assert np.abs(res.eigenvalues
                   - np.linalg.eigvalsh(reference_dense(bad))).max() < 1e-10
 
 
-@given(symmetric_sums(), st.integers(0, 2**32 - 1), st.sampled_from((1, -1)))
-def test_fold_and_lift_carry_states_to_the_parity_block(case, seed, sign):
-    op, _ = case
+@given(planted_symmetry_sums(), st.integers(0, 2**32 - 1), st.data())
+def test_recorded_map_carries_states_to_the_tapered_blocks(op, seed, data):
+    tapering = taper(op)
+    n, dim, r = op.n, tapering.block_dim, len(tapering.generators)
+    # the map U column by column: fold of each basis state
+    unitary = np.column_stack([tapering.fold(np.eye(1 << n)[:, i]).ravel()
+                               for i in range(1 << n)])
+    assert np.abs(unitary.conj().T @ unitary - np.eye(1 << n)).max() < 1e-12
+    assert np.abs(unitary @ reference_dense(op) @ unitary.conj().T
+                  - reference_dense(tapering.operators[0])).max() < 1e-12
+    # X^n, an X string, maps to +Z_1: the even blocks come first
+    assert tapering.parity(0) is None or tapering.signs[0] == 1
+    # a state drawn in block b folds into row b alone and lifts back
+    b = data.draw(st.integers(0, (1 << r) - 1))
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
-    psi = raw + sign * raw[::-1]
-    psi /= np.linalg.norm(psi)
-    assert np.abs(parity_lift(parity_fold(psi), sign) - psi).max() < 1e-15
-    phi = parity_fold(psi)
-    assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
-    got = parity_fold(op.apply(parity_lift(phi, sign)))
-    want = op.parity_block(sign).apply(phi)
-    assert np.abs(got - want).max(initial=0.0) < 1e-12
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = tapering.lift(phi / np.linalg.norm(phi), b)
+    rows = tapering.fold(psi)
+    assert np.abs(rows[b] - phi / np.linalg.norm(phi)).max() < 1e-12
+    assert np.abs(np.delete(rows, b, axis=0)).max(initial=0.0) < 1e-12
+    if dim > 1:
+        got = tapering.lift(tapering.block(0, b).apply(rows[b]), b)
+        assert np.abs(got - op.apply(psi)).max(initial=0.0) < 1e-12
 
 
 @given(planted_symmetry_sums())
@@ -325,7 +337,7 @@ def test_tapered_blocks_hold_the_full_spectrum(op):
     xall = ("X",) * op.n
     if all(strings_commute(xall, t.factors) for t in op.terms):
         assert gens[0].factors == xall
-    assert all(f in "IZ" for t in tapering.operator.terms
+    assert all(f in "IZ" for t in tapering.operators[0].terms
                for f in t.factors[:r])
 
 
@@ -341,7 +353,8 @@ def test_one_tapering_blocks_every_blend_of_two_sums(op, data):
     mixed = blend(op_a, op_b, s)
 
     def blocks(sector):
-        stack_a, stack_b = tapering.stacks(sector)
+        stack_a, stack_b = (tapering.stack(k, tapering.sector(sector))
+                            for k in (0, 1))
         return np.sort(np.linalg.eigvalsh((1 - s) * stack_a + s * stack_b),
                        axis=None)
 
@@ -359,51 +372,19 @@ def test_one_tapering_blocks_every_blend_of_two_sums(op, data):
             OperatorSum(op.n, [g]))) / 2
     w, v = np.linalg.eigh(proj)
     span = v[:, w > 0.5]
-    stack_a, stack_b = tapering.stacks()
+    stack_a, stack_b = (tapering.stack(k, range(b, b + 1)) for k in (0, 1))
     assert np.abs(np.linalg.eigvalsh(span.conj().T @ full @ span)
-                  - np.linalg.eigvalsh((1 - s) * stack_a[b] + s * stack_b[b])
+                  - np.linalg.eigvalsh((1 - s) * stack_a[0] + s * stack_b[0])
                   ).max() < 1e-10
     if tapering.generators[:1] == (PauliString(op.n, (1 << op.n) - 1, 0),):
         assert len(tapering.signs) == len(tapering.generators)
         if op.n >= 2:
             for sector, sign in (("even", 1), ("odd", -1)):
-                block = mixed.parity_block(sign).to_dense()
-                assert np.abs(blocks(sector)
-                              - np.linalg.eigvalsh(block)).max() < 1e-10
+                assert np.abs(blocks(sector) - np.linalg.eigvalsh(
+                    parity_fold(full, sign))).max() < 1e-10
     else:
         with pytest.raises(ValueError):
-            tapering.stacks("even")
-
-
-def term_parity(op: OperatorSum) -> bool:
-    """The definition: every term has an even number of Z and Y factors."""
-    return all(sum(f in "YZ" for f in t.factors) % 2 == 0 for t in op.terms)
-
-
-@given(sum_pairs())
-def test_parity_flag_of_a_blend_matches_its_terms(case):
-    op_a, op_b, s = case
-    assert parity_symmetric(blend(op_a, op_b, s)) \
-        == term_parity((1.0 - s) * op_a + s * op_b)
-
-
-@given(st.data())
-def test_parity_flag_of_a_symmetric_blend_needs_no_terms(data):
-    op_a, odd = data.draw(symmetric_sums())
-    op_b, _ = data.draw(symmetric_sums(op_a.n))
-    s = data.draw(st.floats(0.0, 1.0, allow_nan=False))
-    c = data.draw(coefficients.filter(lambda x: abs(x) > 1e-3))
-    mixed = blend(op_a, op_b, s)
-    assert parity_symmetric(mixed)
-    assert mixed._terms is None  # the blend's terms were never built
-    # an odd string on one end, and on both with weights that cancel at
-    # s = 1/2: the flag falls back to the terms
-    odd_a = op_a + label_string(odd, c)
-    odd_b = op_b + label_string(odd, -c)
-    for ends, at in (((odd_a, op_b), s), ((op_a, odd_b), s),
-                     ((odd_a, odd_b), s), ((odd_a, odd_b), 0.5)):
-        assert parity_symmetric(blend(*ends, at)) \
-            == term_parity((1.0 - at) * ends[0] + at * ends[1])
+            tapering.sector("even")
 
 
 def test_pauli_string_apply_matches_reference():

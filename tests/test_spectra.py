@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 
 from stepgap import spectra
 from stepgap.models import (
+    InterpolationPath,
     chain_lattice,
     cluster_hamiltonian,
     ising_endpoints,
     ising_step_hamiltonian,
     make_path,
 )
-from stepgap.pauli import OperatorSum, PauliString, blend, ghz_state
+from stepgap.pauli import OperatorSum, PauliString, blend, ghz_state, taper
 from stepgap.spectra import (
     ConvergenceError,
     GapCurve,
@@ -133,33 +134,49 @@ def test_sector_levels_even_requests_enough():
     assert np.allclose(res.eigenvalues, [-5.0, -1.0], atol=1e-9)
 
 
+def dense_sector(op, sector):
+    """Dense reference: the full matrix for ``all``, and for ``even`` or
+    ``odd`` ``H +- H X^n`` on the basis states with the leading bit clear,
+    H on span{|z> +- |~z>}."""
+    full = op.to_dense()
+    if sector == "all":
+        return full
+    sign = 1 if sector == "even" else -1
+    half = len(full) // 2
+    return (full + sign * full[:, ::-1])[:half, :half]
+
+
 @pytest.mark.parametrize("n", [10, 12])
 def test_sector_levels_is_one_block_solve_with_every_even_level(n,
                                                                 monkeypatch):
     import stepgap.spectra as spectra
-    solves = []
-    solve = spectra.lowest_eigenpairs
+    solves, stacks = [], []
+    solve, eigh = spectra.lowest_eigenpairs, np.linalg.eigh
 
     def counted(op, count, **kwargs):
         solves.append((op.n, count))
         return solve(op, count, **kwargs)
 
+    def batched(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(spectra, "lowest_eigenpairs", counted)
+    monkeypatch.setattr(np.linalg, "eigh", batched)
     path = make_path("ising-stepwise", n=n)
-    half = 1 << (n - 1)
     for s in (0.5 / n, 0.37, 0.55):
         op = path.at_progress(s)
         res = sector_levels(op, "even", count=6)
-        # H on span{|z> + |~z>}: rows and columns of H + H X^n with the
-        # leading bit clear
-        full = op.to_dense()
-        even = np.linalg.eigvalsh((full + full[:, ::-1])[:half, :half])
+        even = np.linalg.eigvalsh(dense_sector(op, "even"))
         assert np.abs(res.eigenvalues - even[:6]).max() < 1e-9
         vecs = res.eigenvectors
         assert np.abs(vecs[::-1] - vecs).max() < 1e-12
         assert np.abs(np.column_stack([op.apply(v) for v in vecs.T])
                       - vecs * res.eigenvalues).max() < 1e-8
-    assert solves == [(n - 1, 6)] * 3
+    # mid-segment, one qubit stays active: the even half of the 2^(n-1)
+    # blocks of 2 x 2 is one batched solve, with no other eigensolve
+    assert solves == []
+    assert stacks == [(1 << (n - 2), 2, 2)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +373,68 @@ ROUTE_CASES = [("ising-stepwise", {"n": n}, sector) for n in range(4, 11)
        for w in (2, 3)]
 
 
+def dense_scan(path, points, sector):
+    """Reference scan: per sample, ``eigvalsh`` of the dense sector matrix
+    of the operator, refined by the same `_refined_minimum`."""
+    evaluations = 0
+
+    def gap(s):
+        nonlocal evaluations
+        evaluations += 1
+        w = np.linalg.eigvalsh(dense_sector(path.at_progress(s), sector))
+        return w[1] - w[0], w[0], w[1]
+
+    grid = np.linspace(0.0, 1.0, points)
+    samples = np.column_stack([grid, [gap(s) for s in grid]])
+    minimum = _refined_minimum(lambda s: gap(s)[0], grid, samples[:, 1])
+    return samples, minimum, evaluations, lambda s: gap(s)[0]
+
+
 @pytest.mark.parametrize("family, size, sector", ROUTE_CASES)
 def test_tapered_scan_matches_the_per_sample_dense_route(family, size, sector,
                                                          monkeypatch):
     path = make_path(family, **size)
-    want = gap_scan(path, points=5, sector=sector, method="dense")
+    samples, minimum, evaluations, dense_gap = dense_scan(path, 5, sector)
     # every sample of the tapered route is a batched block solve
     per_sample = []
     monkeypatch.setattr(spectra, "sector_gap",
                         lambda *args, **kw: per_sample.append(args))
     got = gap_scan(path, points=5, sector=sector)
     assert per_sample == []
-    assert got.evaluations == want.evaluations
-    assert np.abs(got.samples - want.samples).max() <= 1e-10
-    assert abs(got.minimum[1] - want.minimum[1]) <= 1e-10
+    assert got.evaluations == evaluations
+    assert np.abs(got.samples - samples).max() <= 1e-10
+    assert abs(got.minimum[1] - minimum[1]) <= 1e-10
     # a bracket may hold several equal dips, and rounding picks the one a
     # refinement settles in: the tapered route's point is a minimum of the
-    # dense route's curve
-    s_got = got.minimum[0]
-    assert abs(sector_gap(path.at_progress(s_got), sector, method="dense")[0]
-               - want.minimum[1]) <= 1e-10
+    # dense curve
+    assert abs(dense_gap(got.minimum[0]) - minimum[1]) <= 1e-10
+
+
+def test_wide_block_scan_matches_the_dense_reference(monkeypatch):
+    # the even block of ising-linear at n = 10 is 512 wide: one Lanczos
+    # solve of the blended block sum per evaluation
+    n = 10
+    path = make_path("ising-linear", n=n)
+    samples, minimum, evaluations, _ = dense_scan(path, 5, "even")
+    solves = []
+    solve = spectra.lowest_eigenpairs
+
+    def counted(op, count, **kwargs):
+        solves.append((op.n, count, kwargs.get("method")))
+        return solve(op, count, **kwargs)
+
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", counted)
+    got = gap_scan(path, points=5, sector="even", method="lanczos")
+    assert solves == [(n - 1, 2, "lanczos")] * got.evaluations
+    assert got.evaluations == evaluations
+    assert np.abs(got.samples - samples).max() <= 1e-10
+    assert abs(got.minimum[1] - minimum[1]) <= 1e-10
+    assert got.minimum[1] == pytest.approx(pair_gap_even(n, 0.5), abs=1e-7)
 
 
 def test_scan_takes_the_per_sample_route_outside_the_tapered_one(
         monkeypatch):
+    from stepgap.ec3 import Ec3Instance, projector_hamiltonian
     calls = []
 
     def counted(*args, **kw):
@@ -387,13 +442,56 @@ def test_scan_takes_the_per_sample_route_outside_the_tapered_one(
         return sector_gap(*args, **kw)
 
     monkeypatch.setattr(spectra, "sector_gap", counted)
-    # an explicit method, and blocks of 2^(n-1) > DENSE_SOLVE_DIM
-    for path, solver in ((make_path("ising-stepwise", n=4),
-                          {"method": "dense"}),
-                         (make_path("ising-linear", n=10), {})):
+    # only projector sums are solved per sample; a Pauli sum's explicit
+    # method picks the solver of its wide blocks
+    inst = Ec3Instance(6, ((1, 2, 3), (4, 5, 6)))
+    projectors = InterpolationPath(projector_hamiltonian(inst, (0, 1)),
+                                   (1.0, 1.0))
+    for path, solver, per_sample in (
+            (projectors, {"method": "dense"}, True),
+            (projectors, {}, True),
+            (make_path("ising-stepwise", n=4), {"method": "dense"}, False),
+            (make_path("ising-linear", n=10), {"method": "lanczos"}, False)):
         calls.clear()
-        curve = gap_scan(path, points=3, sector="even", **solver)
-        assert calls == [solver.get("method")] * curve.evaluations
+        curve = gap_scan(path, points=3, **solver)
+        want = [solver.get("method")] * curve.evaluations if per_sample \
+            else []
+        assert calls == want
+
+
+def test_even_scan_without_the_symmetry_is_refused_before_any_solve(
+        monkeypatch):
+    calls = []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no solve expected")
+
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    # the first operator, -sum X, commutes with the bit flip; the cluster
+    # steps after it do not
+    path = make_path("cluster1d-stepwise", n=4)
+    for sector in ("even", "odd"):
+        with pytest.raises(ValueError, match="bit flip"):
+            gap_scan(path, points=5, sector=sector)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("family", ["ising-linear", "ising-stepwise"])
+def test_parity_blocks_of_ising_paths_are_the_dense_fold(family, n):
+    path = make_path(family, n=n)
+    tapering = taper(*path.operators)
+    assert [str(g) for g in tapering.generators] == ["+1*" + "X" * n]
+    for sector in ("even", "odd"):
+        (b,) = tapering.sector(sector)
+        for k, op in enumerate(path.operators):
+            block = tapering.block(k, b)
+            assert block.n == n - 1
+            assert np.abs(block.to_dense() - dense_sector(op, sector)
+                          ).max() < 1e-12
 
 
 def test_gap_scan_validation():
