@@ -2,23 +2,28 @@
 
 The propagator advances segment by segment (the Hamiltonian is only
 piecewise smooth), taking fourth-order commutator-free substeps: two
-Lanczos-evaluated exponentials of Hamiltonian combinations sampled at the
-Gauss nodes of each substep.  Substeps are halved until the final fidelity
-is stable, which pins the observable accuracy without committing to a step
-size.  Krylov exponentials are unitary up to orthogonalization error, so
-the norm is conserved to near machine precision.
+exponentials of Hamiltonian combinations sampled at the Gauss nodes of
+each substep.  Substeps are halved until the final fidelity is stable,
+which pins the observable accuracy without committing to a step size, at
+most :data:`MAX_REFINEMENTS` times.
 
-Each exponential applies the segment blend (:func:`stepgap.pauli.blend`)
-matrix-free and stops its Krylov space on an a-priori bound
-(:data:`KRYLOV_TOL`, at most :data:`KRYLOV_DIM_MAX` vectors), and
-substeps are halved at most :data:`MAX_REFINEMENTS` times.  The operators
-of a path are tapered together (:func:`stepgap.pauli.taper`); a start
-state that lies in one of their blocks is propagated in that block, and
-its target is the ground state of that block.  Any other start, and a
-path of projector sums, runs in the full space (r = 0) against the global
-ground state.  One test, :func:`_start_block`, makes both choices.  On
-the Ising paths the one symmetry is ``X^n``, so a start of definite
-parity runs in its parity block at half the dimension.
+Each segment runs in its own tapering (:func:`stepgap.pauli.taper` of its
+two endpoints, built once per :func:`evolve` call), so every blend along
+it is block diagonal.  At the segment's start the state is folded into
+one row per block; rows that are exactly zero stay zero and are skipped.
+Blocks at most :data:`KRYLOV_DIM_MAX` wide are exponentiated exactly, one
+batched ``eigh`` of the blended stacks per exponential; a stepwise segment
+leaves them 2 x 2 or 4 x 4 at any n.  Wider blocks, and a segment of
+projector sums, which is one full-space block, take a Lanczos exponential
+of the block's blend that stops its Krylov space on an a-priori bound
+(:data:`KRYLOV_TOL`).  Both are unitary to rounding, so the norm is
+conserved to near machine precision.  At the segment's end the rows are
+lifted back.  Where ``X^n`` is a generator of a segment's tapering, the
+parity is read off the rows, exactly ±1 when they share one parity;
+elsewhere the state is lifted and measured.  The fidelity target is the
+final operator's ground state in the block of the path's operators,
+tapered together, that holds the start (:func:`_start_block`), else the
+global ground state.
 """
 
 from __future__ import annotations
@@ -136,13 +141,67 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _segment_exponential(tapering: Tapering | None, ends, held: np.ndarray):
+    """``x -> exp(-i dt H(s)) x`` on the held rows x of a segment, H(s) the
+    blend of its ends at local s.  Blocks at most :data:`KRYLOV_DIM_MAX`
+    wide are exponentiated exactly, one batched ``eigh`` of the blended
+    stacks per call; wider blocks, and the one full-space block of a
+    projector segment (`tapering` None), by :func:`_krylov_expm_apply` on
+    each block's blend."""
+    if tapering is not None and tapering.block_dim <= KRYLOV_DIM_MAX:
+        a, b = (tapering.stack(k, held) for k in (0, 1))
+
+        def exact(x, s, dt):
+            w, u = np.linalg.eigh((1.0 - s) * a + s * b)
+            y = np.exp(-1j * dt * w) * np.einsum("hji,hj->hi", u.conj(), x)
+            return np.einsum("hij,hj->hi", u, y)
+        return exact
+    sums = [ends] if tapering is None else \
+        [(tapering.block(0, j), tapering.block(1, j)) for j in held]
+    return lambda x, s, dt: np.array([
+        _krylov_expm_apply(blend(a, b, s).apply, v, dt)
+        for (a, b), v in zip(sums, x)])
+
+
+def _segment_parity(tapering: Tapering | None, held: np.ndarray,
+                    shape: tuple[int, int]):
+    """``x -> <X^n>`` of the state whose fold holds the rows x at `held`.
+    Where ``X^n`` is a generator, it reads off the rows' parities: exactly
+    their one parity when they share it, else the weighted sum.  Anywhere
+    else the state is lifted and measured."""
+    if tapering is not None and tapering.parity(0) is not None:
+        signs = tapering.parity(held).astype(float)
+        if np.all(signs == signs[0]):
+            return lambda x: float(signs[0])
+        return lambda x: float(signs @ (x.real ** 2 + x.imag ** 2).sum(1))
+    rows = np.zeros(shape, dtype=complex)
+
+    def lifted(x):
+        rows[held] = x
+        return parity_expectation(
+            rows[0] if tapering is None else tapering.unfold(rows))
+    return lifted
+
+
 def _propagate(path: InterpolationPath, psi0: np.ndarray,
-               steps_per_segment: list[int], parity=None):
+               steps_per_segment: list[int], taperings: list,
+               track_parity: bool):
+    """One pass of CF4 substeps over every segment, in that segment's
+    tapering (None: the full space).  The state is folded into rows at the
+    start of a segment, its rows that are exactly zero stay zero and are
+    skipped, and the rest are lifted back at the end."""
     psi = psi0.astype(complex)
-    parity_lo = parity_hi = parity(psi) if parity else None
+    parity_lo, parity_hi = np.inf, -np.inf
     total_steps = 0
-    for k in range(path.segment_count):
-        op_a, op_b = path.segment(k)
+    for k, tapering in enumerate(taperings):
+        rows = psi[None] if tapering is None else tapering.fold(psi)
+        held = np.flatnonzero(rows.any(axis=1))
+        x = rows[held]
+        advance = _segment_exponential(tapering, path.segment(k), held)
+        parity = _segment_parity(tapering, held, rows.shape) \
+            if track_parity else None
+        if parity and k == 0:
+            parity_lo = parity_hi = parity(x)
         m_seg = steps_per_segment[k]
         seg_dt = path.durations[k] / m_seg
         for j in range(m_seg):
@@ -152,16 +211,17 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
             # H evaluated at an effective parameter, over half the substep
             s_eff_first = 2.0 * (_CF4_BETA * s1 + _CF4_ALPHA * s2)
             s_eff_second = 2.0 * (_CF4_ALPHA * s1 + _CF4_BETA * s2)
-            psi = _krylov_expm_apply(blend(op_a, op_b, s_eff_first).apply,
-                                     psi, 0.5 * seg_dt)
-            psi = _krylov_expm_apply(blend(op_a, op_b, s_eff_second).apply,
-                                     psi, 0.5 * seg_dt)
+            x = advance(x, s_eff_first, 0.5 * seg_dt)
+            x = advance(x, s_eff_second, 0.5 * seg_dt)
             total_steps += 1
             if parity:
-                p = parity(psi)
+                p = parity(x)
                 parity_lo = min(parity_lo, p)
                 parity_hi = max(parity_hi, p)
-    parity_range = (parity_lo, parity_hi) if parity else None
+        rows = np.zeros(rows.shape, dtype=complex)
+        rows[held] = x
+        psi = rows[0] if tapering is None else tapering.unfold(rows)
+    parity_range = (parity_lo, parity_hi) if track_parity else None
     return psi, total_steps, parity_range
 
 
@@ -201,26 +261,15 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     run = path.rescaled(tau)
     steps = [max(1, int(np.ceil(d * BASE_STEPS_PER_TIME)))
              for d in run.durations]
-    tapering, b = _start_block(run, psi0)
-    start, lift, parity = psi0, (lambda phi: phi), None
-    # a block of one state has no Pauli form: r = n runs in the full space
-    if b is not None and tapering.block_dim > 1:
-        run = InterpolationPath(
-            tuple(tapering.block(k, b) for k in range(len(run.operators))),
-            run.durations, run.family)
-        start, parity = tapering.fold(psi0)[b], tapering.parity(b)
-        lift = lambda phi: tapering.lift(phi, b)  # noqa: E731
-    measure = None if parity is not None or not track_parity \
-        else lambda phi: parity_expectation(lift(phi))
+    # each segment in its own tapering, built once for every pass
+    taperings = [taper(*ends) if all(isinstance(op, OperatorSum)
+                                     for op in ends) else None
+                 for ends in map(run.segment, range(run.segment_count))]
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
-        psi, step_count, parity_range = _propagate(run, start, steps,
-                                                   measure)
-        psi = lift(psi)
-        if track_parity and parity is not None:
-            # X^n is a generator: the block holds one parity only
-            parity_range = (float(parity), float(parity))
+        psi, step_count, parity_range = _propagate(run, psi0, steps,
+                                                   taperings, track_parity)
         if target is not None:
             metric = fidelity(psi, target)
         else:

@@ -29,7 +29,7 @@ Conventions used throughout the package:
   stack (:meth:`Tapering.stack`) or as a sum on the untapered qubits
   (:meth:`Tapering.block`); the map is kept as its gates, which carry
   states to the blocks and back (:meth:`Tapering.fold`,
-  :meth:`Tapering.lift`).  When the bit-flip string ``X^n`` is a
+  :meth:`Tapering.unfold`, :meth:`Tapering.lift`).  When the bit-flip string ``X^n`` is a
   symmetry, its blocks make up the even and odd parity sectors.
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
@@ -427,14 +427,17 @@ class Tapering:
     signs: tuple[int, ...]
     operators: tuple[OperatorSum, ...]
     steps: tuple[tuple[int, int, int, int], ...]
+    _gates: list | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def block_dim(self) -> int:
         return 1 << (self.operators[0].n - len(self.generators))
 
-    def parity(self, b: int) -> int | None:
-        """The eigenvalue of ``X^n`` on block b, or None when ``X^n`` is not
-        a generator; an X string, it maps to +Z_1 with no phase."""
+    def parity(self, b) -> int | np.ndarray | None:
+        """The eigenvalue of ``X^n`` on block b (elementwise for an array
+        of blocks), or None when ``X^n`` is not a generator; an X string,
+        it maps to +Z_1 with no phase."""
         n, r = self.operators[0].n, len(self.generators)
         if self.generators[:1] != (PauliString(n, (1 << n) - 1, 0),):
             return None
@@ -455,25 +458,36 @@ class Tapering:
         half = 1 << (r - 1)
         return range(half) if name == "even" else range(half, 1 << r)
 
-    def stack(self, k: int, blocks: range) -> np.ndarray:
-        """Blocks `blocks` of ``operators[k]`` as dense matrices, stacked
-        ``(len(blocks), d, d)`` with d = :attr:`block_dim`; refused, before
-        anything is allocated, above :data:`STATE_QUBIT_CAP` qubits and
-        when they exceed a dense matrix of :data:`DENSE_QUBIT_CAP`
-        qubits."""
-        op, r, dim = self.operators[k], len(self.generators), self.block_dim
+    def stack(self, k: int, blocks) -> np.ndarray:
+        """Blocks `blocks` (any sequence of block indices) of
+        ``operators[k]`` as dense matrices, stacked ``(len(blocks), d, d)``
+        with d = :attr:`block_dim`, built from the terms on those blocks
+        alone; refused, before anything is allocated, above
+        :data:`STATE_QUBIT_CAP` qubits and when they exceed a dense matrix
+        of :data:`DENSE_QUBIT_CAP` qubits."""
+        op, dim = self.operators[k], self.block_dim
         check_state_qubits(op.n)
         if len(blocks) * dim * dim > 4 ** DENSE_QUBIT_CAP:
             raise ValueError(
                 f"tapered blocks refused: {len(blocks)} blocks of {dim} x "
                 f"{dim} exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
-        stack = np.zeros((len(blocks), dim, dim),
-                         dtype=float if op.is_real else complex)
         rows = np.arange(dim)
-        for flip, _, amp in op._compiled():
+        idx = (np.asarray(blocks, dtype=np.intp)[:, None] * dim + rows).ravel()
+        groups: dict[int, list] = {}  # flip -> [(z, weight)]
+        for t in op.terms:
+            # <i ^ x| P |i> = c i^y (-1)^popcount(x & z) (-1)^popcount(i & z)
+            weight = t.coefficient * _Y_PHASES[t.y_count % 4]
+            groups.setdefault(t.x, []).append(
+                (t.z, -weight if (t.x & t.z).bit_count() % 2 else weight))
+        stack = np.zeros((len(blocks), dim, dim), dtype=complex if any(
+            t.y_count % 2 for t in op.terms) else float)
+        for flip, terms in groups.items():
+            # term by term, so that memory stays one amplitude per entry
+            amp = np.zeros(len(idx), dtype=stack.dtype)
+            for z, w in terms:
+                amp += np.where(np.bitwise_count(idx & z) & 1, -w, w)
             # flip < dim: no term flips a tapered (leading) qubit
-            amps = np.broadcast_to(amp, (1 << op.n,)).reshape(1 << r, dim)
-            stack[:, rows, rows ^ flip] = amps[blocks.start:blocks.stop]
+            stack[:, rows, rows ^ flip] = amp.reshape(-1, dim)
         return stack
 
     def block(self, k: int, b: int) -> OperatorSum:
@@ -497,6 +511,10 @@ class Tapering:
         in block b."""
         return self._carry(psi[:, None], False).reshape(-1, self.block_dim)
 
+    def unfold(self, rows: np.ndarray) -> np.ndarray:
+        """The state whose :meth:`fold` is `rows`."""
+        return self._carry(rows.reshape(-1, 1), True).ravel()
+
     def lift(self, phi: np.ndarray, b) -> np.ndarray:
         """The state whose :meth:`fold` holds `phi` in row b alone; a 2-d
         `phi` lifts column by column, column j into row ``b[j]``."""
@@ -507,40 +525,87 @@ class Tapering:
             (-1,) + phi.shape[1:])
 
     def _carry(self, psi: np.ndarray, inverse: bool) -> np.ndarray:
-        """``C psi``, or ``C^dagger psi``, gate by gate from `steps`; the
-        rows of psi are the basis states."""
+        """``C psi``, or ``C^dagger psi``, through :meth:`_compiled_gates`;
+        the rows of psi are the basis states."""
+        gates = self._compiled_gates()
+        for gate in gates[::-1] if inverse else gates:
+            if isinstance(gate, int):
+                psi = _hadamard(psi, gate)
+                continue
+            gather, phase = gate
+            if inverse:
+                # the map psi -> phase * psi[gather], undone
+                out = psi if phase is None else phase.conj()[:, None] * psi
+                if gather is not None:
+                    psi = np.empty_like(out)
+                    psi[gather] = out
+                else:
+                    psi = out
+            else:
+                if gather is not None:
+                    psi = psi[gather]
+                if phase is not None:
+                    psi = phase[:, None] * psi
+        return psi
+
+    def _compiled_gates(self) -> list:
+        """`steps` as gates, built on first use and kept: the pivot bit of
+        each H, and between two of them one monomial map ``psi -> phase *
+        psi[gather]`` (either part None when trivial) that composes the S
+        gates, the CNOTs and, last, the move of the pivots to the top."""
+        if self._gates is not None:
+            return self._gates
         n = self.operators[0].n
         idx = np.arange(1 << n)
+        gates, pending = [], [None, None]
+
+        def compose(gather=None, phase=None):
+            # (phase * psi[g])[h] = phase[h] * psi[g[h]]: gathers compose
+            # inside out, and a later phase multiplies the earlier one
+            old_gather, old_phase = pending
+            if gather is not None:
+                pending[0] = gather if old_gather is None \
+                    else old_gather[gather]
+                pending[1] = None if old_phase is None else old_phase[gather]
+            if phase is not None:
+                pending[1] = phase if pending[1] is None \
+                    else phase * pending[1]
+
+        for ys, xs, p, fan_in in self.steps:
+            if ys:
+                compose(phase=np.array(_Y_PHASES)[
+                    np.bitwise_count(idx & ys) % 4])
+            if xs:
+                if xs ^ 1 << p:
+                    compose(gather=idx ^ (idx >> p & 1) * (xs ^ 1 << p))
+                if any(g is not None for g in pending):
+                    gates.append(tuple(pending))
+                    pending[:] = None, None
+                gates.append(p)
+            if fan_in:
+                compose(gather=idx ^ (np.bitwise_count(idx & fan_in)
+                                      .astype(np.intp) & 1) << p)
         order = _reorder(idx, [p for _, _, p, _ in self.steps], n)
-        phases = np.array(_Y_PHASES).conj() if inverse \
-            else np.array(_Y_PHASES)
-        if inverse:
-            psi = psi[order]
-        for ys, xs, p, fan_in in self.steps[::-1] if inverse else self.steps:
-            gates = [
-                lambda v: v * phases[np.bitwise_count(idx & ys) % 4, None],
-                lambda v: v[idx ^ (idx >> p & 1) * (xs ^ 1 << p)],
-                lambda v: _hadamard(v, p),
-                lambda v: v[idx ^ (np.bitwise_count(idx & fan_in)
-                                   .astype(np.intp) & 1) << p]]
-            if not xs:
-                del gates[1:3]
-            if not ys:
-                del gates[0]
-            for gate in gates[::-1] if inverse else gates:
-                psi = gate(psi)
-        if inverse:
-            return psi
-        out = np.empty_like(psi)
-        out[order] = psi
-        return out
+        if np.any(order != idx):
+            # out[order] = psi is the gather by the inverse permutation
+            inverse = np.empty_like(order)
+            inverse[order] = idx
+            compose(gather=inverse)
+        if any(g is not None for g in pending):
+            gates.append(tuple(pending))
+        # one attribute store: a racing caller builds an equal list
+        object.__setattr__(self, "_gates", gates)
+        return gates
 
 
 def _hadamard(psi: np.ndarray, p: int) -> np.ndarray:
     """H on the qubit of bit p; the rows of psi are the basis states."""
     v = psi.reshape(-1, 2, 1 << p, psi.shape[1])
-    return (np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1)
-            / np.sqrt(2.0)).reshape(psi.shape)
+    out = np.empty_like(v)
+    np.add(v[:, 0], v[:, 1], out=out[:, 0])
+    np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
+    out /= np.sqrt(2.0)
+    return out.reshape(psi.shape)
 
 
 def _reorder(v, pivots: list[int], n: int):

@@ -224,16 +224,28 @@ def _tapered_levels(tapering: Tapering, blocks: range, count: int,
     return SpectrumResult(w.ravel()[order], vectors, labels)
 
 
-def _taper_sector(ops, sector: str) -> tuple[Tapering, range] | None:
-    """``taper(*ops)`` and the blocks of `sector`, or None where a
-    projector sum leaves no sectors; ValueError for an unknown sector or
-    an even or odd one of projector sums or of sums without ``X^n``."""
+def _check_sector(ops, sector: str) -> None:
+    """ValueError for an unknown sector, and for an even or odd one of
+    projector sums or of sums with a term that anticommutes with ``X^n``,
+    which is one with an odd number of Z and Y factors."""
     if sector not in ("all", "even", "odd"):
         raise ValueError(f"unknown sector {sector!r}")
+    if sector == "all":
+        return
     if not all(isinstance(op, OperatorSum) for op in ops):
-        if sector != "all":
-            raise ValueError(f"no {sector} sector for a projector sum, whose "
-                             f"levels are not parity eigenstates; use 'all'")
+        raise ValueError(f"no {sector} sector for a projector sum, whose "
+                         f"levels are not parity eigenstates; use 'all'")
+    if any(t.z.bit_count() & 1 for op in ops for t in op.terms):
+        raise ValueError(f"no {sector} sector: the operator does not "
+                         f"commute with the bit flip")
+
+
+def _taper_sector(ops, sector: str) -> tuple[Tapering, range] | None:
+    """``taper(*ops)`` and the blocks of `sector`, or None where a
+    projector sum leaves no sectors; the refusals of
+    :func:`_check_sector`."""
+    _check_sector(ops, sector)
+    if not all(isinstance(op, OperatorSum) for op in ops):
         return None
     tapering = taper(*ops)
     return tapering, tapering.sector(sector)
@@ -371,15 +383,14 @@ def gap_scan(path: InterpolationPath, points: int = 200,
     Samples `points` uniformly spaced global-s values, then refines the
     smallest sample to about REFINE_XTOL in s by Brent's method, started at
     that sample, as :func:`_refined_minimum` does.  An even or odd sector
-    is refused before any solve unless ``X^n`` is a symmetry of every
-    operator of the path.  Each segment is set up by
-    :func:`_segment_levels` when a sample first falls in it, and only the
-    current one is kept; `solver` goes to every eigensolve.
+    is refused before any solve, and before any tapering, unless ``X^n``
+    commutes with every term of every operator of the path.  Each segment
+    is set up by :func:`_segment_levels` when a sample first falls in it,
+    and only the current one is kept; `solver` goes to every eigensolve.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
-    if sector != "all":
-        _taper_sector(path.operators, sector)
+    _check_sector(path.operators, sector)
     grid = np.linspace(0.0, 1.0, points)
     evaluations = 0
     current, levels = None, None  # the segment last sampled, its solver

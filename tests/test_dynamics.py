@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from stepgap import dynamics
 from stepgap.dynamics import (
@@ -16,12 +17,15 @@ from stepgap.dynamics import (
 )
 from stepgap.models import InterpolationPath, ising_endpoints, make_path
 from stepgap.pauli import (
+    GateSpec,
     OperatorSum,
     PauliString,
     basis_state,
+    conjugate,
     ghz_state,
     parity_expectation,
     parity_operator,
+    taper,
     uniform_superposition,
 )
 from stepgap.spectra import ConvergenceError, lowest_eigenpairs
@@ -112,8 +116,11 @@ def test_one_tridiagonal_eigh_per_exponential(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(dynamics, "_krylov_expm_apply",
                         counted("expm", expm))
-    path = make_path("ising-stepwise", n=6)
-    evolve(path, uniform_superposition(6), tau=8.0, target=ghz_state(6))
+    # a projector path runs every exponential through the Krylov route
+    from stepgap.ec3 import Ec3Instance
+    inst = Ec3Instance(4, ((1, 2, 3), (2, 3, 4)))
+    path = make_path("ec3-projector", instance=inst)
+    evolve(path, uniform_superposition(4), tau=8.0)
     assert calls["expm"] > 0
     assert calls["eigh"] == calls["expm"]
 
@@ -171,19 +178,32 @@ def _start_state(kind, n):
     return psi / np.linalg.norm(psi)
 
 
+def _recorded_routes(monkeypatch):
+    """Widths of the blocks exponentiated by batched ``eigh`` and
+    dimensions of the Krylov exponentials, recorded as `evolve` runs."""
+    widths, dims = set(), set()
+    eigh, expm = np.linalg.eigh, dynamics._krylov_expm_apply
+
+    def recorded_eigh(a, *args, **kwargs):
+        if a.ndim == 3:  # a stack of blocks, not a Krylov tridiagonal
+            widths.add(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    def recorded_expm(matvec, psi, dt, *args, **kwargs):
+        dims.add(len(psi))
+        return expm(matvec, psi, dt, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    monkeypatch.setattr(dynamics, "_krylov_expm_apply", recorded_expm)
+    return widths, dims
+
+
 @pytest.mark.parametrize("start", ["even", "odd", "mixed"])
 @pytest.mark.parametrize("family, n", [("ising-linear", 6),
                                        ("ising-stepwise", 6),
                                        ("cluster1d-stepwise", 5)])
 def test_propagation_routes_match_dense_cf4(family, n, start, monkeypatch):
-    dims = set()
-    expm = dynamics._krylov_expm_apply
-
-    def recorded(matvec, psi, dt, *args, **kwargs):
-        dims.add(len(psi))
-        return expm(matvec, psi, dt, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_krylov_expm_apply", recorded)
+    widths, dims = _recorded_routes(monkeypatch)
     path = make_path(family, n=n)
     psi0 = _start_state(start, n)
     tau = 4.0
@@ -193,12 +213,92 @@ def test_propagation_routes_match_dense_cf4(family, n, start, monkeypatch):
     assert res.step_count == sum(steps)
     want = _dense_cf4(run, psi0, steps)
     assert np.linalg.norm(res.final_state - want) < 1e-10
+    # each segment tapers to blocks of 2^(n-1) amplitudes (ising-linear
+    # keeps X^n alone), 2 (1 on the last, diagonal, Ising step) or 4, all
+    # exponentiated exactly
+    assert dims == set()
+    assert widths == {"ising-linear": {1 << (n - 1)},
+                      "ising-stepwise": {2, 1},
+                      "cluster1d-stepwise": {4}}[family]
     # only the Ising paths commute with the bit flip at every operator
-    block = family.startswith("ising") and start != "mixed"
-    assert dims == {1 << (n - 1) if block else 1 << n}
-    if block:
+    if family.startswith("ising") and start != "mixed":
         sign = 1.0 if start == "even" else -1.0
         assert res.parity_range == (sign, sign)
+    elif family.startswith("ising"):
+        # read off the rows' parities, and conserved
+        lo, hi = res.parity_range
+        assert abs(lo - parity_expectation(psi0)) < 1e-12
+        assert abs(hi - parity_expectation(psi0)) < 1e-12
+
+
+def test_wide_blocks_take_the_krylov_route(monkeypatch):
+    # ising-linear keeps X^n alone: blocks of 64 amplitudes at n = 7, wider
+    # than KRYLOV_DIM_MAX, and the even start fills one of them
+    widths, dims = _recorded_routes(monkeypatch)
+    n, tau = 7, 4.0
+    assert 1 << (n - 1) > dynamics.KRYLOV_DIM_MAX
+    path = make_path("ising-linear", n=n)
+    psi0 = uniform_superposition(n)
+    res = evolve(path, psi0, tau, accuracy=1e-6, track_parity=True)
+    assert dims == {1 << (n - 1)}
+    assert widths == set()
+    run = path.rescaled(tau)
+    steps = [int(np.ceil(d)) << res.refinements for d in run.durations]
+    want = _dense_cf4(run, psi0, steps)
+    assert np.linalg.norm(res.final_state - want) < 1e-10
+    assert res.parity_range == (1.0, 1.0)
+
+
+@st.composite
+def planted_paths(draw):
+    """Paths through 2-3 random Pauli sums on 2-6 qubits that share at
+    least k symmetries: every term carries I or Z on the first k qubits,
+    and all the sums are scrambled by one relabelling of X, Y, Z per
+    qubit and the same CNOT conjugations."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n))
+    factors = st.tuples(*[st.sampled_from("IZ")] * k,
+                        *[st.sampled_from("IXYZ")] * (n - k))
+    coefficient = st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)
+    perms = draw(st.lists(st.permutations("XYZ"), min_size=n, max_size=n))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    cnots = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]),
+                          max_size=4))
+    ops = []
+    for _ in range(draw(st.integers(2, 3))):
+        terms = draw(st.lists(st.tuples(factors, coefficient), min_size=n,
+                              max_size=2 * n + 2))
+        op = OperatorSum(n, [PauliString.from_label("".join(
+            f if f == "I" else perm["XYZ".index(f)]
+            for f, perm in zip(label, perms)), c) for label, c in terms])
+        for c, t in cnots:
+            op = conjugate(op, GateSpec("CNOT", c, t))
+        ops.append(op)
+    durations = draw(st.lists(st.floats(0.3, 1.5), min_size=len(ops) - 1,
+                              max_size=len(ops) - 1))
+    return InterpolationPath(tuple(ops), tuple(durations))
+
+
+@settings(max_examples=40)
+@given(planted_paths(), st.integers(0, 2**32 - 1), st.data())
+def test_segment_blocks_match_dense_cf4(path, seed, data):
+    # a start in several blocks of the path's common tapering, the others
+    # exactly empty
+    tapering = taper(*path.operators)
+    blocks = 1 << len(tapering.generators)
+    kept = data.draw(st.lists(st.booleans(), min_size=blocks,
+                              max_size=blocks).filter(any))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(blocks, tapering.block_dim)) \
+        + 1j * rng.normal(size=(blocks, tapering.block_dim))
+    rows[~np.array(kept)] = 0.0
+    psi0 = tapering.unfold(rows)
+    psi0 /= np.linalg.norm(psi0)
+    res = evolve(path, psi0, path.tau, accuracy=1e-6)
+    steps = [int(np.ceil(d)) << res.refinements for d in path.durations]
+    assert res.step_count == sum(steps)
+    want = _dense_cf4(path, psi0, steps)
+    assert np.linalg.norm(res.final_state - want) < 1e-10
 
 
 def test_stationary_state_keeps_unit_fidelity():

@@ -315,6 +315,19 @@ def test_recorded_map_carries_states_to_the_tapered_blocks(op, seed, data):
     if dim > 1:
         got = tapering.lift(tapering.block(0, b).apply(rows[b]), b)
         assert np.abs(got - op.apply(psi)).max(initial=0.0) < 1e-12
+    # unfold inverts fold for a state spread over every block, and the
+    # map's gates, built on the first carry and kept, repeat it exactly
+    spread = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    rows = tapering.fold(spread)
+    assert np.abs(unitary @ spread - rows.ravel()).max() < 1e-12
+    assert np.abs(tapering.unfold(rows) - spread).max() < 1e-12
+    assert np.array_equal(tapering.fold(spread), rows)
+    # the stack of any blocks, in any order, is their dense blocks
+    picked = data.draw(st.lists(st.integers(0, (1 << r) - 1), max_size=4))
+    dense = reference_dense(tapering.operators[0])
+    assert np.abs(tapering.stack(0, picked) - np.array(
+        [dense[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim]
+         for j in picked]).reshape(-1, dim, dim)).max(initial=0.0) < 1e-12
 
 
 @given(planted_symmetry_sums())
