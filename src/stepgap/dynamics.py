@@ -7,23 +7,22 @@ each substep.  Substeps are halved until the final fidelity is stable,
 which pins the observable accuracy without committing to a step size, at
 most :data:`MAX_REFINEMENTS` times.
 
-Each segment runs in its own tapering (:func:`stepgap.pauli.taper` of its
-two endpoints, built once per :func:`evolve` call), so every blend along
-it is block diagonal.  At the segment's start the state is folded into
-one row per block; rows that are exactly zero stay zero and are skipped.
-Blocks at most :data:`KRYLOV_DIM_MAX` wide are exponentiated exactly, one
-batched ``eigh`` of the blended stacks per exponential; a stepwise segment
-leaves them 2 x 2 or 4 x 4 at any n.  Wider blocks, and a segment of
-projector sums, which is one full-space block, take a Lanczos exponential
-of the block's blend that stops its Krylov space on an a-priori bound
-(:data:`KRYLOV_TOL`).  Both are unitary to rounding, so the norm is
-conserved to near machine precision.  At the segment's end the rows are
-lifted back.  Where ``X^n`` is a generator of a segment's tapering, the
-parity is read off the rows, exactly ±1 when they share one parity;
+Each path segment is a :class:`stepgap.spectra.Segment`, built once per
+:func:`evolve` call, so every blend along it is block diagonal.  At the
+segment's start the state is folded into one row per block; rows that are
+exactly zero stay zero and are skipped.  Blocks at most
+:data:`KRYLOV_DIM_MAX` wide are exponentiated exactly, one batched
+``eigh`` per exponential of the blend of the segment's kept stacks; a
+stepwise segment leaves them 2 x 2 or 4 x 4 at any n.  Wider blocks, and
+the one full-space block of a projector segment, take a Lanczos
+exponential of the segment's block operator that stops its Krylov space
+on an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to rounding,
+so the norm is conserved to near machine precision.  At the segment's end
+the rows are lifted back.  Where ``X^n`` is a generator of the segment,
+the parity is read off the rows, exactly ±1 when they share one parity;
 elsewhere the state is lifted and measured.  The fidelity target is the
-final operator's ground state in the block of the path's operators,
-tapered together, that holds the start (:func:`_start_block`), else the
-global ground state.
+final operator's ground state in the block of one segment over all the
+path's operators that holds the start, else the global ground state.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ import numpy as np
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 
 from .models import InterpolationPath
-from .pauli import (OperatorSum, Tapering, blend, n_qubits,
-                    parity_expectation, taper, uniform_superposition)
-from .spectra import ConvergenceError, _tapered_levels, sector_ground_state
+from .pauli import (Tapering, n_qubits, parity_expectation,
+                    uniform_superposition)
+from .spectra import ConvergenceError, Segment
 
 #: Initial substep density (substeps per unit time) before refinement.
 BASE_STEPS_PER_TIME = 1.0
@@ -141,35 +140,32 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _segment_exponential(tapering: Tapering | None, ends, held: np.ndarray):
+def _segment_exponential(segment: Segment, held: np.ndarray):
     """``x -> exp(-i dt H(s)) x`` on the held rows x of a segment, H(s) the
     blend of its ends at local s.  Blocks at most :data:`KRYLOV_DIM_MAX`
     wide are exponentiated exactly, one batched ``eigh`` of the blended
-    stacks per call; wider blocks, and the one full-space block of a
-    projector segment (`tapering` None), by :func:`_krylov_expm_apply` on
-    each block's blend."""
-    if tapering is not None and tapering.block_dim <= KRYLOV_DIM_MAX:
-        a, b = (tapering.stack(k, held) for k in (0, 1))
+    stacks per call; wider blocks by :func:`_krylov_expm_apply` on each
+    block operator."""
+    if segment.stacked(KRYLOV_DIM_MAX):
+        a, b = (segment.stack(k, held) for k in (0, 1))
 
         def exact(x, s, dt):
             w, u = np.linalg.eigh((1.0 - s) * a + s * b)
             y = np.exp(-1j * dt * w) * np.einsum("hji,hj->hi", u.conj(), x)
             return np.einsum("hij,hj->hi", u, y)
         return exact
-    sums = [ends] if tapering is None else \
-        [(tapering.block(0, j), tapering.block(1, j)) for j in held]
     return lambda x, s, dt: np.array([
-        _krylov_expm_apply(blend(a, b, s).apply, v, dt)
-        for (a, b), v in zip(sums, x)])
+        _krylov_expm_apply(segment.block((1.0 - s, s), j).apply, v, dt)
+        for j, v in zip(held, x)])
 
 
-def _segment_parity(tapering: Tapering | None, held: np.ndarray,
+def _segment_parity(tapering: Tapering, held: np.ndarray,
                     shape: tuple[int, int]):
     """``x -> <X^n>`` of the state whose fold holds the rows x at `held`.
     Where ``X^n`` is a generator, it reads off the rows' parities: exactly
     their one parity when they share it, else the weighted sum.  Anywhere
     else the state is lifted and measured."""
-    if tapering is not None and tapering.parity(0) is not None:
+    if tapering.parity(0) is not None:
         signs = tapering.parity(held).astype(float)
         if np.all(signs == signs[0]):
             return lambda x: float(signs[0])
@@ -178,27 +174,25 @@ def _segment_parity(tapering: Tapering | None, held: np.ndarray,
 
     def lifted(x):
         rows[held] = x
-        return parity_expectation(
-            rows[0] if tapering is None else tapering.unfold(rows))
+        return parity_expectation(tapering.unfold(rows))
     return lifted
 
 
 def _propagate(path: InterpolationPath, psi0: np.ndarray,
-               steps_per_segment: list[int], taperings: list,
+               steps_per_segment: list[int], segments: list[Segment],
                track_parity: bool):
-    """One pass of CF4 substeps over every segment, in that segment's
-    tapering (None: the full space).  The state is folded into rows at the
-    start of a segment, its rows that are exactly zero stay zero and are
-    skipped, and the rest are lifted back at the end."""
+    """One pass of CF4 substeps over every segment, in its blocks: the
+    state is folded into rows at its start, exactly-zero rows stay zero and
+    are skipped, and the rest are lifted back at its end."""
     psi = psi0.astype(complex)
     parity_lo, parity_hi = np.inf, -np.inf
     total_steps = 0
-    for k, tapering in enumerate(taperings):
-        rows = psi[None] if tapering is None else tapering.fold(psi)
+    for k, segment in enumerate(segments):
+        rows = segment.tapering.fold(psi)
         held = np.flatnonzero(rows.any(axis=1))
         x = rows[held]
-        advance = _segment_exponential(tapering, path.segment(k), held)
-        parity = _segment_parity(tapering, held, rows.shape) \
+        advance = _segment_exponential(segment, held)
+        parity = _segment_parity(segment.tapering, held, rows.shape) \
             if track_parity else None
         if parity and k == 0:
             parity_lo = parity_hi = parity(x)
@@ -220,21 +214,9 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
                 parity_hi = max(parity_hi, p)
         rows = np.zeros(rows.shape, dtype=complex)
         rows[held] = x
-        psi = rows[0] if tapering is None else tapering.unfold(rows)
+        psi = segment.tapering.unfold(rows)
     parity_range = (parity_lo, parity_hi) if track_parity else None
     return psi, total_steps, parity_range
-
-
-def _start_block(path: InterpolationPath, psi0: np.ndarray
-                 ) -> tuple[Tapering | None, int | None]:
-    """The tapering of all the path's operators together and the block
-    that holds `psi0`: the only one with an amplitude above 1e-12, else
-    None.  Both are None for a path with a projector sum."""
-    if not all(isinstance(op, OperatorSum) for op in path.operators):
-        return None, None
-    tapering = taper(*path.operators)
-    held = np.flatnonzero(np.abs(tapering.fold(psi0)).max(axis=1) > 1e-12)
-    return tapering, int(held[0]) if len(held) == 1 else None
 
 
 def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
@@ -261,15 +243,13 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     run = path.rescaled(tau)
     steps = [max(1, int(np.ceil(d * BASE_STEPS_PER_TIME)))
              for d in run.durations]
-    # each segment in its own tapering, built once for every pass
-    taperings = [taper(*ends) if all(isinstance(op, OperatorSum)
-                                     for op in ends) else None
-                 for ends in map(run.segment, range(run.segment_count))]
+    # each segment tapered once for every pass
+    segments = [Segment(*run.segment(k)) for k in range(run.segment_count)]
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
         psi, step_count, parity_range = _propagate(run, psi0, steps,
-                                                   taperings, track_parity)
+                                                   segments, track_parity)
         if target is not None:
             metric = fidelity(psi, target)
         else:
@@ -304,18 +284,18 @@ def evolution_target(path: InterpolationPath, psi0: np.ndarray | None = None
     """Ground state of the final Hamiltonian in the evolved symmetry block.
 
     When `psi0` (default: the uniform superposition) lies in one block of
-    the path's operators tapered together, as :func:`_start_block` finds,
-    the ground state of the final operator in that block is returned (on
-    the Ising paths, the even cat state of the bond Hamiltonian);
-    otherwise the global ground state.
+    a :class:`~stepgap.spectra.Segment` over all the path's operators,
+    the only block with an amplitude above 1e-12, the ground state of the
+    final operator in that block is returned (on the Ising paths, the even
+    cat state of the bond Hamiltonian); otherwise the global ground state.
     """
     if psi0 is None:
         psi0 = uniform_superposition(path.n)
-    tapering, b = _start_block(path, psi0)
-    if b is None:
-        return sector_ground_state(path.operators[-1], "all")
-    return _tapered_levels(tapering, range(b, b + 1), 1, True,
-                           k=len(path.operators) - 1).eigenvectors[:, 0]
+    segment = Segment(*path.operators)
+    held = np.flatnonzero(np.abs(segment.tapering.fold(psi0)).max(1) > 1e-12)
+    blocks = held if len(held) == 1 else segment.sector("all")
+    final = (0.0,) * (len(path.operators) - 1) + (1.0,)
+    return segment.levels(final, blocks, 1).eigenvectors[:, 0]
 
 
 def runtime_for_fidelity(family: str, n: int, f_target: float, tau_grid,

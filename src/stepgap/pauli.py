@@ -17,20 +17,20 @@ Conventions used throughout the package:
   Pauli string moves basis state ``i`` to ``i ^ flip``, so the terms that
   share a flip mask fold into one amplitude vector ``d`` (coefficient, Y
   phase and Z signs included) and ``(H psi)[i] = sum_f d_f[i] psi[i ^ f]``.
-  The matrix-free action, the dense matrix and the straight-line blend of
-  two operators all read this compiled form.
+  The matrix-free action, the dense matrix and :func:`weighted_sum` all
+  read this compiled form.
 * :func:`taper` is the one symmetry reduction: it finds a maximal
   commuting set of Pauli strings that commute with every term of one or
   more sums and maps them by a Clifford to single-qubit Z's.  Each mapped
   sum is block diagonal, one block per joint eigenvalue of the symmetries,
-  and the blocks' spectra together are the full spectrum
-  (:meth:`Tapering.spectrum`).  Sums tapered together share the map, so
-  every blend of them is block diagonal too.  A block comes as a dense
-  stack (:meth:`Tapering.stack`) or as a sum on the untapered qubits
-  (:meth:`Tapering.block`); the map is kept as its gates, which carry
-  states to the blocks and back (:meth:`Tapering.fold`,
-  :meth:`Tapering.unfold`, :meth:`Tapering.lift`).  When the bit-flip string ``X^n`` is a
-  symmetry, its blocks make up the even and odd parity sectors.
+  and the blocks' spectra together are the full spectrum.  Sums tapered
+  together share the map, so every weighted sum of them is block diagonal
+  too.  A block comes as a dense stack (:meth:`Tapering.stack`) or as a
+  sum on the untapered qubits (:meth:`Tapering.block`); the map is kept as
+  its gates, which carry states to the blocks and back
+  (:meth:`Tapering.fold`, :meth:`Tapering.unfold`, :meth:`Tapering.lift`).
+  When the bit-flip string ``X^n`` is a symmetry, its blocks make up the
+  even and odd parity sectors.
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
   vectors and weights.
@@ -39,7 +39,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -420,7 +422,8 @@ class Tapering:
     qubits `ys`, CNOTs from the pivot p onto the other qubits of `xs` and
     H on p when `xs` is not empty, and CNOTs from the qubits of `fan_in`
     onto p, all as bit masks of basis indices; then the pivots move to
-    qubits 1..r in generator order.
+    qubits 1..r in generator order.  With no generators C is the identity
+    and the one block is the full space, as for projector sums.
     """
 
     generators: tuple[PauliString, ...]
@@ -439,7 +442,8 @@ class Tapering:
         of blocks), or None when ``X^n`` is not a generator; an X string,
         it maps to +Z_1 with no phase."""
         n, r = self.operators[0].n, len(self.generators)
-        if self.generators[:1] != (PauliString(n, (1 << n) - 1, 0),):
+        if not r or (self.generators[0].x, self.generators[0].z) != (
+                (1 << n) - 1, 0):
             return None
         return 1 - 2 * (b >> (r - 1) & 1)
 
@@ -500,12 +504,6 @@ class Tapering:
                         if (t.z >> m & b).bit_count() & 1 else t.coefficient)
             for t in op.terms])
 
-    def spectrum(self) -> np.ndarray:
-        """All 2^n eigenvalues of ``operators[0]``, ascending: one batched
-        ``eigvalsh`` over its stack of blocks."""
-        stack = self.stack(0, range(1 << len(self.generators)))
-        return np.sort(np.linalg.eigvalsh(stack), axis=None)
-
     def fold(self, psi: np.ndarray) -> np.ndarray:
         """``C psi`` as rows of :attr:`block_dim` amplitudes, row b its part
         in block b."""
@@ -526,8 +524,9 @@ class Tapering:
 
     def _carry(self, psi: np.ndarray, inverse: bool) -> np.ndarray:
         """``C psi``, or ``C^dagger psi``, through :meth:`_compiled_gates`;
-        the rows of psi are the basis states."""
-        gates = self._compiled_gates()
+        the rows of psi are the basis states; without generators C is the
+        identity, and no gate is built."""
+        gates = self._compiled_gates() if self.steps else ()
         for gate in gates[::-1] if inverse else gates:
             if isinstance(gate, int):
                 psi = _hadamard(psi, gate)
@@ -770,27 +769,36 @@ class ProjectorSum:
 
 
 def blend(op_a, op_b, s: float):
-    """Straight-line combination ``(1-s)*op_a + s*op_b``.
+    """Straight-line combination ``(1-s)*op_a + s*op_b``, a
+    :func:`weighted_sum`."""
+    return weighted_sum((op_a, op_b), (1.0 - s, s))
 
-    Two Pauli sums combine group by group, ``(1-s) d_a + s d_b`` over the
-    union of their flip masks, without rebuilding terms; two
-    :class:`ProjectorSum` operators use their own arithmetic, which
-    concatenates their vectors.
+
+def weighted_sum(ops, weights):
+    """``sum_k weights[k] * ops[k]`` over the nonzero weights; a lone
+    weight of 1 gives its operator itself.
+
+    Pauli sums combine group by group, ``sum_k w_k d_k`` over the union of
+    their flip masks, without rebuilding terms; :class:`ProjectorSum`
+    operators use their own arithmetic, which concatenates their vectors.
     """
-    if not (isinstance(op_a, OperatorSum) and isinstance(op_b, OperatorSum)):
-        return (1.0 - s) * op_a + s * op_b
-    if op_a.n != op_b.n:
+    if any(op.n != ops[0].n for op in ops):
         raise ValueError("qubit counts differ")
+    picked = [(w, op) for w, op in zip(weights, ops) if w]
+    if len(picked) == 1 and picked[0][0] == 1.0:
+        return picked[0][1]
+    if not all(isinstance(op, OperatorSum) for _, op in picked):
+        return reduce(add, (w * op for w, op in picked))
     gathers, amps = {}, {}
-    for weight, op in ((1.0 - s, op_a), (s, op_b)):
+    for weight, op in picked:
         for flip, gather, amp in op._compiled():
             gathers[flip] = gather
             amps[flip] = amps.get(flip, 0.0) + weight * amp
     out = object.__new__(OperatorSum)
     groups = tuple((flip, gathers[flip], amps[flip]) for flip in sorted(amps))
-    out._init(op_a.n, None, groups,
-              lambda: ((1.0 - s) * op_a + s * op_b).terms,
-              op_a._real and op_b._real)
+    out._init(ops[0].n, None, groups,
+              lambda: reduce(add, (w * op for w, op in picked)).terms,
+              all(op._real for _, op in picked))
     return out
 
 

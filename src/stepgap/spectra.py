@@ -10,37 +10,38 @@ is refused, like the dense route, where its basis would outgrow a dense
 matrix of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Start vectors,
 Lanczos and projector alike, are fixed, so a solve repeats exactly.
 
-Symmetry is handled by construction, by one mechanism: a Pauli sum is
-tapered (:func:`stepgap.pauli.taper`), which splits it into blocks, one
-per joint eigenvalue of its commuting Pauli symmetries.  Blocks at most
-:data:`DENSE_SOLVE_DIM` wide are solved together as one batched dense
-stack, wider ones one by one as sums on the untapered qubits by the
-eigensolver above; vectors are lifted to the full space through the
-recorded Clifford map.  When the bit-flip string ``X^n`` is a symmetry,
-half the blocks make up the even sector and half the odd one, so every
-level carries its sector by construction.  Projector sums have no sectors
-and are solved in the full space.
+Symmetry is handled by construction, by one mechanism, the
+:class:`Segment`: operators (a path segment's two ends, a lone operator,
+or all of a path's) tapered once under one map
+(:func:`stepgap.pauli.taper`), which splits every weighted sum of them into
+blocks, one per joint eigenvalue of their commuting Pauli symmetries.
+Blocks at most :data:`DENSE_SOLVE_DIM` wide are solved together as one
+batched dense stack, weighted from stacks built once and kept; wider ones,
+and the one full-space block of projector sums, one by one by the
+eigensolver above.  Vectors are lifted to the full space through the
+recorded Clifford map.  When ``X^n`` is a symmetry, half the blocks make up
+the even sector and half the odd one, so every level carries its sector by
+construction.  Gap scans, sector levels, `evolve`, its target and
+`verify`'s level checks all solve through it.
 
-Every operator along a path, at a global progress value or inside one
-segment (:func:`segment_minimum`, a :func:`gap_scan` of that segment), is a
-:func:`stepgap.pauli.blend` of the segment endpoints.  The eigensolver's
-two settings, `method` and `tol`, are named on :func:`lowest_eigenpairs`
-alone and pick the solver of each wide block; the sector, gap and scan
-functions pass them on as ``**solver``.
+The eigensolver's two settings, `method` and `tol`, are named on
+:func:`lowest_eigenpairs` alone and pick the solver of each wide block;
+the sector, gap and scan functions pass them on as ``**solver``.
 
 A gap scan samples a uniform grid and refines its smallest sample, and any
 dip between tied samples, by Brent's method (parabolic steps with a
 golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
 starts at a point whose gap is already known, so no gap is computed twice.
-A scan tapers the two endpoints of each segment once under one map, so a
-sample is a solve of the blended blocks of its sector: one batched
-``eigvalsh`` where they are narrow, which a stepwise segment leaves at
-2 x 2 or 4 x 4 for any n.
+A sample is the segment's two lowest levels at local s in the sector's
+blocks: one batched ``eigvalsh`` where they are narrow, which a stepwise
+segment leaves at 2 x 2 or 4 x 4 for any n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -49,7 +50,7 @@ import scipy.sparse.linalg as spla
 
 from .models import InterpolationPath
 from .pauli import (DENSE_QUBIT_CAP, OperatorSum, ProjectorSum, Tapering,
-                    blend, taper)
+                    taper, weighted_sum)
 
 #: Up to this dimension the dense solver is used even when not forced:
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
@@ -131,10 +132,10 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     if method == "auto":
         small = dim <= DENSE_SOLVE_DIM or count > dim // 3
         method = "dense" if small and op.n <= DENSE_QUBIT_CAP else "lanczos"
-    if method == "dense" and op.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense solve refused above {DENSE_QUBIT_CAP} qubits")
     if method == "lanczos" and count >= dim - 1:
         method = "dense"  # ARPACK requires k < dim - 1
+    if method == "dense" and op.n > DENSE_QUBIT_CAP:
+        raise ValueError(f"dense solve refused above {DENSE_QUBIT_CAP} qubits")
 
     if method == "dense":
         mat = op.to_dense()
@@ -194,36 +195,6 @@ def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool
     return SpectrumResult(w[:count], vectors)
 
 
-def _tapered_levels(tapering: Tapering, blocks: range, count: int,
-                    want_vectors: bool, k: int = 0, **solver
-                    ) -> SpectrumResult:
-    """The `count` lowest levels of ``tapering.operators[k]`` over
-    `blocks`, vectors lifted to the full space: one batched dense solve of
-    blocks at most DENSE_SOLVE_DIM wide, else :func:`lowest_eigenpairs` of
-    each block sum with `solver`.  Levels merge by value, the lower block
-    first on ties, and carry their parity when ``X^n`` is a generator."""
-    dim = tapering.block_dim
-    if not 1 <= count <= len(blocks) * dim:
-        raise ValueError(f"count {count} outside 1..{len(blocks) * dim}")
-    if dim <= DENSE_SOLVE_DIM:
-        stack = tapering.stack(k, blocks)
-        w, v = np.linalg.eigh(stack) if want_vectors \
-            else (np.linalg.eigvalsh(stack), None)
-    else:
-        res = [lowest_eigenpairs(tapering.block(k, b), min(count, dim),
-                                 want_vectors=want_vectors, **solver)
-               for b in blocks]
-        w = np.stack([x.eigenvalues for x in res])
-        v = np.stack([x.eigenvectors for x in res]) if want_vectors else None
-    order = np.argsort(w, axis=None, kind="stable")[:count]
-    which, level = np.divmod(order, w.shape[1])
-    vectors = None if v is None else tapering.lift(
-        v[which, :, level].T, np.asarray(blocks)[which])
-    labels = None if tapering.parity(0) is None else tuple(
-        "even" if tapering.parity(blocks[i]) == 1 else "odd" for i in which)
-    return SpectrumResult(w.ravel()[order], vectors, labels)
-
-
 def _check_sector(ops, sector: str) -> None:
     """ValueError for an unknown sector, and for an even or odd one of
     projector sums or of sums with a term that anticommutes with ``X^n``,
@@ -240,31 +211,99 @@ def _check_sector(ops, sector: str) -> None:
                          f"commute with the bit flip")
 
 
-def _taper_sector(ops, sector: str) -> tuple[Tapering, range] | None:
-    """``taper(*ops)`` and the blocks of `sector`, or None where a
-    projector sum leaves no sectors; the refusals of
-    :func:`_check_sector`."""
-    _check_sector(ops, sector)
-    if not all(isinstance(op, OperatorSum) for op in ops):
-        return None
-    tapering = taper(*ops)
-    return tapering, tapering.sector(sector)
+class Segment:
+    """Operators tapered once under one map, solved block by block.
+
+    Projector sums have no Pauli symmetries: their `tapering` has no
+    generators, one full-space block with the identity fold and unfold.
+    Each operator's stacks, over a range or an array of blocks, and its
+    block sums are built on first use and kept.
+    """
+
+    def __init__(self, *ops):
+        self.operators = ops
+        self._pauli = all(isinstance(op, OperatorSum) for op in ops)
+        self.tapering = taper(*ops) if self._pauli \
+            else Tapering((), (), ops, ())
+        self._stacks, self._blocks = {}, {}
+
+    def sector(self, name: str) -> range:
+        """The blocks of sector `name`; refusals as :func:`_check_sector`."""
+        _check_sector(self.operators, name)
+        return self.tapering.sector(name)
+
+    def stacked(self, limit: int) -> bool:
+        """Whether blocks at most `limit` wide come as dense stacks."""
+        return self._pauli and self.tapering.block_dim <= limit
+
+    def stack(self, k: int, blocks) -> np.ndarray:
+        """`blocks` of operator k as a dense stack
+        (:meth:`stepgap.pauli.Tapering.stack`, with its refusals)."""
+        # a range keys itself: its blocks are never listed
+        key = k, blocks if isinstance(blocks, range) else tuple(blocks)
+        if key not in self._stacks:
+            self._stacks[key] = self.tapering.stack(k, blocks)
+        return self._stacks[key]
+
+    def block(self, weights, b: int):
+        """Block b of ``sum_k weights[k] * operators[k]`` as an operator
+        (:func:`stepgap.pauli.weighted_sum`)."""
+        if b not in self._blocks:
+            self._blocks[b] = [self.tapering.block(k, b) for k in range(
+                len(self.operators))] if self._pauli else self.operators
+        return weighted_sum(self._blocks[b], weights)
+
+    def levels(self, weights, blocks, count: int, want_vectors: bool = True,
+               **solver) -> SpectrumResult:
+        """The `count` lowest levels of ``sum_k weights[k] * operators[k]``
+        over `blocks`, vectors lifted to the full space.
+
+        Blocks at most DENSE_SOLVE_DIM wide are one batched dense solve of
+        the weighted stacks; wider ones, and a projector sum's block, one
+        :func:`lowest_eigenpairs` each of the block operator, with
+        `solver`.  Levels merge by value, the lower block first on ties,
+        and carry their parity where ``X^n`` is a generator; without
+        generators the one block's solve is the result.
+        """
+        dim = self.tapering.block_dim
+        if not 1 <= count <= len(blocks) * dim:
+            raise ValueError(f"count {count} outside 1..{len(blocks) * dim}")
+        if not (self.tapering.generators or self.stacked(DENSE_SOLVE_DIM)):
+            return lowest_eigenpairs(self.block(weights, 0), count,
+                                     want_vectors=want_vectors, **solver)
+        if self.stacked(DENSE_SOLVE_DIM):
+            stack = reduce(add, (w * self.stack(k, blocks)
+                                 for k, w in enumerate(weights) if w))
+            w, v = np.linalg.eigh(stack) if want_vectors \
+                else (np.linalg.eigvalsh(stack), None)
+        else:
+            res = [lowest_eigenpairs(self.block(weights, b), min(count, dim),
+                                     want_vectors=want_vectors, **solver)
+                   for b in blocks]
+            w = np.stack([x.eigenvalues for x in res])
+            v = np.stack([x.eigenvectors for x in res]) if want_vectors \
+                else None
+        order = np.argsort(w, axis=None, kind="stable")[:count]
+        which, level = np.divmod(order, w.shape[1])
+        held = np.array([blocks[i] for i in which.tolist()], dtype=np.intp)
+        vectors = None if v is None else self.tapering.lift(
+            v[which, :, level].T, held)
+        signs = self.tapering.parity(held)
+        labels = None if signs is None else tuple(
+            "even" if x == 1 else "odd" for x in signs.tolist())
+        return SpectrumResult(w.ravel()[order], vectors, labels)
 
 
 def sector_levels(op, sector: str, count: int = 2, want_vectors: bool = True,
                   **solver) -> SpectrumResult:
-    """The `count` lowest levels of a parity sector.
-
-    A Pauli sum is tapered and the sector's blocks solved by
-    :func:`_tapered_levels`, with `solver`; a projector sum is solved once
-    in the full space, unlabelled.  A count outside the sector, and the
-    refusals of :func:`_taper_sector`, raise ValueError before any solve.
+    """The `count` lowest levels of a parity sector: the :meth:`Segment.levels`
+    of ``Segment(op)`` over the sector's blocks, with `solver`.  A count
+    outside the sector, and the refusals of :func:`_check_sector`, raise
+    ValueError before any solve.
     """
-    tapered = _taper_sector((op,), sector)
-    if tapered is None:
-        return lowest_eigenpairs(op, count, want_vectors=want_vectors,
-                                 **solver)
-    return _tapered_levels(*tapered, count, want_vectors, **solver)
+    segment = Segment(op)
+    return segment.levels((1.0,), segment.sector(sector), count, want_vectors,
+                          **solver)
 
 
 def sector_ground_state(op, sector: str = "even", **solver) -> np.ndarray:
@@ -384,53 +423,32 @@ def gap_scan(path: InterpolationPath, points: int = 200,
     smallest sample to about REFINE_XTOL in s by Brent's method, started at
     that sample, as :func:`_refined_minimum` does.  An even or odd sector
     is refused before any solve, and before any tapering, unless ``X^n``
-    commutes with every term of every operator of the path.  Each segment
-    is set up by :func:`_segment_levels` when a sample first falls in it,
-    and only the current one is kept; `solver` goes to every eigensolve.
+    commutes with every term of every operator of the path.  Each path
+    segment becomes a :class:`Segment` when a sample first falls in it,
+    and only the current one is kept; a sample is its levels at local s,
+    with `solver`.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
     _check_sector(path.operators, sector)
     grid = np.linspace(0.0, 1.0, points)
     evaluations = 0
-    current, levels = None, None  # the segment last sampled, its solver
+    current, segment, blocks = None, None, None  # the segment last sampled
 
     def eval_gap(s_global: float) -> tuple[float, float, float]:
-        nonlocal evaluations, current, levels
+        nonlocal evaluations, current, segment, blocks
         evaluations += 1
         k, s = path.locate(float(s_global) * path.tau)
         if k != current:
-            current, levels = k, _segment_levels(path.segment(k), sector,
-                                                 solver)
-        if levels is None:
-            return sector_gap(path.at_progress(float(s_global)), sector,
-                              **solver)
-        lam0, lam1 = (float(x) for x in np.partition(levels(s), 1)[:2])
+            current, segment = k, Segment(*path.segment(k))
+            blocks = segment.sector(sector)
+        lam0, lam1 = (float(x) for x in segment.levels(
+            (1.0 - s, s), blocks, 2, want_vectors=False, **solver).eigenvalues)
         return lam1 - lam0, lam0, lam1
 
     samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
     minimum = _refined_minimum(lambda s: eval_gap(s)[0], grid, samples[:, 1])
     return GapCurve(samples, sector, minimum, evaluations)
-
-
-def _segment_levels(ends, sector: str, solver: dict
-                    ) -> Callable[[float], np.ndarray] | None:
-    """The sector's low levels of a segment at local s, from its endpoints
-    tapered once under one map: one batched ``eigvalsh`` of the blended
-    stacks where the blocks are at most DENSE_SOLVE_DIM wide, else the
-    lowest two of each blended block sum.  None for projector sums, which
-    :func:`gap_scan` solves per sample with :func:`sector_gap`."""
-    tapered = _taper_sector(ends, sector)
-    if tapered is None:
-        return None
-    tapering, blocks = tapered
-    if tapering.block_dim <= DENSE_SOLVE_DIM:
-        a, b = (tapering.stack(k, blocks) for k in (0, 1))
-        return lambda s: np.linalg.eigvalsh((1.0 - s) * a + s * b).ravel()
-    sums = [(tapering.block(0, j), tapering.block(1, j)) for j in blocks]
-    return lambda s: np.concatenate([
-        lowest_eigenpairs(blend(a, b, s), 2, want_vectors=False,
-                          **solver).eigenvalues for a, b in sums])
 
 
 def segment_minimum(path: InterpolationPath, k: int, sector: str = "all",

@@ -1,11 +1,11 @@
 """Analytic-vs-numeric verification checks.
 
 Each check evaluates a closed-form prediction against exact numerics and
-returns the worst absolute deviation it saw.  The level checks read the
-full spectrum from the blocks a Pauli sum splits into once its commuting
-symmetries are tapered off (:func:`stepgap.pauli.taper`), not from a
-2^n x 2^n dense eigensolve, so they also run above the dense qubit cap.
-The CLI `verify` subcommand and the acceptance tests both run these.
+returns the worst absolute deviation it saw.  Each level check reads the
+full spectrum at every local s from the blocks of one
+:class:`stepgap.spectra.Segment` per checked path segment, not from a 2^n
+x 2^n dense eigensolve, so it also runs above the dense qubit cap.  The
+CLI `verify` subcommand and the acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from . import analytic, ec3
 from .models import ising_step_hamiltonian, lattice_build_order, make_path
-from .pauli import GateSpec, OperatorSum, PauliString, conjugate, taper
-from .spectra import lowest_eigenpairs, sector_ground_state
+from .pauli import GateSpec, OperatorSum, PauliString, conjugate
+from .spectra import Segment, lowest_eigenpairs, sector_ground_state
 
 
 @dataclass(frozen=True)
@@ -32,50 +32,46 @@ class CheckResult:
         return self.deviation < self.tolerance
 
 
-def _match_deviation(op, levels) -> float:
-    """Worst distance from each analytic level to the full spectrum."""
-    num = taper(op).spectrum()
-    worst = 0.0
-    for level in levels:
-        worst = max(worst, float(np.min(np.abs(num - level.value))))
-    return worst
+def _match_deviation(segment: Segment, s: float, levels) -> float:
+    """Worst distance from each analytic level to the full spectrum of
+    `segment` at local s."""
+    blocks = segment.sector("all")
+    num = segment.levels((1.0 - s, s), blocks,
+                         len(blocks) * segment.tapering.block_dim,
+                         want_vectors=False).eigenvalues
+    return max(float(np.min(np.abs(num - level.value))) for level in levels)
+
+
+def _segment_deviation(path, k: int, points: int, levels_at) -> float:
+    """Worst :func:`_match_deviation` of segment k at `points` local s."""
+    segment = Segment(*path.segment(k))
+    return max(_match_deviation(segment, s, levels_at(s))
+               for s in np.linspace(0.0, 1.0, points))
 
 
 def first_step_deviation(n: int, points: int = 101, kappa_max: int = 2
                          ) -> float:
-    path = make_path("ising-stepwise", n=n)
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, points):
-        op = path.at_progress(s / n)
-        worst = max(worst, _match_deviation(
-            op, analytic.ising_first_step_levels(n, s, kappa_max)))
-    return worst
+    return _segment_deviation(
+        make_path("ising-stepwise", n=n), 0, points,
+        lambda s: analytic.ising_first_step_levels(n, s, kappa_max))
 
 
 def mid_step_deviation(n: int, points: int = 101, kappa_max: int = 2,
                        k: int | None = None) -> float:
-    path = make_path("ising-stepwise", n=n)
     if k is None:
         k = max(1, (n - 1) // 2)
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, points):
-        op = path.at_progress((k + s) / n)
-        worst = max(worst, _match_deviation(
-            op, analytic.ising_mid_step_levels(n, s, kappa_max)))
-    return worst
+    return _segment_deviation(
+        make_path("ising-stepwise", n=n), k, points,
+        lambda s: analytic.ising_mid_step_levels(n, s, kappa_max))
 
 
 def cluster_step_deviation(n: int, points: int = 101, kappa_max: int = 2
                            ) -> float:
     path = make_path("cluster1d-stepwise", n=n)
-    segments = path.segment_count
-    worst = 0.0
-    for k in (0, max(1, segments // 2)):
-        for s in np.linspace(0.0, 1.0, points):
-            op = path.at_progress((k + s) / segments)
-            worst = max(worst, _match_deviation(
-                op, analytic.cluster1d_step_levels(n, s, kappa_max)))
-    return worst
+    return max(_segment_deviation(
+        path, k, points,
+        lambda s: analytic.cluster1d_step_levels(n, s, kappa_max))
+        for k in (0, max(1, path.segment_count // 2)))
 
 
 def two_link_deviation(n: int, points: int = 101, kappa_max: int = 2
@@ -83,16 +79,13 @@ def two_link_deviation(n: int, points: int = 101, kappa_max: int = 2
     """First two-link step of a two-row grid with n sites (n even)."""
     if n % 2:
         raise ValueError("two-link check uses 2-row grids, n must be even")
-    order = lattice_build_order(n // 2, 2)
+    k = lattice_build_order(n // 2, 2).two_link_steps()[0]
     path = make_path("cluster2d-stepwise", width=n // 2, height=2)
-    k = order.two_link_steps()[0]
-    segments = path.segment_count
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, points):
-        op = path.at_progress((k + s) / segments)
+
+    def levels_at(s):
         lam0, lam1 = analytic.cluster2d_two_link_lowest(n, s, kappa_max)
-        worst = max(worst, _match_deviation(op, lam0 + lam1))
-    return worst
+        return lam0 + lam1
+    return _segment_deviation(path, k, points, levels_at)
 
 
 def ground_energy_deviation(n: int, points: int = 101) -> float:

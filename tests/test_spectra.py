@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_dynamics import planted_paths
 
 from stepgap import spectra
 from stepgap.models import (
@@ -13,11 +14,13 @@ from stepgap.models import (
     ising_step_hamiltonian,
     make_path,
 )
-from stepgap.pauli import OperatorSum, PauliString, blend, ghz_state, taper
+from stepgap.pauli import (OperatorSum, PauliString, blend, ghz_state,
+                           parity_expectation, taper)
 from stepgap.spectra import (
     ConvergenceError,
     GapCurve,
     REFINE_XTOL,
+    Segment,
     SpectrumResult,
     _brent_minimize,
     _refined_minimum,
@@ -177,6 +180,47 @@ def test_sector_levels_is_one_block_solve_with_every_even_level(n,
     # blocks of 2 x 2 is one batched solve, with no other eigensolve
     assert solves == []
     assert stacks == [(1 << (n - 2), 2, 2)] * 3
+
+
+@pytest.mark.parametrize("route", ["stacked", "wide"])
+@settings(max_examples=40)
+@given(planted_paths(), st.data())
+def test_segment_levels_match_the_dense_blend(route, path, data):
+    # every valid sector of one segment at a random local s, against eigh
+    # of the dense blend; the wide route solves each block operator alone
+    k = data.draw(st.integers(0, path.segment_count - 1))
+    s = data.draw(st.floats(0.0, 1.0))
+    a, b = path.segment(k)
+    full = (1.0 - s) * a.to_dense() + s * b.to_dense()
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "wide":
+            mp.setattr(spectra, "DENSE_SOLVE_DIM", 1)
+        segment = Segment(a, b)
+        for sector in ("all", "even", "odd"):
+            try:
+                blocks = segment.sector(sector)
+            except ValueError:
+                assert sector != "all"
+                continue
+            if sector == "all":
+                want = np.linalg.eigvalsh(full)
+            else:
+                sign, half = (1 if sector == "even" else -1), len(full) // 2
+                want = np.linalg.eigvalsh(
+                    (full + sign * full[:, ::-1])[:half, :half])
+            count = data.draw(st.integers(1, len(want)))
+            res = segment.levels((1.0 - s, s), blocks, count)
+            assert np.abs(res.eigenvalues - want[:count]).max() < 1e-10
+            vecs = res.eigenvectors
+            assert np.linalg.norm(full @ vecs - vecs * res.eigenvalues,
+                                  axis=0).max() <= 1e-9
+            if segment.tapering.parity(0) is None:
+                assert res.sector_labels is None
+                continue
+            for v, label in zip(vecs.T, res.sector_labels):
+                assert sector in ("all", label)
+                assert parity_expectation(v) == pytest.approx(
+                    1.0 if label == "even" else -1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -432,31 +476,34 @@ def test_wide_block_scan_matches_the_dense_reference(monkeypatch):
     assert got.minimum[1] == pytest.approx(pair_gap_even(n, 0.5), abs=1e-7)
 
 
-def test_scan_takes_the_per_sample_route_outside_the_tapered_one(
-        monkeypatch):
+def test_projector_scan_is_one_block_solve_per_evaluation(monkeypatch):
     from stepgap.ec3 import Ec3Instance, projector_hamiltonian
-    calls = []
+    solves, per_sample = [], []
+    solve = spectra.lowest_eigenpairs
 
-    def counted(*args, **kw):
-        calls.append(kw.get("method"))
-        return sector_gap(*args, **kw)
+    def counted(op, count, **kwargs):
+        solves.append((op.n, kwargs.get("method")))
+        return solve(op, count, **kwargs)
 
-    monkeypatch.setattr(spectra, "sector_gap", counted)
-    # only projector sums are solved per sample; a Pauli sum's explicit
-    # method picks the solver of its wide blocks
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", counted)
+    monkeypatch.setattr(spectra, "sector_gap",
+                        lambda *args, **kw: per_sample.append(args))
+    # a projector segment is one full-space block, solved once per
+    # evaluation with the caller's method; a Pauli path's method reaches
+    # its wide blocks alone, here the even and the odd one
     inst = Ec3Instance(6, ((1, 2, 3), (4, 5, 6)))
     projectors = InterpolationPath(projector_hamiltonian(inst, (0, 1)),
                                    (1.0, 1.0))
-    for path, solver, per_sample in (
-            (projectors, {"method": "dense"}, True),
-            (projectors, {}, True),
-            (make_path("ising-stepwise", n=4), {"method": "dense"}, False),
-            (make_path("ising-linear", n=10), {"method": "lanczos"}, False)):
-        calls.clear()
+    for path, solver, want in (
+            (projectors, {"method": "dense"}, [(6, "dense")]),
+            (projectors, {}, [(6, None)]),
+            (make_path("ising-stepwise", n=4), {"method": "dense"}, []),
+            (make_path("ising-linear", n=10), {"method": "lanczos"},
+             [(9, "lanczos")] * 2)):
+        solves.clear()
         curve = gap_scan(path, points=3, **solver)
-        want = [solver.get("method")] * curve.evaluations if per_sample \
-            else []
-        assert calls == want
+        assert solves == want * curve.evaluations
+    assert per_sample == []
 
 
 def test_even_scan_without_the_symmetry_is_refused_before_any_solve(

@@ -1,9 +1,10 @@
 """The level checks of `verify` against a dense-eigvalsh oracle.
 
-The checks read the full spectrum from the tapered symmetry blocks
-(`stepgap.pauli.taper`).  `dense_match_deviation` is the route they replaced,
-one `eigvalsh` of the 2^n x 2^n matrix per sample point; it stays here as the
-oracle, so a tapered spectrum that dropped or moved a level would show.
+The checks read the full spectrum of each checked path segment from the
+blocks of one `stepgap.spectra.Segment`, its ends tapered once under one
+map.  `dense_match_deviation` is the route they replaced, one `eigvalsh` of
+the 2^n x 2^n blend per sample point; it stays here as the oracle, so a
+tapered spectrum that dropped or moved a level would show.
 """
 
 import tracemalloc
@@ -14,11 +15,12 @@ import pytest
 
 from stepgap import analytic, verify
 from stepgap.models import lattice_build_order, make_path
-from stepgap.pauli import OperatorSum, PauliString, taper
+from stepgap.pauli import OperatorSum, PauliString, blend
+from stepgap.spectra import Segment
 
 
-def dense_match_deviation(op, levels) -> float:
-    num = np.linalg.eigvalsh(op.to_dense())
+def dense_match_deviation(segment, s, levels) -> float:
+    num = np.linalg.eigvalsh(blend(*segment.operators, s).to_dense())
     return max(float(np.min(np.abs(num - level.value))) for level in levels)
 
 
@@ -36,32 +38,31 @@ def test_level_check_equals_dense_route(check, monkeypatch):
 
 
 def _levels_at(name: str, s: float):
-    """(operator, analytic levels) of one level check at n = 6."""
+    """(segment, analytic levels) of one level check at n = 6."""
     n = 6
     if name == "first":
-        return (make_path("ising-stepwise", n=n).at_progress(s / n),
+        return (Segment(*make_path("ising-stepwise", n=n).segment(0)),
                 analytic.ising_first_step_levels(n, s, 2))
     if name == "mid":
-        return (make_path("ising-stepwise", n=n).at_progress((2 + s) / n),
+        return (Segment(*make_path("ising-stepwise", n=n).segment(2)),
                 analytic.ising_mid_step_levels(n, s, 2))
     if name == "cluster":
-        path = make_path("cluster1d-stepwise", n=n)
-        return (path.at_progress(s / path.segment_count),
+        return (Segment(*make_path("cluster1d-stepwise", n=n).segment(0)),
                 analytic.cluster1d_step_levels(n, s, 2))
     path = make_path("cluster2d-stepwise", width=3, height=2)
     k = lattice_build_order(3, 2).two_link_steps()[0]
     lam0, lam1 = analytic.cluster2d_two_link_lowest(n, s, 2)
-    return path.at_progress((k + s) / path.segment_count), lam0 + lam1
+    return Segment(*path.segment(k)), lam0 + lam1
 
 
 @pytest.mark.parametrize("name", ("first", "mid", "cluster", "two-link"))
 def test_moved_level_is_caught(name):
-    op, levels = _levels_at(name, 0.3)
-    assert verify._match_deviation(op, levels) < 1e-12
+    segment, levels = _levels_at(name, 0.3)
+    assert verify._match_deviation(segment, 0.3, levels) < 1e-12
     for i, level in enumerate(levels):
         moved = list(levels)
         moved[i] = replace(level, value=level.value + 1e-6)
-        assert verify._match_deviation(op, moved) >= 0.9e-6
+        assert verify._match_deviation(segment, 0.3, moved) >= 0.9e-6
 
 
 def test_oversized_tapered_stack_refused_before_allocating():
@@ -69,11 +70,12 @@ def test_oversized_tapered_stack_refused_before_allocating():
     n = 15
     op = OperatorSum(n, [PauliString.from_ops(n, {q: sym}, 0.5)
                          for q in range(1, n + 1) for sym in "XZ"])
-    assert taper(op).generators == ()
+    segment = Segment(op)
+    assert len(segment.sector("all")) == 1
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="refused"):
-            taper(op).spectrum()
+            segment.levels((1.0,), range(1), 1 << n, want_vectors=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
