@@ -10,23 +10,26 @@ most :data:`MAX_REFINEMENTS` times.
 Each path segment is a :class:`stepgap.spectra.Segment`, built once per
 :func:`evolve` call, so every blend along it is block diagonal.  At the
 segment's start the state is folded into one row per block; rows that are
-exactly zero stay zero and are skipped.  Blocks at most
-:data:`KRYLOV_DIM_MAX` wide are exponentiated exactly, one batched
-``eigh`` per exponential of the blend of the segment's kept stacks; a
-stepwise segment leaves them 2 x 2 or 4 x 4 at any n.  Wider blocks, and
-the one full-space block of a projector segment, take a Lanczos
-exponential of the segment's block operator that stops its Krylov space
-on an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to rounding,
-so the norm is conserved to near machine precision.  At the segment's end
-the rows are lifted back.  Where ``X^n`` is a generator of the segment,
-the parity is read off the rows, exactly ±1 when they share one parity;
-elsewhere the state is lifted and measured.  The fidelity target is the
-final operator's ground state in the block of one segment over all the
-path's operators that holds the start, else the global ground state.
+exactly zero stay zero and are skipped.  Where blocks are at most
+:data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise segment at any
+n), each held row's blocks split once per call into mean diagonals, which
+commute and only add a phase, and traceless parts, of which a stepwise
+segment has a handful.  A pass exponentiates the distinct parts alone, in
+a few batched ``eigh`` calls, and applies one composed propagator per
+part.  Wider blocks, and a projector segment's one full-space block, take
+a Lanczos exponential of the block operator that stops its Krylov space on
+an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to rounding.  At
+the segment's end the rows are lifted back.  Where ``X^n`` is a generator
+of the segment, the parity is read off the rows once, exactly ±1 when they
+share one parity; elsewhere the state is lifted and measured after each
+substep.  The fidelity target is the final operator's ground state in the
+block of one segment over all the path's operators that holds the start,
+else the global ground state.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,23 +143,44 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _segment_exponential(segment: Segment, held: np.ndarray):
-    """``x -> exp(-i dt H(s)) x`` on the held rows x of a segment, H(s) the
-    blend of its ends at local s.  Blocks at most :data:`KRYLOV_DIM_MAX`
-    wide are exponentiated exactly, one batched ``eigh`` of the blended
-    stacks per call; wider blocks by :func:`_krylov_expm_apply` on each
-    block operator."""
-    if segment.stacked(KRYLOV_DIM_MAX):
-        a, b = (segment.stack(k, held) for k in (0, 1))
+def _cf4_parameters(m: int) -> np.ndarray:
+    """The effective parameters of a segment's m CF4 substeps, (m, 2): H(s)
+    is linear in s, so each Gauss-weighted combination of its nodes is H at
+    one parameter, over half the substep."""
+    s = (np.arange(m)[:, None] + [_CF4_NODE_1, _CF4_NODE_2]) / m
+    return 2.0 * s @ [[_CF4_BETA, _CF4_ALPHA], [_CF4_ALPHA, _CF4_BETA]]
 
-        def exact(x, s, dt):
-            w, u = np.linalg.eigh((1.0 - s) * a + s * b)
-            y = np.exp(-1j * dt * w) * np.einsum("hji,hj->hi", u.conj(), x)
-            return np.einsum("hij,hj->hi", u, y)
-        return exact
-    return lambda x, s, dt: np.array([
-        _krylov_expm_apply(segment.block((1.0 - s, s), j).apply, v, dt)
-        for j, v in zip(held, x)])
+
+def _distinct_blocks(segment: Segment, held: np.ndarray):
+    """(blocks, index, means) of a segment's held rows: the distinct
+    traceless parts of their blocks at its two ends, (u, 2, d, d), each
+    row's index into them, and each row's mean diagonals, (h, 2)."""
+    stacks = np.stack([segment.tapering.stack(k, held) for k in (0, 1)], 1)
+    dim = stacks.shape[-1]
+    means = np.trace(stacks, axis1=-2, axis2=-1).real / dim
+    stacks -= means[..., None, None] * np.eye(dim)
+    blocks, index = np.unique(stacks.reshape(len(held), -1), axis=0,
+                              return_inverse=True)
+    return blocks.reshape(-1, 2, dim, dim), index, means
+
+
+def _segment_exponential(blocks: np.ndarray, dt: float, m: int, chunk: int):
+    """The m CF4 substeps of length `dt` over a segment, as propagators of
+    its distinct traceless `blocks`, `chunk` substeps at a time (c, u, d, d):
+    one batched ``eigh`` of the blends at the chunk's 2c parameters."""
+    s = _cf4_parameters(m).reshape(-1, 1, 1, 1)
+    for t in np.split(s, range(2 * chunk, 2 * m, 2 * chunk)):
+        w, u = np.linalg.eigh((1.0 - t) * blocks[:, 0] + t * blocks[:, 1])
+        e = u * np.exp(-0.5j * dt * w)[..., None, :] @ u.conj().mT
+        yield e[1::2] @ e[::2]
+
+
+def _compose(p: np.ndarray) -> np.ndarray:
+    """``p[-1] @ ... @ p[0]``, by pairwise batched products."""
+    while len(p) > 1:
+        head = p[1::2] @ p[:-1:2]
+        p = np.concatenate([head, p[-1:]]) if len(p) % 2 else head
+    return p[0]
 
 
 def _segment_parity(tapering: Tapering, held: np.ndarray,
@@ -180,43 +204,58 @@ def _segment_parity(tapering: Tapering, held: np.ndarray,
 
 def _propagate(path: InterpolationPath, psi0: np.ndarray,
                steps_per_segment: list[int], segments: list[Segment],
-               track_parity: bool):
+               track_parity: bool, distinct: dict):
     """One pass of CF4 substeps over every segment, in its blocks: the
     state is folded into rows at its start, exactly-zero rows stay zero and
-    are skipped, and the rest are lifted back at its end."""
+    are skipped, and the rest are lifted back at its end.  `distinct`
+    keeps each segment's :func:`_distinct_blocks` from pass to pass."""
     psi = psi0.astype(complex)
-    parity_lo, parity_hi = np.inf, -np.inf
-    total_steps = 0
+    parities = []
     for k, segment in enumerate(segments):
         rows = segment.tapering.fold(psi)
         held = np.flatnonzero(rows.any(axis=1))
         x = rows[held]
-        advance = _segment_exponential(segment, held)
         parity = _segment_parity(segment.tapering, held, rows.shape) \
             if track_parity else None
-        if parity and k == 0:
-            parity_lo = parity_hi = parity(x)
-        m_seg = steps_per_segment[k]
-        seg_dt = path.durations[k] / m_seg
-        for j in range(m_seg):
-            s1 = (j + _CF4_NODE_1) / m_seg
-            s2 = (j + _CF4_NODE_2) / m_seg
-            # H(s) is linear in s, so each Gauss-weighted combination is
-            # H evaluated at an effective parameter, over half the substep
-            s_eff_first = 2.0 * (_CF4_BETA * s1 + _CF4_ALPHA * s2)
-            s_eff_second = 2.0 * (_CF4_ALPHA * s1 + _CF4_BETA * s2)
-            x = advance(x, s_eff_first, 0.5 * seg_dt)
-            x = advance(x, s_eff_second, 0.5 * seg_dt)
-            total_steps += 1
-            if parity:
-                p = parity(x)
-                parity_lo = min(parity_lo, p)
-                parity_hi = max(parity_hi, p)
+        if parity:
+            parities.append(parity(x))
+        # a generator's parity is fixed by the row norms, which unitary
+        # substeps conserve; any other is measured after each substep
+        each = parity and segment.tapering.parity(0) is None
+        m_seg, duration = steps_per_segment[k], path.durations[k]
+        dt = duration / m_seg
+        if not segment.stacked(KRYLOV_DIM_MAX):
+            for s_first, s_second in _cf4_parameters(m_seg):
+                for s in (s_first, s_second):
+                    x = np.array([_krylov_expm_apply(
+                        segment.block((1.0 - s, s), b).apply, v,
+                        0.5 * dt) for b, v in zip(held, x)])
+                if each:
+                    parities.append(parity(x))
+        else:
+            key = k, held.tobytes()
+            if key not in distinct:
+                distinct[key] = _distinct_blocks(segment, held)
+            blocks, index, means = distinct[key]
+            chunks = _segment_exponential(blocks, dt, m_seg,
+                                          max(1, len(held) // len(blocks)))
+            # the means commute, and each substep's two parameters average
+            # to its midpoint: a row's phase is the means' there
+            if each:
+                mids = (np.arange(m_seg) + 0.5) / m_seg
+                for mid, p in zip(mids, itertools.chain.from_iterable(chunks)):
+                    phase = np.exp(-1j * dt * (means @ (1.0 - mid, mid)))
+                    x = phase[:, None] * np.einsum("hij,hj->hi", p[index], x)
+                    parities.append(parity(x))
+            else:
+                p = _compose(np.stack([_compose(c) for c in chunks]))
+                phase = np.exp(-0.5j * duration * means.sum(1))
+                x = phase[:, None] * np.einsum("hij,hj->hi", p[index], x)
         rows = np.zeros(rows.shape, dtype=complex)
         rows[held] = x
         psi = segment.tapering.unfold(rows)
-    parity_range = (parity_lo, parity_hi) if track_parity else None
-    return psi, total_steps, parity_range
+    parity_range = (min(parities), max(parities)) if track_parity else None
+    return psi, sum(steps_per_segment), parity_range
 
 
 def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
@@ -245,11 +284,12 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
              for d in run.durations]
     # each segment tapered once for every pass
     segments = [Segment(*run.segment(k)) for k in range(run.segment_count)]
+    distinct: dict = {}
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
-        psi, step_count, parity_range = _propagate(run, psi0, steps,
-                                                   segments, track_parity)
+        psi, step_count, parity_range = _propagate(
+            run, psi0, steps, segments, track_parity, distinct)
         if target is not None:
             metric = fidelity(psi, target)
         else:

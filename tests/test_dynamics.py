@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stepgap import dynamics
 from stepgap.dynamics import (
@@ -28,7 +28,7 @@ from stepgap.pauli import (
     taper,
     uniform_superposition,
 )
-from stepgap.spectra import ConvergenceError, lowest_eigenpairs
+from stepgap.spectra import ConvergenceError, Segment, lowest_eigenpairs
 
 RNG = np.random.default_rng(23)
 
@@ -149,10 +149,48 @@ def test_stepwise_ising_runs_keep_their_counts(n, tau, fid, steps):
     assert res.norm_drift < 1e-12
 
 
-def _dense_cf4(path, psi0, steps):
+def test_narrow_segments_take_one_eigh_per_chunk(monkeypatch):
+    # a pass exponentiates each segment's distinct blocks in chunks of as
+    # many substeps as it holds rows per distinct block, one batched eigh
+    # a chunk, where it once took one per exponential
+    n, tau, fid, steps = PINNED_RUNS[0]
+    path = make_path("ising-stepwise", n=n)
+    psi0 = uniform_superposition(n)
+    target = evolution_target(path, psi0)
+    calls, shapes = [], []
+    eigh, distinct = np.linalg.eigh, dynamics._distinct_blocks
+
+    def recorded_eigh(a, *args, **kwargs):
+        if a.ndim == 4:  # (exponentials, distinct blocks, d, d)
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def recorded_distinct(segment, held):
+        blocks, index, means = distinct(segment, held)
+        shapes.append((len(held), len(blocks)))
+        return blocks, index, means
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    monkeypatch.setattr(dynamics, "_distinct_blocks", recorded_distinct)
+    res = evolve(path, psi0, tau, target=target, track_parity=True)
+    assert res.step_count == steps
+    assert abs(res.fidelity - fid) < 1e-9
+    # set up once per segment for every pass
+    assert len(shapes) == path.segment_count
+    base = [int(np.ceil(d)) for d in path.rescaled(tau).durations]
+    passes = range(res.refinements + 1)
+    chunks = sum(-(-(m << r) // max(1, held // u))
+                 for r in passes for m, (held, u) in zip(base, shapes))
+    exponentials = sum(2 * sum(base) << r for r in passes)
+    assert exponentials == 1920
+    assert 0 < len(calls) <= chunks <= exponentials // 4
+
+
+def _dense_cf4(path, psi0, steps, states=None):
     """Fourth-order commutator-free propagation with scipy's expm of the
     dense operators, ``exp(-i h (a1 H(t1) + a2 H(t2)))`` twice per substep
-    at the Gauss nodes t1, t2."""
+    at the Gauss nodes t1, t2; `states`, when given, collects the state
+    after each substep."""
     node = np.sqrt(3.0) / 6.0
     a_lo, a_hi = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, \
         (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
@@ -165,6 +203,8 @@ def _dense_cf4(path, psi0, steps):
                       for s in ((j + 0.5 - node) / m, (j + 0.5 + node) / m))
             psi = scipy.linalg.expm(-1j * h * (a_hi * h1 + a_lo * h2)) @ psi
             psi = scipy.linalg.expm(-1j * h * (a_lo * h1 + a_hi * h2)) @ psi
+            if states is not None:
+                states.append(psi)
     return psi
 
 
@@ -185,7 +225,7 @@ def _recorded_routes(monkeypatch):
     eigh, expm = np.linalg.eigh, dynamics._krylov_expm_apply
 
     def recorded_eigh(a, *args, **kwargs):
-        if a.ndim == 3:  # a stack of blocks, not a Krylov tridiagonal
+        if a.ndim >= 3:  # a stack of blocks, not a Krylov tridiagonal
             widths.add(a.shape[-1])
         return eigh(a, *args, **kwargs)
 
@@ -229,6 +269,25 @@ def test_propagation_routes_match_dense_cf4(family, n, start, monkeypatch):
         lo, hi = res.parity_range
         assert abs(lo - parity_expectation(psi0)) < 1e-12
         assert abs(hi - parity_expectation(psi0)) < 1e-12
+
+
+def test_lifted_parity_matches_dense_cf4_substeps():
+    # X^n is no generator of a cluster segment, so the parity is measured
+    # on the lifted state after every substep, where the phases of the
+    # rows' mean diagonals count
+    n, tau = 5, 4.0
+    path = make_path("cluster1d-stepwise", n=n)
+    psi0 = _start_state("mixed", n)
+    res = evolve(path, psi0, tau, accuracy=1e-6, track_parity=True)
+    run = path.rescaled(tau)
+    steps = [int(np.ceil(d)) << res.refinements for d in run.durations]
+    states = [psi0]
+    _dense_cf4(run, psi0, steps, states)
+    assert len(states) == res.step_count + 1
+    want = [parity_expectation(psi) for psi in states]
+    assert abs(res.parity_range[0] - min(want)) < 1e-10
+    assert abs(res.parity_range[1] - max(want)) < 1e-10
+    assert max(want) - min(want) > 0.1
 
 
 def test_wide_blocks_take_the_krylov_route(monkeypatch):
@@ -297,6 +356,25 @@ def test_segment_blocks_match_dense_cf4(path, seed, data):
     res = evolve(path, psi0, path.tau, accuracy=1e-6)
     steps = [int(np.ceil(d)) << res.refinements for d in path.durations]
     assert res.step_count == sum(steps)
+    want = _dense_cf4(path, psi0, steps)
+    assert np.linalg.norm(res.final_state - want) < 1e-10
+
+
+@settings(max_examples=30)
+@given(planted_paths(), st.integers(0, 2**32 - 1))
+def test_all_distinct_blocks_match_dense_cf4(path, seed):
+    # every block of every segment has its own traceless part, so no held
+    # row shares its propagator, and a start fills every row
+    for k in range(path.segment_count):
+        segment = Segment(*path.segment(k))
+        held = np.arange(1 << len(segment.tapering.generators))
+        assume(segment.stacked(dynamics.KRYLOV_DIM_MAX))
+        assume(len(dynamics._distinct_blocks(segment, held)[0]) == len(held))
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=1 << path.n) + 1j * rng.normal(size=1 << path.n)
+    psi0 /= np.linalg.norm(psi0)
+    res = evolve(path, psi0, path.tau, accuracy=1e-6)
+    steps = [int(np.ceil(d)) << res.refinements for d in path.durations]
     want = _dense_cf4(path, psi0, steps)
     assert np.linalg.norm(res.final_state - want) < 1e-10
 
