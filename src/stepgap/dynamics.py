@@ -11,25 +11,22 @@ Each path segment is a :class:`stepgap.spectra.Segment`, built once per
 :func:`evolve` call, so every blend along it is block diagonal.  At the
 segment's start the state is folded into one row per block; rows that are
 exactly zero stay zero and are skipped.  Where blocks are at most
-:data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise segment at any
-n), each held row's blocks split once per call into mean diagonals, which
-commute and only add a phase, and traceless parts, of which a stepwise
-segment has a handful.  A pass exponentiates the distinct parts alone, in
-a few batched ``eigh`` calls, and applies one composed propagator per
-part.  Wider blocks, and a projector segment's one full-space block, take
-a Lanczos exponential of the block operator that stops its Krylov space on
-an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to rounding.  At
-the segment's end the rows are lifted back.  Where ``X^n`` is a generator
-of the segment, the parity is read off the rows once, exactly ±1 when they
-share one parity; elsewhere the state is lifted and measured after each
-substep.  The fidelity target is the final operator's ground state in the
-block of one segment over all the path's operators that holds the start,
-else the global ground state.
+:data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise segment), the
+held rows' blocks split once per call into mean diagonals, which only add
+a phase, and traceless parts, whose distinct values batched ``eigh`` calls
+exponentiate: one propagator per chunk of substeps where rows share them,
+else one exponential at a time.  Wider blocks, and a projector segment's
+one full-space block, take a Lanczos exponential that stops its Krylov
+space on an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to
+rounding.  At the segment's end the rows are lifted back.  Where ``X^n``
+is a generator, the parity is read off the rows once; elsewhere the state
+is lifted and measured after each substep.  The fidelity target is the
+final operator's ground state in the block of one segment over all the
+path's operators that holds the start, else the global ground state.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,35 +141,32 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _cf4_parameters(m: int) -> np.ndarray:
-    """The effective parameters of a segment's m CF4 substeps, (m, 2): H(s)
-    is linear in s, so each Gauss-weighted combination of its nodes is H at
-    one parameter, over half the substep."""
-    s = (np.arange(m)[:, None] + [_CF4_NODE_1, _CF4_NODE_2]) / m
-    return 2.0 * s @ [[_CF4_BETA, _CF4_ALPHA], [_CF4_ALPHA, _CF4_BETA]]
+    """The 2m effective parameters of m CF4 substeps: H(s) is linear in s,
+    so each Gauss-weighted pair of a substep's nodes is H at one parameter."""
+    s = (np.arange(m)[:, None] + [_CF4_NODE_1, _CF4_NODE_2]) / (0.5 * m)
+    return (s @ [[_CF4_BETA, _CF4_ALPHA], [_CF4_ALPHA, _CF4_BETA]]).ravel()
 
 
 def _distinct_blocks(segment: Segment, held: np.ndarray):
-    """(blocks, index, means) of a segment's held rows: the distinct
-    traceless parts of their blocks at its two ends, (u, 2, d, d), each
-    row's index into them, and each row's mean diagonals, (h, 2)."""
+    """(blocks, index, means) of a segment's held rows: the traceless parts
+    of their blocks at its two ends that differ in any byte, (u, 2, d, d),
+    each row's index into them, and each row's mean diagonals, (h, 2)."""
     stacks = np.stack([segment.tapering.stack(k, held) for k in (0, 1)], 1)
-    dim = stacks.shape[-1]
-    means = np.trace(stacks, axis1=-2, axis2=-1).real / dim
-    stacks -= means[..., None, None] * np.eye(dim)
-    blocks, index = np.unique(stacks.reshape(len(held), -1), axis=0,
-                              return_inverse=True)
-    return blocks.reshape(-1, 2, dim, dim), index, means
+    means = np.trace(stacks, axis1=-2, axis2=-1).real / stacks.shape[-1]
+    stacks -= means[..., None, None] * np.eye(stacks.shape[-1])
+    _, first, index = np.unique(
+        stacks.reshape(len(held), -1).view(f"V{stacks[0].nbytes}")[:, 0],
+        return_index=True, return_inverse=True)
+    return stacks[first], index, means
 
 
-def _segment_exponential(blocks: np.ndarray, dt: float, m: int, chunk: int):
-    """The m CF4 substeps of length `dt` over a segment, as propagators of
-    its distinct traceless `blocks`, `chunk` substeps at a time (c, u, d, d):
-    one batched ``eigh`` of the blends at the chunk's 2c parameters."""
-    s = _cf4_parameters(m).reshape(-1, 1, 1, 1)
-    for t in np.split(s, range(2 * chunk, 2 * m, 2 * chunk)):
-        w, u = np.linalg.eigh((1.0 - t) * blocks[:, 0] + t * blocks[:, 1])
-        e = u * np.exp(-0.5j * dt * w)[..., None, :] @ u.conj().mT
-        yield e[1::2] @ e[::2]
+def _segment_exponential(blocks: np.ndarray, m: int, chunk: int):
+    """(t, w, v) per `chunk` of a segment's m CF4 substeps: their 2c
+    parameters, (2c, 1, 1, 1), and one batched ``eigh`` of the distinct
+    traceless `blocks` blended at each, (2c, u, d) and (2c, u, d, d)."""
+    s = _cf4_parameters(m)[:, None, None, None]
+    for t in (s[i:i + 2 * chunk] for i in range(0, 2 * m, 2 * chunk)):
+        yield t, *np.linalg.eigh((1.0 - t) * blocks[:, 0] + t * blocks[:, 1])
 
 
 def _compose(p: np.ndarray) -> np.ndarray:
@@ -219,38 +213,43 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
             if track_parity else None
         if parity:
             parities.append(parity(x))
-        # a generator's parity is fixed by the row norms, which unitary
-        # substeps conserve; any other is measured after each substep
+        # a generator's parity is fixed by the conserved row norms
         each = parity and segment.tapering.parity(0) is None
-        m_seg, duration = steps_per_segment[k], path.durations[k]
-        dt = duration / m_seg
+        m_seg = steps_per_segment[k]
+        dt = path.durations[k] / m_seg
         if not segment.stacked(KRYLOV_DIM_MAX):
-            for s_first, s_second in _cf4_parameters(m_seg):
-                for s in (s_first, s_second):
-                    x = np.array([_krylov_expm_apply(
-                        segment.block((1.0 - s, s), b).apply, v,
-                        0.5 * dt) for b, v in zip(held, x)])
-                if each:
+            for j, s in enumerate(_cf4_parameters(m_seg)):
+                x = np.array([_krylov_expm_apply(
+                    segment.block((1.0 - s, s), b).apply, v, 0.5 * dt)
+                    for b, v in zip(held, x)])
+                if each and j % 2:
                     parities.append(parity(x))
         else:
             key = k, held.tobytes()
             if key not in distinct:
                 distinct[key] = _distinct_blocks(segment, held)
             blocks, index, means = distinct[key]
-            chunks = _segment_exponential(blocks, dt, m_seg,
-                                          max(1, len(held) // len(blocks)))
-            # the means commute, and each substep's two parameters average
-            # to its midpoint: a row's phase is the means' there
-            if each:
-                mids = (np.arange(m_seg) + 0.5) / m_seg
-                for mid, p in zip(mids, itertools.chain.from_iterable(chunks)):
-                    phase = np.exp(-1j * dt * (means @ (1.0 - mid, mid)))
-                    x = phase[:, None] * np.einsum("hij,hj->hi", p[index], x)
+            # where rows share blocks, one propagator per distinct block and
+            # chunk of `share` substeps, a stack no larger than the rows';
+            # else, or to read the parity after each substep, one
+            # exponential at a time
+            share = 1 if each else len(held) // len(blocks)
+            for t, w, v in _segment_exponential(blocks, m_seg, share):
+                if share > 1:
+                    e = v * np.exp(-0.5j * dt * w)[..., None, :] @ v.conj().mT
+                    x = np.einsum("hij,hj->hi", _compose(e)[index], x)
+                    continue
+                for wh, vh in zip(w[:, index], v[:, index]):
+                    y = np.einsum("hji,hj->hi", vh.conj(), x)
+                    x = np.einsum("hij,hj->hi", vh, np.exp(-0.5j * dt * wh) * y)
+                if each:
+                    # the means commute, and add their phase at the midpoint
+                    c = means @ (1.0 - t.mean(), t.mean())
+                    x *= np.exp(-1j * dt * c)[:, None]
                     parities.append(parity(x))
-            else:
-                p = _compose(np.stack([_compose(c) for c in chunks]))
-                phase = np.exp(-0.5j * duration * means.sum(1))
-                x = phase[:, None] * np.einsum("hij,hj->hi", p[index], x)
+            if not each:
+                # the means' phase over the whole segment
+                x *= np.exp(-0.5j * path.durations[k] * means.sum(1))[:, None]
         rows = np.zeros(rows.shape, dtype=complex)
         rows[held] = x
         psi = segment.tapering.unfold(rows)

@@ -1,5 +1,7 @@
 """Tests for time evolution, fidelity measures and runtime scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -184,6 +186,24 @@ def test_narrow_segments_take_one_eigh_per_chunk(monkeypatch):
     exponentials = sum(2 * sum(base) << r for r in passes)
     assert exponentials == 1920
     assert 0 < len(calls) <= chunks <= exponentials // 4
+
+
+def test_long_unshared_run_holds_no_propagator_per_substep():
+    # ising-linear keeps X^n alone: the even start holds one 32 x 32 block
+    # at n = 6, which no other row shares.  A propagator kept for each of
+    # the last pass's 640 substeps would take 10 MB.
+    n, tau = 6, 320.0
+    path = make_path("ising-linear", n=n)
+    psi0 = uniform_superposition(n)
+    target = evolution_target(path, psi0)
+    tracemalloc.start()
+    try:
+        res = evolve(path, psi0, tau, target=target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.step_count == 640
+    assert peak < 1 << 20
 
 
 def _dense_cf4(path, psi0, steps, states=None):
