@@ -8,21 +8,23 @@ which pins the observable accuracy without committing to a step size, at
 most :data:`MAX_REFINEMENTS` times.
 
 Each path segment is a :class:`stepgap.spectra.Segment`, built once per
-:func:`evolve` call, so every blend along it is block diagonal.  At the
-segment's start the state is folded into one row per block; rows that are
-exactly zero stay zero and are skipped.  Where blocks are at most
+:func:`evolve` call, so every blend along it is block diagonal.  The start
+state is folded once per call into one row per block; rows that are exactly
+zero stay zero and are skipped.  A boundary takes one Clifford map
+(:func:`stepgap.pauli.boundary_map`) where it is fewer gathers than the
+Hadamards of the unfold and fold it replaces.  Where blocks are at most
 :data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise segment), the
-held rows' blocks split once per call into mean diagonals, which only add
-a phase, and traceless parts, whose distinct values batched ``eigh`` calls
+held rows' blocks split once per call into mean diagonals, which only add a
+phase, and traceless parts, whose distinct values batched ``eigh`` calls
 exponentiate: one propagator per chunk of substeps where rows share them,
-else one exponential at a time.  Wider blocks, and a projector segment's
-one full-space block, take a Lanczos exponential that stops its Krylov
-space on an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to
-rounding.  At the segment's end the rows are lifted back.  Where ``X^n``
-is a generator, the parity is read off the rows once; elsewhere the state
-is lifted and measured after each substep.  The fidelity target is the
-final operator's ground state in the block of one segment over all the
-path's operators that holds the start, else the global ground state.
+else one exponential at a time.  Wider blocks, and a projector segment's one
+full-space block, take a Lanczos exponential that stops its Krylov space on
+an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to rounding.  The
+last segment's rows are lifted back.  Where ``X^n`` is a generator, the
+parity is read off the rows once; elsewhere the state is lifted and
+measured after each substep.  The fidelity target is the final operator's
+ground state in the block of one segment over all the path's operators that
+holds the start, else the global ground state.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 
 from .models import InterpolationPath
-from .pauli import (Tapering, n_qubits, parity_expectation,
-                    uniform_superposition)
+from .pauli import (Tapering, basis_state, boundary_map, n_qubits,
+                    parity_expectation, uniform_superposition)
 from .spectra import ConvergenceError, Segment
 
 #: Initial substep density (substeps per unit time) before refinement.
@@ -196,17 +198,31 @@ def _segment_parity(tapering: Tapering, held: np.ndarray,
     return lifted
 
 
-def _propagate(path: InterpolationPath, psi0: np.ndarray,
+def _crossings(segments: list[Segment]):
+    """Per boundary, :func:`stepgap.pauli.boundary_map` where that is fewer
+    gathers than the Hadamards of the unfold and fold it replaces; and the
+    maps' unit factors' product, read off e_0 through them all."""
+    taperings = [segment.tapering for segment in segments]
+    crossings = [boundary_map(a, b, sum(bool(xs) for t in (a, b)
+                                        for _, xs, _, _ in t.steps))
+                 for a, b in zip(taperings, taperings[1:])]
+    rows = taperings[0].fold(basis_state(segments[0].operators[0].n, 0))
+    for crossing in crossings:
+        rows = crossing(rows)
+    unit = taperings[-1].unfold(rows)[0]
+    return crossings, unit / abs(unit)
+
+
+def _propagate(path: InterpolationPath, rows: np.ndarray,
                steps_per_segment: list[int], segments: list[Segment],
-               track_parity: bool, distinct: dict):
-    """One pass of CF4 substeps over every segment, in its blocks: the
-    state is folded into rows at its start, exactly-zero rows stay zero and
-    are skipped, and the rest are lifted back at its end.  `distinct`
+               crossings: list, track_parity: bool, distinct: dict):
+    """One pass of CF4 substeps over every segment, in its blocks, from
+    the first one's `rows`; exactly-zero rows are skipped.  `distinct`
     keeps each segment's :func:`_distinct_blocks` from pass to pass."""
-    psi = psi0.astype(complex)
     parities = []
     for k, segment in enumerate(segments):
-        rows = segment.tapering.fold(psi)
+        if k:
+            rows = crossings[k - 1](rows)
         held = np.flatnonzero(rows.any(axis=1))
         x = rows[held]
         parity = _segment_parity(segment.tapering, held, rows.shape) \
@@ -252,7 +268,7 @@ def _propagate(path: InterpolationPath, psi0: np.ndarray,
                 x *= np.exp(-0.5j * path.durations[k] * means.sum(1))[:, None]
         rows = np.zeros(rows.shape, dtype=complex)
         rows[held] = x
-        psi = segment.tapering.unfold(rows)
+    psi = segments[-1].tapering.unfold(rows)
     parity_range = (min(parities), max(parities)) if track_parity else None
     return psi, sum(steps_per_segment), parity_range
 
@@ -283,12 +299,15 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
              for d in run.durations]
     # each segment tapered once for every pass
     segments = [Segment(*run.segment(k)) for k in range(run.segment_count)]
+    # the maps' unit factors taken out of the start once for every pass
+    crossings, unit = _crossings(segments)
+    rows = segments[0].tapering.fold(psi0.astype(complex)) / unit
     distinct: dict = {}
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
         psi, step_count, parity_range = _propagate(
-            run, psi0, steps, segments, track_parity, distinct)
+            run, rows, steps, segments, crossings, track_parity, distinct)
         if target is not None:
             metric = fidelity(psi, target)
         else:

@@ -31,6 +31,9 @@ Conventions used throughout the package:
   (:meth:`Tapering.fold`, :meth:`Tapering.unfold`, :meth:`Tapering.lift`).
   When the bit-flip string ``X^n`` is a symmetry, its blocks make up the
   even and odd parity sectors.
+* :func:`boundary_map` composes two taperings' maps into 2^h gathers with
+  phases, on a stabilizer tableau (:class:`_Tableau`) whose gate rules
+  :func:`taper` and :func:`conjugate` apply too.
 * The EC3 projector Hamiltonians are :class:`ProjectorSum` operators,
   ``shift * 1`` minus a weighted sum of rank-one projectors, held as their
   vectors and weights.
@@ -334,32 +337,22 @@ def conjugate(op: OperatorSum, gate: GateSpec) -> OperatorSum:
     """Similarity transform ``S @ op @ S`` by a CNOT or CZ gate.
 
     Pauli strings map to Pauli strings under both gates, so the result is
-    again an :class:`OperatorSum` with real coefficients.  On the
-    symplectic rows (Aaronson & Gottesman, PRA 70, 052328, 2004), with the
-    bits read before the update: CNOT sets ``x_t ^= x_c``, ``z_c ^= z_t``
-    and flips the sign when ``x_c z_t (x_t ^ z_c ^ 1)``; CZ sets
-    ``z_t ^= x_c``, ``z_c ^= x_t`` and flips it when
-    ``x_c x_t (z_c ^ z_t)``.
+    again an :class:`OperatorSum` with real coefficients: its terms are
+    carried through the gate as the rows of a :class:`_Tableau`, a CZ as
+    the CNOT between two H on the target.
     """
     n = op.n
     if gate.control > n or gate.target > n:
         raise ValueError(
             f"gate on qubits ({gate.control},{gate.target}) outside 1..{n}")
     c, t = n - gate.control, n - gate.target
-    out = []
-    for term in op.terms:
-        x, z = term.x, term.z
-        xc, zc, xt, zt = x >> c & 1, z >> c & 1, x >> t & 1, z >> t & 1
-        if gate.kind == "CNOT":
-            flip = xc & zt & (xt ^ zc ^ 1)
-            x ^= xc << t
-            z ^= zt << c
-        else:
-            flip = xc & xt & (zc ^ zt)
-            z ^= xc << t | xt << c
-        out.append(PauliString(n, x, z, -term.coefficient if flip
-                               else term.coefficient))
-    return OperatorSum(n, out)
+    hadamard = [(0, 1 << t, t, 0)] if gate.kind == "CZ" else []
+    tableau = _Tableau(n, [(p.x, p.z, p.y_count) for p in op.terms])
+    for step in hadamard + [(0, 0, t, 1 << c)] + hadamard:
+        tableau.step(*step)
+    return OperatorSum(n, [PauliString(n, x, z, (1 - (q - (x & z).bit_count())
+                                              % 4) * p.coefficient)
+                           for (x, z, q), p in zip(tableau.rows(), op.terms)])
 
 
 def _anticommute(u: int, v: int, n: int) -> int:
@@ -618,6 +611,73 @@ def _reorder(v, pivots: list[int], n: int):
     return head << (n - len(pivots)) | v
 
 
+def _bits(mask: int) -> list[int]:
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def _transpose(cols: list[int], width: int) -> list[int]:
+    """Bit c of entry i is bit i of ``cols[c]``, each below ``2**width``;
+    the bits pass through numpy in 64-bit words."""
+    size = max(1, -(-width // 64))
+    words = np.array(cols, "<u8") if size == 1 else np.frombuffer(b"".join(
+        c.to_bytes(8 * size, "little") for c in cols), "<u8")
+    bits = np.zeros((width, 64 * max(1, -(-len(cols) // 64))), np.uint8)
+    bits[:, :len(cols)] = np.unpackbits(words.view(np.uint8).reshape(
+        len(cols), 8 * size), axis=1, count=width, bitorder="little").T
+    out = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")[:, 0].tolist() if out.shape[1] == 8 else [
+        int.from_bytes(row.tobytes(), "little") for row in out]
+
+
+class _Tableau:
+    """Pauli rows ``i^q X^x Z^z`` packed by qubit column, as in CHP
+    (Aaronson & Gottesman, PRA 70, 052328, 2004): bit i of ``x[c]``,
+    ``z[c]``, `q0` and `q1` is bit c of row i's x and z and bits 0 and 1 of
+    its q.  S adds x to z and to q (its inverse takes x from q), H swaps x
+    and z and adds 2 to q where both are set, a CNOT changes no phase."""
+
+    def __init__(self, n: int, rows: list[tuple[int, int, int]]):
+        cols = _transpose([x | z << n | (q % 4) << 2 * n for x, z, q in rows],
+                          2 * n + 2)
+        self.n, self.count = n, len(rows)
+        self.x, self.z, (self.q0, self.q1) = cols[:n], cols[n:-2], cols[-2:]
+
+    def row(self, i: int) -> tuple[int, int]:
+        return tuple(sum((col >> i & 1) << c for c, col in enumerate(cols))
+                     for cols in (self.x, self.z))
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        low = (1 << self.n) - 1
+        return [(v & low, v >> self.n & low, v >> 2 * self.n) for v in
+                _transpose(self.x + self.z + [self.q0, self.q1], self.count)]
+
+    def step(self, ys: int, xs: int, p: int, fan_in: int,
+             inverse: bool = False) -> None:
+        """Conjugate by a step of :attr:`Tapering.steps`, or its inverse."""
+        x, z = self.x, self.z
+        gates = [("S", c, c) for c in _bits(ys)] + [
+            ("CX", p, t) for t in _bits(xs & ~(1 << p))] + [
+            ("H", p, p)] * (xs > 0) + [("CX", c, p) for c in _bits(fan_in)]
+        for gate, c, t in gates[::-1] if inverse else gates:
+            if gate == "CX":
+                x[t] ^= x[c]
+                z[c] ^= z[t]
+            elif gate == "H":
+                self.q1 ^= x[c] & z[c]
+                x[c], z[c] = z[c], x[c]
+            else:
+                z[c] ^= x[c]
+                self.q1 ^= x[c] & (~self.q0 if inverse else self.q0)
+                self.q0 ^= x[c]
+
+    def reorder(self, pivots: list[int], inverse: bool = False) -> None:
+        """Move columns as :func:`_reorder` moves bits, or back."""
+        order = [c for c in range(self.n) if c not in pivots] + pivots[::-1]
+        if inverse:
+            order = sorted(range(self.n), key=order.__getitem__)
+        self.x, self.z = ([v[c] for c in order] for v in (self.x, self.z))
+
+
 def taper(*ops: OperatorSum) -> Tapering:
     """The :class:`Tapering` of one or more Pauli sums under one map.
 
@@ -626,12 +686,10 @@ def taper(*ops: OperatorSum) -> Tapering:
     a commuting set by symplectic Gram-Schmidt with ``X^n`` first when it
     is in the kernel, so every straight-line combination of the sums is
     block diagonal under the one map.  Generators and terms are then
-    carried through the gates in the form ``i^q X^x Z^z`` (tableau as in
-    Aaronson & Gottesman, PRA 70, 052328, 2004): S adds x to z and to q, H
-    swaps x and z and adds 2 to q where both are set, and CNOT changes no
-    phase.  Per generator, S turns its free Y factors into X, CNOTs from
-    the pivot, one of its free X qubits, clear the others, H on the pivot
-    alone makes it a Z, and CNOTs into the pivot clear its other Z's.
+    carried through the gates as the rows of a :class:`_Tableau`.  Per
+    generator, S turns its free Y factors into X, CNOTs from the pivot, one
+    of its free X qubits, clear the others, H on the pivot alone makes it a
+    Z, and CNOTs into the pivot clear its other Z's.
     """
     n = ops[0].n
     if any(op.n != n for op in ops):
@@ -649,45 +707,87 @@ def taper(*ops: OperatorSum) -> Tapering:
                        for g in _commuting_subset(vectors, n))
 
     r = len(generators)
-    rows = [(p.x, p.z, p.y_count) for p in generators + terms]
+    tableau = _Tableau(n, [(p.x, p.z, p.y_count) for p in generators + terms])
     free, steps = low, []
     for i in range(r):
         # generator i has no X on earlier pivots
-        gx, gz, _ = rows[i]
+        gx, gz = tableau.row(i)
         ys, xs = free & gx & gz, free & gx
-        rows = [(x, z ^ x & ys, q + (x & ys).bit_count()) for x, z, q in rows]
-        if xs:
-            p = xs.bit_length() - 1
-            fan_out = xs ^ 1 << p
-            stepped = []
-            for x, z, q in rows:
-                if x >> p & 1:
-                    x ^= fan_out
-                z ^= ((z & fan_out).bit_count() & 1) << p
-                swap = (x ^ z) & 1 << p
-                stepped.append((x ^ swap, z ^ swap,
-                                q + 2 * (x >> p & z >> p & 1)))
-            rows = stepped
-        else:
-            p = (free & gz).bit_length() - 1
-        fan_in = rows[i][1] ^ 1 << p
-        rows = [(x ^ ((x & fan_in).bit_count() & 1) << p,
-                 z ^ fan_in if z >> p & 1 else z, q) for x, z, q in rows]
+        p = (xs or free & gz).bit_length() - 1
+        tableau.step(ys, xs, p, 0)
+        fan_in = tableau.row(i)[1] ^ 1 << p
+        tableau.step(0, 0, p, fan_in)
         free ^= 1 << p
         steps.append((ys, xs, p, fan_in))
-
-    pivots = [p for _, _, p, _ in steps]
+    tableau.reorder([p for _, _, p, _ in steps])
+    rows = tableau.rows()
     # i^q X^x Z^z is i^(q - y) times the string with y = popcount(x & z)
     # factors Y, and i^(q - y) is +-1 for a Hermitian string; generator j
     # ends as i^q Z on pivot j
-    mapped = [PauliString(n, _reorder(x, pivots, n), _reorder(z, pivots, n),
-                          (1 - (q - (x & z).bit_count()) % 4)
+    mapped = [PauliString(n, x, z, (1 - (q - (x & z).bit_count()) % 4)
                           * term.coefficient)
               for (x, z, q), term in zip(rows[r:], terms)]
     cuts = list(accumulate((len(op.terms) for op in ops), initial=0))
     return Tapering(generators, tuple(1 - q % 4 for _, _, q in rows[:r]),
                     tuple(OperatorSum(n, mapped[a:b])
                           for a, b in zip(cuts, cuts[1:])), tuple(steps))
+
+
+def boundary_map(a: Tapering, b: Tapering, below: int | None = None):
+    """``T = C_b C_a^dagger``, from rows folded by `a` to rows folded by
+    `b`, up to a unit factor: 2^h gathers with phases, held as one index
+    gather and one byte per term and index, where 2^h < `below` (else the
+    unfold by `a` and the fold by `b`).  X_j, Z_j carried back through the
+    steps of `b` and on through `a`'s are ``U X_j U^dagger = i^q X^x Z^z``
+    (``U = T^dagger``) and the stabilizers of ``phi = U|0>``; with ``U|j> =
+    i^Q X^A Z^B phi``, ``(T v)[j]`` sums ``conj(i^Q (-1)^popcount(B & y)
+    phi_y) v[A ^ y]`` over the 2^h support of phi."""
+    n = a.operators[0].n
+    tableau = _Tableau(n, [(1 << j, 0, 0) for j in range(n)]
+                       + [(0, 1 << j, 0) for j in range(n)])
+    tableau.reorder([p for _, _, p, _ in b.steps], inverse=True)
+    for step, inverse in [(t, True) for t in b.steps[::-1]] + [
+            (t, False) for t in a.steps]:
+        tableau.step(*step, inverse)
+    tableau.reorder([p for _, _, p, _ in a.steps])
+    rows = tableau.rows()
+    # stabilizers reduced by the leading bits of their X parts; the rest,
+    # i^q Z^z with q even, ask popcount(z & y) = q/2 (mod 2) of the support
+    lead, checks = {}, []
+    for x, z, q in rows[n:]:
+        while x and x.bit_length() - 1 in lead:
+            px, pz, pq = lead[x.bit_length() - 1]
+            x, z, q = x ^ px, z ^ pz, q + pq + 2 * (z & px).bit_count()
+        if x:
+            lead[x.bit_length() - 1] = x, z, q
+        else:
+            checks.append(z << 1 | q >> 1 & 1)
+    if below is not None and 1 << len(lead) >= below:
+        return lambda rows: b.fold(a.unfold(rows))
+    # phi = prod (1 + g) |y0> / 2^(h/2), g|y> = i^q (-1)^(z.y) |y ^ x>
+    support, phases = [_null_space(checks, n + 1)[0] >> 1], [0]
+    for px, pz, pq in lead.values():
+        phases += [e + pq + 2 * (y & pz).bit_count()
+                   for y, e in zip(support, phases)]
+        support += [y ^ px for y in support]
+    # E_y = -(Q + 2 popcount(B & y) + e_y) by doubling: X on bit k times
+    # X^j, j < 2^k, adds x to A, z to B and q + 2 popcount(z & A) to Q
+    gather = np.zeros(1, np.intp)
+    exponents = np.array([[-e % 4] for e in phases], np.uint8)
+    for x, z, q in rows[:n]:
+        shift = [[q + 2 * (z & y).bit_count() & 3] for y in support]
+        exponents = np.concatenate([exponents, exponents - np.array(
+            shift, np.uint8) - (np.bitwise_count(gather & z) << 1)], axis=1)
+        gather = np.concatenate([gather, gather ^ x])
+    exponents &= 3
+    support, scale = np.array(support)[:, None], 2.0 ** (-len(lead) / 2)
+
+    def crossing(rows: np.ndarray) -> np.ndarray:
+        terms = np.take(np.array(_Y_PHASES), exponents)
+        # the scale last: terms that cancel give exactly 0
+        terms *= rows.ravel()[gather ^ support]
+        return (scale * terms.sum(0)).reshape(-1, b.block_dim)
+    return crossing
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from stepgap.pauli import (
     OperatorSum,
     PauliString,
     basis_state,
+    boundary_map,
     conjugate,
     ghz_state,
     parity_expectation,
@@ -397,6 +398,98 @@ def test_all_distinct_blocks_match_dense_cf4(path, seed):
     steps = [int(np.ceil(d)) << res.refinements for d in path.durations]
     want = _dense_cf4(path, psi0, steps)
     assert np.linalg.norm(res.final_state - want) < 1e-10
+
+
+@st.composite
+def crossed_paths(draw):
+    """A planted path, or a stepwise path on at most 10 qubits."""
+    family = draw(st.sampled_from(["planted", "ising-stepwise",
+                                   "cluster1d-stepwise",
+                                   "cluster2d-stepwise"]))
+    if family == "planted":
+        return draw(planted_paths())
+    if family == "cluster2d-stepwise":
+        width, height = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+        return make_path(family, width=width, height=height)
+    return make_path(family, n=draw(st.integers(3, 10)))
+
+
+@settings(max_examples=30)
+@given(crossed_paths(), st.integers(0, 2**32 - 1))
+def test_boundary_maps_cross_like_unfold_then_fold(path, seed):
+    rng = np.random.default_rng(seed)
+
+    def random_state():
+        psi = rng.normal(size=1 << path.n) + 1j * rng.normal(size=1 << path.n)
+        return psi / np.linalg.norm(psi)
+
+    segments = [Segment(*path.segment(k)) for k in range(path.segment_count)]
+    taperings = [segment.tapering for segment in segments]
+    # every boundary's map, taken or not, both ways, and each segment's map
+    # to itself are the unfold and the fold up to one unit factor
+    pairs = list(zip(taperings, taperings[1:]))
+    pairs += [(b, a) for a, b in pairs] + [(a, a) for a in taperings]
+    for a, b in pairs:
+        rows = random_state().reshape(-1, a.block_dim)
+        want = b.fold(a.unfold(rows))
+        got = boundary_map(a, b)(rows)
+        unit = np.vdot(got, want)
+        assert abs(abs(unit) - 1.0) < 1e-12
+        assert np.abs(unit * got - want).max() < 1e-12
+    # with the unit factors taken out, the first fold, the crossings and
+    # the last unfold are the identity
+    psi = random_state()
+    crossings, unit = dynamics._crossings(segments)
+    rows = taperings[0].fold(psi) / unit
+    for crossing in crossings:
+        rows = crossing(rows)
+    assert np.abs(taperings[-1].unfold(rows) - psi).max() < 1e-12
+
+
+def test_intermediate_segments_build_no_gates(monkeypatch):
+    # every boundary of a stepwise Ising path is crossed by its map, so
+    # only the first segment's fold and the last one's unfold build gates
+    n, tau, fid, steps = PINNED_RUNS[1]
+    path = make_path("ising-stepwise", n=n)
+    psi0 = uniform_superposition(n)
+    target = evolution_target(path, psi0)
+    built = []
+
+    def recorded(*ops):
+        built.append(Segment(*ops))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "Segment", recorded)
+    res = evolve(path, psi0, tau, target=target)
+    assert abs(res.fidelity - fid) < 1e-9
+    assert len(built) == path.segment_count
+    assert [s.tapering._gates is not None for s in built] == \
+        [True] + [False] * (len(built) - 2) + [True]
+
+
+@pytest.mark.parametrize("family", ["ising-stepwise", "cluster1d-stepwise"])
+def test_crossings_hold_less_than_every_segments_gates(family):
+    # what evolve holds across passes for its boundaries at n = 14: the
+    # maps, and the gates of the first fold and the last unfold, against
+    # the gates of every segment that a fold and unfold at each boundary
+    # would keep
+    n = 14
+    path = make_path(family, n=n)
+    segments = [Segment(*path.segment(k)) for k in range(path.segment_count)]
+    tracemalloc.start()
+    try:
+        crossings, _ = dynamics._crossings(segments)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # every boundary takes its map: no intermediate segment built gates
+    assert [s.tapering._gates is not None for s in segments] == \
+        [True] + [False] * (len(segments) - 2) + [True]
+    every = sum(array.nbytes for segment in segments
+                for gate in segment.tapering._compiled_gates()
+                if not isinstance(gate, int)
+                for array in gate if array is not None)
+    assert held < every
 
 
 def test_stationary_state_keeps_unit_fidelity():

@@ -7,15 +7,17 @@ replaced.  They share no code with it, so the comparisons below check the
 compiled `apply`, `to_dense` and `blend` independently.  The tapering of
 `stepgap.pauli.taper` is checked the same way: the spectra of its blocks
 against `eigvalsh` of `reference_dense`, its generators by counting where
-two strings differ and by a GF(2) rank of their own.
+two strings differ and by a GF(2) rank of their own.  The column tableau
+and the boundary maps built on it are checked against the recorded map as
+a dense unitary, itself checked against `reference_dense`.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
-                           conjugate, taper)
+from stepgap.pauli import (GateSpec, OperatorSum, PauliString, _Tableau,
+                           blend, boundary_map, conjugate, taper)
 from stepgap.spectra import Segment, sector_levels
 
 _PAULI_MATRICES = {
@@ -328,6 +330,72 @@ def test_recorded_map_carries_states_to_the_tapered_blocks(op, seed, data):
     assert np.abs(tapering.stack(0, picked) - np.array(
         [dense[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim]
          for j in picked]).reshape(-1, dim, dim)).max(initial=0.0) < 1e-12
+
+
+def reference_xz(n: int, x: int, z: int, q: int) -> np.ndarray:
+    """The matrix of ``i^q X^x Z^z``: ``|j> -> i^q (-1)^popcount(j & z)
+    |j ^ x>``."""
+    j = np.arange(1 << n)
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    mat[j ^ x, j] = (1, 1j, -1, -1j)[q % 4] * (-1.0) ** np.bitwise_count(j & z)
+    return mat
+
+
+def fold_unitary(tapering) -> np.ndarray:
+    """The recorded map C as a matrix, column i the fold of basis state i."""
+    dim = tapering.block_dim << len(tapering.generators)
+    return np.column_stack([tapering.fold(column).ravel()
+                            for column in np.eye(dim)])
+
+
+@given(planted_symmetry_sums(), st.integers(0, 2**32 - 1))
+def test_tableau_steps_conjugate_like_the_recorded_map(op, seed):
+    # rows i^q X^x Z^z carried through a tapering's steps and pivot move
+    # are C P C^dagger; carried back, they are the rows they started as
+    tapering = taper(op)
+    n, rng = op.n, np.random.default_rng(seed)
+    rows = [(int(x), int(z), int(q)) for x, z, q in zip(
+        *rng.integers(0, 1 << n, size=(2, 6)), rng.integers(0, 4, size=6))]
+    tableau = _Tableau(n, rows)
+    pivots = [p for _, _, p, _ in tapering.steps]
+    for step in tapering.steps:
+        tableau.step(*step)
+    tableau.reorder(pivots)
+    unitary = fold_unitary(tapering)
+    for got, want in zip(tableau.rows(), rows):
+        assert np.abs(reference_xz(n, *got) - unitary @ reference_xz(
+            n, *want) @ unitary.conj().T).max() < 1e-12
+    tableau.reorder(pivots, inverse=True)
+    for step in tapering.steps[::-1]:
+        tableau.step(*step, inverse=True)
+    assert tableau.rows() == rows
+
+
+@given(planted_symmetry_sums(), st.data())
+def test_boundary_map_is_unfold_then_fold_up_to_a_unit(op, data):
+    # from one sum's tapering to another on as many qubits: of a generic
+    # sum, often without generators (C = 1), of the sum with it, or of the
+    # sum under a CNOT
+    a, n = taper(op), op.n
+    other = data.draw(pauli_sums(n))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda p: p[0] != p[1])
+    kind = data.draw(st.sampled_from(
+        ["generic", "both"] + (["cnot"] if n > 1 else [])))
+    if kind == "generic":
+        b = taper(other)
+    elif kind == "both":
+        b = taper(op, other)
+    else:
+        b = taper(conjugate(op, GateSpec("CNOT", *data.draw(pair))))
+    want = fold_unitary(b) @ fold_unitary(a).conj().T
+    crossing = boundary_map(a, b)
+    got = np.column_stack([crossing(column.reshape(-1, a.block_dim)).ravel()
+                           for column in np.eye(1 << n)])
+    assert got.shape == want.shape
+    unit = np.vdot(got[:, 0], want[:, 0])
+    assert abs(abs(unit) - 1.0) < 1e-12
+    assert np.abs(unit * got - want).max() < 1e-12
 
 
 @given(planted_symmetry_sums())
