@@ -11,8 +11,8 @@ Each path segment is a :class:`stepgap.spectra.Segment`, built once per
 :func:`evolve` call, so every blend along it is block diagonal.  The start
 state is folded once per call into one row per block; rows that are exactly
 zero stay zero and are skipped.  A boundary takes one Clifford map
-(:func:`stepgap.pauli.boundary_map`) where it is fewer gathers than the
-Hadamards of the unfold and fold it replaces.  Where blocks are at most
+(:func:`stepgap.pauli.boundary_map`) in place of an unfold and a fold
+through the two segments' gates.  Where blocks are at most
 :data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise segment), the
 held rows' blocks split once per call into mean diagonals, which only add a
 phase, and traceless parts, whose distinct values batched ``eigh`` calls
@@ -199,13 +199,10 @@ def _segment_parity(tapering: Tapering, held: np.ndarray,
 
 
 def _crossings(segments: list[Segment]):
-    """Per boundary, :func:`stepgap.pauli.boundary_map` where that is fewer
-    gathers than the Hadamards of the unfold and fold it replaces; and the
-    maps' unit factors' product, read off e_0 through them all."""
+    """Per boundary, :func:`stepgap.pauli.boundary_map`; and the maps' unit
+    factors' product, read off e_0 through them all."""
     taperings = [segment.tapering for segment in segments]
-    crossings = [boundary_map(a, b, sum(bool(xs) for t in (a, b)
-                                        for _, xs, _, _ in t.steps))
-                 for a, b in zip(taperings, taperings[1:])]
+    crossings = [boundary_map(a, b) for a, b in zip(taperings, taperings[1:])]
     rows = taperings[0].fold(basis_state(segments[0].operators[0].n, 0))
     for crossing in crossings:
         rows = crossing(rows)

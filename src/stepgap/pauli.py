@@ -733,15 +733,17 @@ def taper(*ops: OperatorSum) -> Tapering:
                           for a, b in zip(cuts, cuts[1:])), tuple(steps))
 
 
-def boundary_map(a: Tapering, b: Tapering, below: int | None = None):
+def boundary_map(a: Tapering, b: Tapering):
     """``T = C_b C_a^dagger``, from rows folded by `a` to rows folded by
     `b`, up to a unit factor: 2^h gathers with phases, held as one index
-    gather and one byte per term and index, where 2^h < `below` (else the
-    unfold by `a` and the fold by `b`).  X_j, Z_j carried back through the
-    steps of `b` and on through `a`'s are ``U X_j U^dagger = i^q X^x Z^z``
-    (``U = T^dagger``) and the stabilizers of ``phi = U|0>``; with ``U|j> =
-    i^Q X^A Z^B phi``, ``(T v)[j]`` sums ``conj(i^Q (-1)^popcount(B & y)
-    phi_y) v[A ^ y]`` over the 2^h support of phi."""
+    gather and one byte per term and index; where neither has steps, the
+    unfold by `a` and the fold by `b`, two reshapes.  X_j, Z_j carried back
+    through the steps of `b` and on through `a`'s are ``U X_j U^dagger =
+    i^q X^x Z^z`` (``U = T^dagger``) and the stabilizers of ``phi = U|0>``;
+    with ``U|j> = i^Q X^A Z^B phi``, ``(T v)[j]`` sums ``conj(i^Q
+    (-1)^popcount(B & y) phi_y) v[A ^ y]`` over the 2^h support of phi."""
+    if not (a.steps or b.steps):
+        return lambda rows: b.fold(a.unfold(rows))
     n = a.operators[0].n
     tableau = _Tableau(n, [(1 << j, 0, 0) for j in range(n)]
                        + [(0, 1 << j, 0) for j in range(n)])
@@ -762,8 +764,6 @@ def boundary_map(a: Tapering, b: Tapering, below: int | None = None):
             lead[x.bit_length() - 1] = x, z, q
         else:
             checks.append(z << 1 | q >> 1 & 1)
-    if below is not None and 1 << len(lead) >= below:
-        return lambda rows: b.fold(a.unfold(rows))
     # phi = prod (1 + g) |y0> / 2^(h/2), g|y> = i^q (-1)^(z.y) |y ^ x>
     support, phases = [_null_space(checks, n + 1)[0] >> 1], [0]
     for px, pz, pq in lead.values():

@@ -401,13 +401,10 @@ def test_all_distinct_blocks_match_dense_cf4(path, seed):
 
 
 @st.composite
-def crossed_paths(draw):
-    """A planted path, or a stepwise path on at most 10 qubits."""
-    family = draw(st.sampled_from(["planted", "ising-stepwise",
-                                   "cluster1d-stepwise",
+def stepwise_paths(draw):
+    """A stepwise path on at most 10 qubits."""
+    family = draw(st.sampled_from(["ising-stepwise", "cluster1d-stepwise",
                                    "cluster2d-stepwise"]))
-    if family == "planted":
-        return draw(planted_paths())
     if family == "cluster2d-stepwise":
         width, height = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
         return make_path(family, width=width, height=height)
@@ -415,35 +412,38 @@ def crossed_paths(draw):
 
 
 @settings(max_examples=30)
-@given(crossed_paths(), st.integers(0, 2**32 - 1))
-def test_boundary_maps_cross_like_unfold_then_fold(path, seed):
+@given(planted_paths(), stepwise_paths(), st.integers(0, 2**32 - 1))
+def test_boundary_maps_cross_like_unfold_then_fold(planted, stepwise, seed):
+    # a planted path in every example: only its taperings carry S gates
     rng = np.random.default_rng(seed)
 
-    def random_state():
-        psi = rng.normal(size=1 << path.n) + 1j * rng.normal(size=1 << path.n)
+    def random_state(n):
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         return psi / np.linalg.norm(psi)
 
-    segments = [Segment(*path.segment(k)) for k in range(path.segment_count)]
-    taperings = [segment.tapering for segment in segments]
-    # every boundary's map, taken or not, both ways, and each segment's map
-    # to itself are the unfold and the fold up to one unit factor
-    pairs = list(zip(taperings, taperings[1:]))
-    pairs += [(b, a) for a, b in pairs] + [(a, a) for a in taperings]
-    for a, b in pairs:
-        rows = random_state().reshape(-1, a.block_dim)
-        want = b.fold(a.unfold(rows))
-        got = boundary_map(a, b)(rows)
-        unit = np.vdot(got, want)
-        assert abs(abs(unit) - 1.0) < 1e-12
-        assert np.abs(unit * got - want).max() < 1e-12
-    # with the unit factors taken out, the first fold, the crossings and
-    # the last unfold are the identity
-    psi = random_state()
-    crossings, unit = dynamics._crossings(segments)
-    rows = taperings[0].fold(psi) / unit
-    for crossing in crossings:
-        rows = crossing(rows)
-    assert np.abs(taperings[-1].unfold(rows) - psi).max() < 1e-12
+    for path in planted, stepwise:
+        segments = [Segment(*path.segment(k))
+                    for k in range(path.segment_count)]
+        taperings = [segment.tapering for segment in segments]
+        # every boundary's map, both ways, and each segment's map to itself
+        # are the unfold and the fold up to one unit factor
+        pairs = list(zip(taperings, taperings[1:]))
+        pairs += [(b, a) for a, b in pairs] + [(a, a) for a in taperings]
+        for a, b in pairs:
+            rows = random_state(path.n).reshape(-1, a.block_dim)
+            want = b.fold(a.unfold(rows))
+            got = boundary_map(a, b)(rows)
+            unit = np.vdot(got, want)
+            assert abs(abs(unit) - 1.0) < 1e-12
+            assert np.abs(unit * got - want).max() < 1e-12
+        # with the unit factors taken out, the first fold, the crossings
+        # and the last unfold are the identity
+        psi = random_state(path.n)
+        crossings, unit = dynamics._crossings(segments)
+        rows = taperings[0].fold(psi) / unit
+        for crossing in crossings:
+            rows = crossing(rows)
+        assert np.abs(taperings[-1].unfold(rows) - psi).max() < 1e-12
 
 
 def test_intermediate_segments_build_no_gates(monkeypatch):
