@@ -9,6 +9,7 @@ codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -308,6 +309,7 @@ def _add_output(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
     p.add_argument("--format", default=formats[0], choices=formats)
 
 
+@functools.cache  # one parser per process, shared by in-process callers
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stepgap",

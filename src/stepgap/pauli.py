@@ -800,8 +800,9 @@ class ProjectorSum:
     costs one dot product per vector, :meth:`to_dense` builds the matrix
     only on request, and sums and scalar multiples concatenate vectors and
     scale weights, so :func:`blend` of two of them keeps the form.  Every
-    vector orthogonal to the psi_j has eigenvalue `shift`, which
-    :func:`stepgap.spectra.lowest_eigenpairs` uses to solve it exactly.
+    vector orthogonal to the psi_j has eigenvalue `shift`, so one small
+    basis (:func:`stepgap.spectra._projector_basis`) solves every weighted
+    sum of a path segment's projector sums exactly.
     """
 
     n: int

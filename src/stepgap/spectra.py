@@ -1,14 +1,15 @@
 """Numerical eigensolution and gap curves along interpolation paths.
 
 Low-lying spectra come from dense diagonalization for small registers and
-from a matrix-free Lanczos solver (ARPACK) above that.  A projector sum
-(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) is solved exactly
-instead: the span of its vectors is invariant and its complement
-one degenerate level, so a Rayleigh-Ritz step on that span plus a few
-fixed random directions yields the lowest eigenpairs without iteration; it
-is refused, like the dense route, where its basis would outgrow a dense
-matrix of :data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Start vectors,
-Lanczos and projector alike, are fixed, so a solve repeats exactly.
+from a matrix-free Lanczos solver (ARPACK) above that.  Projector sums
+(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) are solved exactly
+instead: the span of their vectors is invariant and its complement one
+degenerate level per sum, so a Rayleigh-Ritz step on that span plus a few
+fixed random directions yields the lowest eigenpairs of every weighted sum
+of them without iteration; it is refused, like the dense route, where its
+basis would outgrow a dense matrix of
+:data:`~stepgap.pauli.DENSE_QUBIT_CAP` qubits.  Start vectors, Lanczos and
+projector alike, are fixed, so a solve repeats exactly.
 
 Symmetry is handled by construction, by one mechanism, the
 :class:`Segment`: operators (a path segment's two ends, a lone operator,
@@ -16,9 +17,10 @@ or all of a path's) tapered once under one map
 (:func:`stepgap.pauli.taper`), which splits every weighted sum of them into
 blocks, one per joint eigenvalue of their commuting Pauli symmetries.
 Blocks at most :data:`DENSE_SOLVE_DIM` wide are solved together as one
-batched dense stack, weighted from stacks built once and kept; wider ones,
-and the one full-space block of projector sums, one by one by the
-eigensolver above.  Vectors are lifted to the full space through the
+batched dense stack, weighted from stacks built once and kept; wider ones
+one by one by the eigensolver above.  Projector sums are one full-space
+block, solved from one Rayleigh-Ritz basis per segment, likewise built
+once and kept.  Vectors are lifted to the full space through the
 recorded Clifford map.  When ``X^n`` is a symmetry, half the blocks make up
 the even sector and half the odd one, so every level carries its sector by
 construction.  Gap scans, sector levels, `evolve`, its target and
@@ -34,7 +36,8 @@ golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
 starts at a point whose gap is already known, so no gap is computed twice.
 A sample is the segment's two lowest levels at local s in the sector's
 blocks: one batched ``eigvalsh`` where they are narrow, which a stepwise
-segment leaves at 2 x 2 or 4 x 4 for any n.
+segment leaves at 2 x 2 or 4 x 4 for any n, and one small ``eigvalsh`` in
+the kept basis of a projector segment, 4 x 4 on the EC3 path for any n.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     """The `count` smallest eigenvalues of a Hermitian operator.
 
     `method` is ``dense``, ``lanczos`` or ``auto``; auto solves a
-    :class:`~stepgap.pauli.ProjectorSum` exactly (:func:`_projector_eigh`)
+    :class:`~stepgap.pauli.ProjectorSum` exactly (:func:`_projector_basis`)
     and otherwise picks the dense LAPACK route for small dimensions and the
     matrix-free Lanczos solver above.  `tol` is the Lanczos (ARPACK)
     tolerance; the Lanczos route starts from a fixed vector and raises
@@ -128,7 +131,8 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and isinstance(op, ProjectorSum):
-        return _projector_eigh(op, count, want_vectors)
+        q, (small,) = _projector_basis((op,), count)
+        return _projector_eigh(q, small, count, want_vectors)
     if method == "auto":
         small = dim <= DENSE_SOLVE_DIM or count > dim // 3
         method = "dense" if small and op.n <= DENSE_QUBIT_CAP else "lanczos"
@@ -164,21 +168,22 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     return SpectrumResult(np.sort(out))
 
 
-def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool
-                    ) -> SpectrumResult:
-    """Exact lowest eigenpairs of ``shift - sum_j w_j |psi_j><psi_j|``.
+def _projector_basis(ops, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, S)``: a Rayleigh-Ritz basis exact for every weighted sum of the
+    projector sums `ops`, with ``S[k] = Q^T ops[k] Q``.
 
-    span{psi_j} is invariant and every vector orthogonal to it has
-    eigenvalue `shift`, so the span of ``Q = qr([psi_1 ... psi_r, R])``,
-    with `count` fixed random columns R, is invariant and holds the
-    lowest `count` eigenpairs.  Rayleigh-Ritz on it, ``eigh(Q^T H Q)``, costs
-    O(2^n (r + count)^2) and gives them to rounding.  Repeated or linearly
-    dependent psi_j are fine: the QR factor Q stays orthonormal.  A basis
-    larger than a dense matrix of DENSE_QUBIT_CAP qubits is refused before
-    it is allocated.
+    Each ``shift_k - sum_j w_kj |psi_kj><psi_kj|`` leaves span{psi} (all
+    vectors of all `ops`) invariant and is `shift_k` on its complement, so
+    ``Q = qr([psi ..., R])``, with `count` fixed random columns R, spans an
+    invariant subspace holding at least `count` complement directions: the
+    lowest `count` eigenpairs of any ``sum_k c_k ops[k]`` are those of
+    ``sum_k c_k S[k]``, to rounding, for every weight vector.  Repeated or
+    linearly dependent psi are fine: the QR factor Q stays orthonormal.  A
+    basis larger than a dense matrix of DENSE_QUBIT_CAP qubits is refused
+    before it is allocated.
     """
-    dim = 1 << op.n
-    rank = len(op.vectors)
+    dim = 1 << ops[0].n
+    rank = sum(len(op.vectors) for op in ops)
     columns = min(dim, rank + count)
     if dim * columns > 4 ** DENSE_QUBIT_CAP:
         raise ValueError(
@@ -186,13 +191,23 @@ def _projector_eigh(op: ProjectorSum, count: int, want_vectors: bool
             f"exceeds a dense matrix of {DENSE_QUBIT_CAP} qubits")
     extra = max(0, columns - rank)
     rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(np.hstack([op.vectors.T,
-                                   rng.standard_normal((dim, extra))]))
-    proj = op.vectors @ q
-    small = op.shift * np.eye(q.shape[1]) - (proj.T * op.weights) @ proj
-    w, u = scipy.linalg.eigh(small)
-    vectors = q @ u[:, :count] if want_vectors else None
-    return SpectrumResult(w[:count], vectors)
+    q, _ = np.linalg.qr(np.hstack([op.vectors.T for op in ops]
+                                  + [rng.standard_normal((dim, extra))]))
+    eye = np.eye(q.shape[1])
+    projections = [(op, op.vectors @ q) for op in ops]
+    return q, np.stack([op.shift * eye - (p.T * op.weights) @ p
+                        for op, p in projections])
+
+
+def _projector_eigh(q: np.ndarray, small: np.ndarray, count: int,
+                    want_vectors: bool) -> SpectrumResult:
+    """The `count` lowest eigenpairs of a projector sum from its
+    :func:`_projector_basis` Q and ``small = Q^T H Q``: one ``eigh`` of
+    `small`, vectors ``Q u``."""
+    if not want_vectors:
+        return SpectrumResult(np.linalg.eigvalsh(small)[:count])
+    w, u = np.linalg.eigh(small)
+    return SpectrumResult(w[:count], q @ u[:, :count])
 
 
 def _check_sector(ops, sector: str) -> None:
@@ -217,7 +232,8 @@ class Segment:
     Projector sums have no Pauli symmetries: their `tapering` has no
     generators, one full-space block with the identity fold and unfold.
     Each operator's stacks, over a range or an array of blocks, and its
-    block sums are built on first use and kept.
+    block sums are built on first use and kept; so is, per `count`, the
+    :func:`_projector_basis` of a segment's one or two projector sums.
     """
 
     def __init__(self, *ops):
@@ -259,15 +275,25 @@ class Segment:
         over `blocks`, vectors lifted to the full space.
 
         Blocks at most DENSE_SOLVE_DIM wide are one batched dense solve of
-        the weighted stacks; wider ones, and a projector sum's block, one
-        :func:`lowest_eigenpairs` each of the block operator, with
-        `solver`.  Levels merge by value, the lower block first on ties,
+        the weighted stacks; wider ones one :func:`lowest_eigenpairs` each
+        of the block operator, with `solver`.  One or two projector sums
+        are one small solve of the weighted kept basis matrices; more of
+        them, or an explicit dense or lanczos `method`, one
+        :func:`lowest_eigenpairs` of their weighted sum.  Levels merge by value, the lower block first on ties,
         and carry their parity where ``X^n`` is a generator; without
         generators the one block's solve is the result.
         """
         dim = self.tapering.block_dim
         if not 1 <= count <= len(blocks) * dim:
             raise ValueError(f"count {count} outside 1..{len(blocks) * dim}")
+        # a path's many operators would each widen the basis and its refusal
+        if not self._pauli and len(self.operators) <= 2 \
+                and solver.get("method", "auto") == "auto":
+            if count not in self._stacks:
+                self._stacks[count] = _projector_basis(self.operators, count)
+            q, small = self._stacks[count]
+            weighted = sum(w * x for w, x in zip(weights, small))
+            return _projector_eigh(q, weighted, count, want_vectors)
         if not (self.tapering.generators or self.stacked(DENSE_SOLVE_DIM)):
             return lowest_eigenpairs(self.block(weights, 0), count,
                                      want_vectors=want_vectors, **solver)

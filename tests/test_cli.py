@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepgap
 from stepgap import ec3
 from stepgap.cli import (EXIT_CONFIG, EXIT_OK, _parse_tau_grid, build_parser,
                          main)
@@ -379,6 +384,45 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "ec3": {"--instance", "--order", "--seed", "--out", "--format"},
         "verify": {"--check", "--n-list", "--points", "--kappa-max"},
     }
+
+
+def _without_wall_clock(text):
+    if text.startswith("{"):
+        doc = json.loads(text)
+        del doc["meta"]["wall_seconds"]
+        return doc
+    return strip_wall_clock(text)
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # a refused option, then two subcommands, all through the one parser:
+    # each prints what it prints in a process of its own
+    inst = tmp_path / "inst.txt"
+    inst.write_text("4 2\n1 2 3\n2 3 4\n")
+    calls = (["spectrum", "--family", "ising-linear", "--n", "4",
+              "--count", "2", "--bogus"],
+             ["spectrum", "--family", "ising-linear", "--n", "4", "--s",
+              "0.5", "--count", "4"],
+             ["ec3", "--instance", str(inst), "--format", "json"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(stepgap.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from stepgap.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, check=False)
+        assert code == fresh.returncode
+        assert (_without_wall_clock(got.out)
+                == _without_wall_clock(fresh.stdout))
+        assert got.err == fresh.stderr
+    assert code == EXIT_OK and fresh.returncode == EXIT_OK
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -632,6 +632,27 @@ def test_target_sector_is_the_block_evolve_runs_in():
         pytest.approx(-1.0, abs=1e-12)
 
 
+def test_projector_target_factors_the_final_operator_alone(monkeypatch):
+    # the target of a projector path weighs its last operator alone, so
+    # its basis is that operator's one vector and one random column, not
+    # a column for every operator of the path
+    from stepgap.ec3 import Ec3Instance, solution_superposition
+    inst = Ec3Instance(6, ((1, 2, 3), (4, 5, 6), (1, 4, 5), (2, 3, 6)))
+    path = make_path("ec3-projector", instance=inst)
+    factored, qr = [], np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        factored.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    target = evolution_target(path)
+    assert len(path.operators) == 5
+    assert factored == [(64, 2)]
+    assert fidelity(target, solution_superposition(inst, (0, 1, 2, 3), 4)) \
+        == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # runtime scaling
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_dynamics import planted_paths
+from test_pauli import projector_sums
 
 from stepgap import spectra
 from stepgap.models import (
@@ -14,8 +15,8 @@ from stepgap.models import (
     ising_step_hamiltonian,
     make_path,
 )
-from stepgap.pauli import (OperatorSum, PauliString, blend, ghz_state,
-                           parity_expectation, taper)
+from stepgap.pauli import (OperatorSum, PauliString, ProjectorSum, blend,
+                           ghz_state, parity_expectation, taper)
 from stepgap.spectra import (
     ConvergenceError,
     GapCurve,
@@ -98,6 +99,28 @@ def test_count_validation_and_vectors():
 def test_spectrum_result_requires_ascending():
     with pytest.raises(ValueError):
         SpectrumResult(np.array([1.0, 0.0]))
+
+
+@given(projector_sums())
+def test_projector_segment_kept_basis_matches_dense_blend(case):
+    # one segment answers every s from the basis it builds first, the
+    # ends included, where one operator's weight is zero; the second
+    # operator is the strategy's, whose vector is one of op's, and one
+    # whose vector lies outside op's span
+    op, oracle, psi, count, other, s = case
+    for second in (other, ProjectorSum.complement(psi / np.linalg.norm(psi))):
+        segment = Segment(op, second)
+        blocks = segment.sector("all")
+        for t in (s, 0.0, 1.0, 0.5, s):
+            blend_t = (1 - t) * oracle + t * second.to_dense()
+            want = np.linalg.eigvalsh(blend_t)[:count]
+            res = segment.levels((1 - t, t), blocks, count)
+            bare = segment.levels((1 - t, t), blocks, count,
+                                  want_vectors=False)
+            for got in (res.eigenvalues, bare.eigenvalues):
+                assert np.abs(got - want).max() <= 1e-12
+            for lam, v in zip(res.eigenvalues, res.eigenvectors.T):
+                assert np.linalg.norm(blend_t @ v - lam * v) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +512,40 @@ def test_projector_scan_is_one_block_solve_per_evaluation(monkeypatch):
     monkeypatch.setattr(spectra, "sector_gap",
                         lambda *args, **kw: per_sample.append(args))
     # a projector segment is one full-space block, solved once per
-    # evaluation with the caller's method; a Pauli path's method reaches
-    # its wide blocks alone, here the even and the odd one
+    # evaluation with the caller's explicit method; a Pauli path's method
+    # reaches its wide blocks alone, here the even and the odd one
     inst = Ec3Instance(6, ((1, 2, 3), (4, 5, 6)))
     projectors = InterpolationPath(projector_hamiltonian(inst, (0, 1)),
                                    (1.0, 1.0))
     for path, solver, want in (
             (projectors, {"method": "dense"}, [(6, "dense")]),
-            (projectors, {}, [(6, None)]),
             (make_path("ising-stepwise", n=4), {"method": "dense"}, []),
             (make_path("ising-linear", n=10), {"method": "lanczos"},
              [(9, "lanczos")] * 2)):
         solves.clear()
         curve = gap_scan(path, points=3, **solver)
         assert solves == want * curve.evaluations
+    # with the default method a projector segment factors one kept basis
+    # when it is entered, and each evaluation solves its small blend alone
+    entered, factored = [], []
+    qr = np.linalg.qr
+
+    class Entered(Segment):
+        def __init__(self, *ops):
+            entered.append(ops)
+            super().__init__(*ops)
+
+    def counted_qr(a, *args, **kwargs):
+        factored.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "Segment", Entered)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    solves.clear()
+    curve = gap_scan(projectors, points=3)
+    assert solves == []
+    assert curve.evaluations > len(entered) >= 2
+    assert factored == [(64, 4)] * len(entered)
     assert per_sample == []
 
 
