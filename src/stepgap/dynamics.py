@@ -12,19 +12,19 @@ Each path segment is a :class:`stepgap.spectra.Segment`, built once per
 state is folded once per call into one row per block; rows that are exactly
 zero stay zero and are skipped.  A boundary takes one Clifford map
 (:func:`stepgap.pauli.boundary_map`) in place of an unfold and a fold
-through the two segments' gates.  Where blocks are at most
-:data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise segment), the
-held rows' blocks split once per call into mean diagonals, which only add a
-phase, and traceless parts, whose distinct values batched ``eigh`` calls
-exponentiate: one propagator per chunk of substeps where rows share them,
-else one exponential at a time.  Wider blocks, and a projector segment's one
-full-space block, take a Lanczos exponential that stops its Krylov space on
-an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to rounding.  The
-last segment's rows are lifted back.  Where ``X^n`` is a generator, the
-parity is read off the rows once; elsewhere the state is lifted and
-measured after each substep.  The fidelity target is the final operator's
-ground state in the block of one segment over all the path's operators that
-holds the start, else the global ground state.
+through the two segments' gates.  Blocks at most :data:`KRYLOV_DIM_MAX`
+wide (2 x 2 or 4 x 4 on a stepwise segment) come in the segment's factored
+form: constants, which only add a phase, and one traceless active matrix
+per key, which batched ``eigh`` calls exponentiate, one propagator per key
+and chunk of substeps where rows share a key, else one exponential at a
+time.  Wider blocks, and a projector segment's one full-space block, take a
+Lanczos exponential that stops its Krylov space on an a-priori bound
+(:data:`KRYLOV_TOL`).  Both are unitary to rounding.  The last segment's
+rows are lifted back.  Where ``X^n`` is a generator, the parity is read off
+the rows once; elsewhere the state is lifted and measured after each
+substep.  The fidelity target is the final operator's ground state in the
+block of one segment over all the path's operators that holds the start,
+else the global ground state.
 """
 
 from __future__ import annotations
@@ -149,28 +149,6 @@ def _cf4_parameters(m: int) -> np.ndarray:
     return (s @ [[_CF4_BETA, _CF4_ALPHA], [_CF4_ALPHA, _CF4_BETA]]).ravel()
 
 
-def _distinct_blocks(segment: Segment, held: np.ndarray):
-    """(blocks, index, means) of a segment's held rows: the traceless parts
-    of their blocks at its two ends that differ in any byte, (u, 2, d, d),
-    each row's index into them, and each row's mean diagonals, (h, 2)."""
-    stacks = np.stack([segment.tapering.stack(k, held) for k in (0, 1)], 1)
-    means = np.trace(stacks, axis1=-2, axis2=-1).real / stacks.shape[-1]
-    stacks -= means[..., None, None] * np.eye(stacks.shape[-1])
-    _, first, index = np.unique(
-        stacks.reshape(len(held), -1).view(f"V{stacks[0].nbytes}")[:, 0],
-        return_index=True, return_inverse=True)
-    return stacks[first], index, means
-
-
-def _segment_exponential(blocks: np.ndarray, m: int, chunk: int):
-    """(t, w, v) per `chunk` of a segment's m CF4 substeps: their 2c
-    parameters, (2c, 1, 1, 1), and one batched ``eigh`` of the distinct
-    traceless `blocks` blended at each, (2c, u, d) and (2c, u, d, d)."""
-    s = _cf4_parameters(m)[:, None, None, None]
-    for t in (s[i:i + 2 * chunk] for i in range(0, 2 * m, 2 * chunk)):
-        yield t, *np.linalg.eigh((1.0 - t) * blocks[:, 0] + t * blocks[:, 1])
-
-
 def _compose(p: np.ndarray) -> np.ndarray:
     """``p[-1] @ ... @ p[0]``, by pairwise batched products."""
     while len(p) > 1:
@@ -212,10 +190,9 @@ def _crossings(segments: list[Segment]):
 
 def _propagate(path: InterpolationPath, rows: np.ndarray,
                steps_per_segment: list[int], segments: list[Segment],
-               crossings: list, track_parity: bool, distinct: dict):
+               crossings: list, track_parity: bool):
     """One pass of CF4 substeps over every segment, in its blocks, from
-    the first one's `rows`; exactly-zero rows are skipped.  `distinct`
-    keeps each segment's :func:`_distinct_blocks` from pass to pass."""
+    the first one's `rows`; exactly-zero rows are skipped."""
     parities = []
     for k, segment in enumerate(segments):
         if k:
@@ -230,7 +207,7 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
         each = parity and segment.tapering.parity(0) is None
         m_seg = steps_per_segment[k]
         dt = path.durations[k] / m_seg
-        if not segment.stacked(KRYLOV_DIM_MAX):
+        if not segment.narrow(KRYLOV_DIM_MAX):
             for j, s in enumerate(_cf4_parameters(m_seg)):
                 x = np.array([_krylov_expm_apply(
                     segment.block((1.0 - s, s), b).apply, v, 0.5 * dt)
@@ -238,16 +215,16 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
                 if each and j % 2:
                     parities.append(parity(x))
         else:
-            key = k, held.tobytes()
-            if key not in distinct:
-                distinct[key] = _distinct_blocks(segment, held)
-            blocks, index, means = distinct[key]
-            # where rows share blocks, one propagator per distinct block and
-            # chunk of `share` substeps, a stack no larger than the rows';
-            # else, or to read the parity after each substep, one
-            # exponential at a time
-            share = 1 if each else len(held) // len(blocks)
-            for t, w, v in _segment_exponential(blocks, m_seg, share):
+            (index, c0, a0), (_, c1, a1) = (segment.factor(j, held)
+                                            for j in (0, 1))
+            # rows that share a key share one propagator per chunk of
+            # `share` substeps, a stack no larger than the rows'; else, or to
+            # read the parity after each substep, one exponential at a time
+            share = 1 if each else len(held) // len(a0)
+            s = _cf4_parameters(m_seg)[:, None, None, None]
+            for i in range(0, 2 * m_seg, 2 * share):
+                t = s[i:i + 2 * share]
+                w, v = np.linalg.eigh((1.0 - t) * a0 + t * a1)
                 if share > 1:
                     e = v * np.exp(-0.5j * dt * w)[..., None, :] @ v.conj().mT
                     x = np.einsum("hij,hj->hi", _compose(e)[index], x)
@@ -256,13 +233,13 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
                     y = np.einsum("hji,hj->hi", vh.conj(), x)
                     x = np.einsum("hij,hj->hi", vh, np.exp(-0.5j * dt * wh) * y)
                 if each:
-                    # the means commute, and add their phase at the midpoint
-                    c = means @ (1.0 - t.mean(), t.mean())
+                    # the constants commute: their phase at the midpoint
+                    c = (1.0 - t.mean()) * c0 + t.mean() * c1
                     x *= np.exp(-1j * dt * c)[:, None]
                     parities.append(parity(x))
             if not each:
-                # the means' phase over the whole segment
-                x *= np.exp(-0.5j * path.durations[k] * means.sum(1))[:, None]
+                # the constants' phase over the whole segment
+                x *= np.exp(-0.5j * path.durations[k] * (c0 + c1))[:, None]
         rows = np.zeros(rows.shape, dtype=complex)
         rows[held] = x
     psi = segments[-1].tapering.unfold(rows)
@@ -279,10 +256,13 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     the final fidelity (against `target`, or against the previous
     refinement's final state when no target is given) moves by less than
     `accuracy`.  Raises :class:`ConvergenceError` after
-    :data:`MAX_REFINEMENTS` doublings.
+    :data:`MAX_REFINEMENTS` doublings; ValueError, before any pass, unless
+    `tau` (:meth:`InterpolationPath.rescaled`) and `accuracy` are finite
+    and positive.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < accuracy < np.inf:
+        raise ValueError(f"accuracy must be finite and positive, got "
+                         f"{accuracy}")
     if n_qubits(psi0) != path.n:
         raise ValueError(
             f"state is on {n_qubits(psi0)} qubits, path on {path.n}")
@@ -299,12 +279,11 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     # the maps' unit factors taken out of the start once for every pass
     crossings, unit = _crossings(segments)
     rows = segments[0].tapering.fold(psi0.astype(complex)) / unit
-    distinct: dict = {}
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
         psi, step_count, parity_range = _propagate(
-            run, rows, steps, segments, crossings, track_parity, distinct)
+            run, rows, steps, segments, crossings, track_parity)
         if target is not None:
             metric = fidelity(psi, target)
         else:
@@ -359,9 +338,12 @@ def runtime_for_fidelity(family: str, n: int, f_target: float, tau_grid,
 
     Starts from the uniform superposition on the path ``make_path(family,
     n=n)``, scans `tau_grid` in ascending order and stops at the first hit;
-    a row with ``reached=False`` marks an unreachable target.
+    a row with ``reached=False`` marks an unreachable target.  Every
+    runtime is checked as :func:`evolve` checks it before the first run.
     """
     taus = [float(t) for t in tau_grid]
+    if not all(0 < tau < np.inf for tau in taus):
+        raise ValueError(f"tau must be finite and positive, got {taus}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be strictly increasing")
     from .models import make_path

@@ -393,8 +393,8 @@ class InterpolationPath:
 
     def rescaled(self, tau: float) -> "InterpolationPath":
         """Same geometry with durations scaled to a total runtime `tau`."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < np.inf:
+            raise ValueError(f"tau must be finite and positive, got {tau}")
         factor = tau / self.tau
         return InterpolationPath(
             self.operators, tuple(d * factor for d in self.durations),

@@ -25,9 +25,10 @@ Conventions used throughout the package:
   sum is block diagonal, one block per joint eigenvalue of the symmetries,
   and the blocks' spectra together are the full spectrum.  Sums tapered
   together share the map, so every weighted sum of them is block diagonal
-  too.  A block comes as a dense stack (:meth:`Tapering.stack`) or as a
-  sum on the untapered qubits (:meth:`Tapering.block`); the map is kept as
-  its gates, which carry states to the blocks and back
+  too.  A block comes as a sum on the untapered qubits
+  (:meth:`Tapering.block`) or as a constant plus the active matrix of its
+  key, which blocks with the same key share (:meth:`Tapering.factor`);
+  the map is kept as its gates, which carry states to the blocks and back
   (:meth:`Tapering.fold`, :meth:`Tapering.unfold`, :meth:`Tapering.lift`).
   When the bit-flip string ``X^n`` is a symmetry, its blocks make up the
   even and odd parity sectors.
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, or_
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -455,37 +456,45 @@ class Tapering:
         half = 1 << (r - 1)
         return range(half) if name == "even" else range(half, 1 << r)
 
-    def stack(self, k: int, blocks) -> np.ndarray:
-        """Blocks `blocks` (any sequence of block indices) of
-        ``operators[k]`` as dense matrices, stacked ``(len(blocks), d, d)``
-        with d = :attr:`block_dim`, built from the terms on those blocks
-        alone; refused, before anything is allocated, above
-        :data:`STATE_QUBIT_CAP` qubits and when they exceed a dense matrix
-        of :data:`DENSE_QUBIT_CAP` qubits."""
+    def factor(self, k: int, blocks) -> tuple:
+        """``(index, consts, actives)`` of ``operators[k]`` on `blocks` (any
+        sequence of block indices): block ``blocks[i]`` is ``consts[i] * 1
+        + actives[index[i]]``.  The terms that are the identity on the
+        untapered qubits make up `consts`; the others read only the key
+        bits, so one traceless d x d matrix serves each key ``b & mask``
+        present, ascending, the mask the bits they read in every operator.
+        Refused, before anything is allocated, above STATE_QUBIT_CAP qubits
+        and where the actives could outgrow DENSE_QUBIT_CAP dense qubits."""
         op, dim = self.operators[k], self.block_dim
         check_state_qubits(op.n)
-        if len(blocks) * dim * dim > 4 ** DENSE_QUBIT_CAP:
+        # z // dim: the tapered bits of z, which read the block index
+        mask = reduce(or_, (t.z // dim for o in self.operators
+                            for t in o.terms if t.x or t.z % dim), 0)
+        most = min(len(blocks), 1 << mask.bit_count())
+        if most * dim * dim > 4 ** DENSE_QUBIT_CAP:
             raise ValueError(
-                f"tapered blocks refused: {len(blocks)} blocks of {dim} x "
+                f"tapered blocks refused: {most} active blocks of {dim} x "
                 f"{dim} exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
-        rows = np.arange(dim)
-        idx = (np.asarray(blocks, dtype=np.intp)[:, None] * dim + rows).ravel()
-        groups: dict[int, list] = {}  # flip -> [(z, weight)]
-        for t in op.terms:
-            # <i ^ x| P |i> = c i^y (-1)^popcount(x & z) (-1)^popcount(i & z)
-            weight = t.coefficient * _Y_PHASES[t.y_count % 4]
-            groups.setdefault(t.x, []).append(
-                (t.z, -weight if (t.x & t.z).bit_count() % 2 else weight))
-        stack = np.zeros((len(blocks), dim, dim), dtype=complex if any(
+        blocks = np.arange(blocks.start, blocks.stop, blocks.step) \
+            if isinstance(blocks, range) else np.asarray(blocks, np.intp)
+        keys, index = np.unique(blocks & mask, return_inverse=True)
+        consts = np.zeros(len(blocks))
+        actives = np.zeros((len(keys), dim, dim), dtype=complex if any(
             t.y_count % 2 for t in op.terms) else float)
-        for flip, terms in groups.items():
-            # term by term, so that memory stays one amplitude per entry
-            amp = np.zeros(len(idx), dtype=stack.dtype)
-            for z, w in terms:
-                amp += np.where(np.bitwise_count(idx & z) & 1, -w, w)
-            # flip < dim: no term flips a tapered (leading) qubit
-            stack[:, rows, rows ^ flip] = amp.reshape(-1, dim)
-        return stack
+        rows = np.arange(dim)
+        idx = keys[:, None] * dim + rows
+        for t in op.terms:
+            if not (t.x or t.z % dim):
+                consts += np.where(np.bitwise_count(blocks & t.z // dim) & 1,
+                                   -t.coefficient, t.coefficient)
+                continue
+            # <i ^ x| P |i> = c i^y (-1)^popcount(x & z) (-1)^popcount(i & z)
+            w = t.coefficient * _Y_PHASES[t.y_count % 4] \
+                * (-1) ** (t.x & t.z).bit_count()
+            # t.x < dim: no term flips a tapered (leading) qubit
+            actives[:, rows, rows ^ t.x] += np.where(
+                np.bitwise_count(idx & t.z) & 1, -w, w)
+        return index, consts, actives
 
     def block(self, k: int, b: int) -> OperatorSum:
         """Block b of ``operators[k]`` as a sum on the n - r untapered

@@ -15,16 +15,16 @@ Symmetry is handled by construction, by one mechanism, the
 :class:`Segment`: operators (a path segment's two ends, a lone operator,
 or all of a path's) tapered once under one map
 (:func:`stepgap.pauli.taper`), which splits every weighted sum of them into
-blocks, one per joint eigenvalue of their commuting Pauli symmetries.
-Blocks at most :data:`DENSE_SOLVE_DIM` wide are solved together as one
-batched dense stack, weighted from stacks built once and kept; wider ones
-one by one by the eigensolver above.  Projector sums are one full-space
-block, solved from one Rayleigh-Ritz basis per segment, likewise built
-once and kept.  Vectors are lifted to the full space through the
-recorded Clifford map.  When ``X^n`` is a symmetry, half the blocks make up
-the even sector and half the odd one, so every level carries its sector by
-construction.  Gap scans, sector levels, `evolve`, its target and
-`verify`'s level checks all solve through it.
+blocks, one per joint eigenvalue of their commuting Pauli symmetries.  A
+block at most :data:`DENSE_SOLVE_DIM` wide is a constant plus the active
+matrix of its key (:meth:`stepgap.pauli.Tapering.factor`): one batched
+solve of the keys' weighted active matrices solves them all.  Wider blocks
+are solved one by one by the eigensolver above, a projector segment's one
+block in its kept Rayleigh-Ritz basis.  Vectors are lifted to the full
+space through the recorded Clifford map.  When ``X^n`` is a symmetry, half
+the blocks make up the even sector and half the odd one, so every level
+carries its sector by construction.  Gap scans, sector levels, `evolve`,
+its target and `verify`'s level checks all solve through it.
 
 The eigensolver's two settings, `method` and `tol`, are named on
 :func:`lowest_eigenpairs` alone and pick the solver of each wide block;
@@ -35,9 +35,9 @@ dip between tied samples, by Brent's method (parabolic steps with a
 golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
 starts at a point whose gap is already known, so no gap is computed twice.
 A sample is the segment's two lowest levels at local s in the sector's
-blocks: one batched ``eigvalsh`` where they are narrow, which a stepwise
-segment leaves at 2 x 2 or 4 x 4 for any n, and one small ``eigvalsh`` in
-the kept basis of a projector segment, 4 x 4 on the EC3 path for any n.
+blocks: on a stepwise chain segment one batched ``eigvalsh`` of at most
+two active matrices, 2 x 2 or 4 x 4, for any n, on a projector segment one
+small ``eigvalsh`` in the kept basis, 4 x 4 on the EC3 path for any n.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .pauli import (DENSE_QUBIT_CAP, OperatorSum, ProjectorSum, Tapering,
 
 #: Up to this dimension the dense solver is used even when not forced:
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
-#: Tapered blocks no wider are solved as one batched dense stack.
+#: Tapered blocks no wider are solved in factored form.
 DENSE_SOLVE_DIM = 256
 
 #: Gap samples closer than this to the smallest one count as tied.
@@ -229,9 +229,11 @@ def _check_sector(ops, sector: str) -> None:
 class Segment:
     """Operators tapered once under one map, solved block by block.
 
-    Projector sums have no Pauli symmetries: their `tapering` has no
-    generators, one full-space block with the identity fold and unfold.
-    Each operator's stacks, over a range or an array of blocks, and its
+    A narrow block is a constant plus the active matrix of its key
+    (:meth:`stepgap.pauli.Tapering.factor`), a wide one a sum on the
+    untapered qubits.  Projector sums have no Pauli symmetries: their
+    `tapering` has no generators, one full-space block with the identity
+    fold and unfold.  Each operator's factors over a set of blocks and its
     block sums are built on first use and kept; so is, per `count`, the
     :func:`_projector_basis` of a segment's one or two projector sums.
     """
@@ -241,25 +243,26 @@ class Segment:
         self._pauli = all(isinstance(op, OperatorSum) for op in ops)
         self.tapering = taper(*ops) if self._pauli \
             else Tapering((), (), ops, ())
-        self._stacks, self._blocks = {}, {}
+        self._factors, self._blocks, self._bases = {}, {}, {}
 
     def sector(self, name: str) -> range:
         """The blocks of sector `name`; refusals as :func:`_check_sector`."""
         _check_sector(self.operators, name)
         return self.tapering.sector(name)
 
-    def stacked(self, limit: int) -> bool:
-        """Whether blocks at most `limit` wide come as dense stacks."""
+    def narrow(self, limit: int) -> bool:
+        """Whether blocks at most `limit` wide come in factored form."""
         return self._pauli and self.tapering.block_dim <= limit
 
-    def stack(self, k: int, blocks) -> np.ndarray:
-        """`blocks` of operator k as a dense stack
-        (:meth:`stepgap.pauli.Tapering.stack`, with its refusals)."""
+    def factor(self, k: int, blocks) -> tuple:
+        """``(index, consts, actives)`` of operator k on `blocks`
+        (:meth:`stepgap.pauli.Tapering.factor`, with its refusals)."""
         # a range keys itself: its blocks are never listed
-        key = k, blocks if isinstance(blocks, range) else tuple(blocks)
-        if key not in self._stacks:
-            self._stacks[key] = self.tapering.stack(k, blocks)
-        return self._stacks[key]
+        key = k, blocks if isinstance(blocks, range) \
+            else np.asarray(blocks, np.intp).tobytes()
+        if key not in self._factors:
+            self._factors[key] = self.tapering.factor(k, blocks)
+        return self._factors[key]
 
     def block(self, weights, b: int):
         """Block b of ``sum_k weights[k] * operators[k]`` as an operator
@@ -274,14 +277,13 @@ class Segment:
         """The `count` lowest levels of ``sum_k weights[k] * operators[k]``
         over `blocks`, vectors lifted to the full space.
 
-        Blocks at most DENSE_SOLVE_DIM wide are one batched dense solve of
-        the weighted stacks; wider ones one :func:`lowest_eigenpairs` each
-        of the block operator, with `solver`.  One or two projector sums
-        are one small solve of the weighted kept basis matrices; more of
-        them, or an explicit dense or lanczos `method`, one
-        :func:`lowest_eigenpairs` of their weighted sum.  Levels merge by value, the lower block first on ties,
-        and carry their parity where ``X^n`` is a generator; without
-        generators the one block's solve is the result.
+        Narrow blocks take one batched dense solve of the weighted active
+        matrices, a block's levels its key's plus its weighted constant;
+        wider ones one :func:`lowest_eigenpairs` each, with `solver`.  One
+        or two projector sums are one small solve of the weighted kept
+        basis matrices; more, or an explicit dense or lanczos `method`,
+        that of their one block.  Levels merge by value, the lower block
+        first on ties, with their parity where ``X^n`` is a generator.
         """
         dim = self.tapering.block_dim
         if not 1 <= count <= len(blocks) * dim:
@@ -289,19 +291,20 @@ class Segment:
         # a path's many operators would each widen the basis and its refusal
         if not self._pauli and len(self.operators) <= 2 \
                 and solver.get("method", "auto") == "auto":
-            if count not in self._stacks:
-                self._stacks[count] = _projector_basis(self.operators, count)
-            q, small = self._stacks[count]
+            if count not in self._bases:
+                self._bases[count] = _projector_basis(self.operators, count)
+            q, small = self._bases[count]
             weighted = sum(w * x for w, x in zip(weights, small))
             return _projector_eigh(q, weighted, count, want_vectors)
-        if not (self.tapering.generators or self.stacked(DENSE_SOLVE_DIM)):
-            return lowest_eigenpairs(self.block(weights, 0), count,
-                                     want_vectors=want_vectors, **solver)
-        if self.stacked(DENSE_SOLVE_DIM):
-            stack = reduce(add, (w * self.stack(k, blocks)
-                                 for k, w in enumerate(weights) if w))
-            w, v = np.linalg.eigh(stack) if want_vectors \
-                else (np.linalg.eigvalsh(stack), None)
+        if self.narrow(DENSE_SOLVE_DIM):
+            parts = [(w, *self.factor(k, blocks))
+                     for k, w in enumerate(weights) if w]
+            index = parts[0][1]
+            active = reduce(add, (w * a for w, _, _, a in parts))
+            const = reduce(add, (w * c for w, _, c, _ in parts))
+            w, v = np.linalg.eigh(active) if want_vectors \
+                else (np.linalg.eigvalsh(active), None)
+            w = w[index] + const[:, None]
         else:
             res = [lowest_eigenpairs(self.block(weights, b), min(count, dim),
                                      want_vectors=want_vectors, **solver)
@@ -309,15 +312,19 @@ class Segment:
             w = np.stack([x.eigenvalues for x in res])
             v = np.stack([x.eigenvectors for x in res]) if want_vectors \
                 else None
-        order = np.argsort(w, axis=None, kind="stable")[:count]
+            index = np.arange(len(res))
+        # the stable argsort's first `count`, from the lowest levels alone
+        flat = w.ravel()
+        low = np.flatnonzero(flat <= np.partition(flat, count - 1)[count - 1])
+        order = low[np.argsort(flat[low], kind="stable")[:count]]
         which, level = np.divmod(order, w.shape[1])
         held = np.array([blocks[i] for i in which.tolist()], dtype=np.intp)
         vectors = None if v is None else self.tapering.lift(
-            v[which, :, level].T, held)
+            v[index[which], :, level].T, held)
         signs = self.tapering.parity(held)
         labels = None if signs is None else tuple(
             "even" if x == 1 else "odd" for x in signs.tolist())
-        return SpectrumResult(w.ravel()[order], vectors, labels)
+        return SpectrumResult(flat[order], vectors, labels)
 
 
 def sector_levels(op, sector: str, count: int = 2, want_vectors: bool = True,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stepgap
-from stepgap import ec3
+from stepgap import dynamics, ec3
 from stepgap.cli import (EXIT_CONFIG, EXIT_OK, _parse_tau_grid, build_parser,
                          main)
 from stepgap.pauli import STATE_QUBIT_CAP
@@ -205,6 +205,29 @@ def test_bad_tau_grid_is_config_error(capsys):
                            "--n-list", "3", "--tau-grid", "geom:5:1:4")
     assert code == EXIT_CONFIG
     assert "stepgap:" in err
+
+
+_EVOLVE = ["evolve", "--family", "ising-stepwise", "--n", "4"]
+_SCALING = ["scaling", "--family", "ising-stepwise", "--n-list", "4"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (_EVOLVE + ["--tau", "inf"], "tau"),
+    (_EVOLVE + ["--tau", "nan"], "tau"),
+    (_EVOLVE + ["--tau", "5", "--accuracy", "nan"], "accuracy"),
+    (_SCALING + ["--tau-grid", "1,inf"], "tau"),
+    (_SCALING + ["--tau-grid", "1,2", "--accuracy", "nan"], "accuracy"),
+], ids=["evolve-tau-inf", "evolve-tau-nan", "evolve-accuracy-nan",
+        "scaling-tau-inf", "scaling-accuracy-nan"])
+def test_unbounded_runtime_or_accuracy_refused_before_propagating(
+        argv, name, capsys, monkeypatch):
+    passes = []
+    monkeypatch.setattr(dynamics, "_propagate",
+                        lambda *args: passes.append(args))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert f"stepgap: {name} must be finite and positive" in err
+    assert passes == []
 
 
 def test_parse_tau_grid_forms():

@@ -22,6 +22,7 @@ from stepgap.pauli import (
     GateSpec,
     OperatorSum,
     PauliString,
+    Tapering,
     basis_state,
     boundary_map,
     conjugate,
@@ -153,28 +154,29 @@ def test_stepwise_ising_runs_keep_their_counts(n, tau, fid, steps):
 
 
 def test_narrow_segments_take_one_eigh_per_chunk(monkeypatch):
-    # a pass exponentiates each segment's distinct blocks in chunks of as
-    # many substeps as it holds rows per distinct block, one batched eigh
-    # a chunk, where it once took one per exponential
+    # a pass exponentiates each segment's active matrices in chunks of as
+    # many substeps as it holds rows per key, one batched eigh a chunk,
+    # where it once took one per exponential
     n, tau, fid, steps = PINNED_RUNS[0]
     path = make_path("ising-stepwise", n=n)
     psi0 = uniform_superposition(n)
     target = evolution_target(path, psi0)
     calls, shapes = [], []
-    eigh, distinct = np.linalg.eigh, dynamics._distinct_blocks
+    eigh, factor = np.linalg.eigh, Tapering.factor
 
     def recorded_eigh(a, *args, **kwargs):
-        if a.ndim == 4:  # (exponentials, distinct blocks, d, d)
+        if a.ndim == 4:  # (exponentials, keys, d, d)
             calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    def recorded_distinct(segment, held):
-        blocks, index, means = distinct(segment, held)
-        shapes.append((len(held), len(blocks)))
-        return blocks, index, means
+    def recorded_factor(tapering, k, held):
+        index, consts, actives = factor(tapering, k, held)
+        if k == 0:
+            shapes.append((len(held), len(actives)))
+        return index, consts, actives
 
     monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
-    monkeypatch.setattr(dynamics, "_distinct_blocks", recorded_distinct)
+    monkeypatch.setattr(Tapering, "factor", recorded_factor)
     res = evolve(path, psi0, tau, target=target, track_parity=True)
     assert res.step_count == steps
     assert abs(res.fidelity - fid) < 1e-9
@@ -384,13 +386,13 @@ def test_segment_blocks_match_dense_cf4(path, seed, data):
 @settings(max_examples=30)
 @given(planted_paths(), st.integers(0, 2**32 - 1))
 def test_all_distinct_blocks_match_dense_cf4(path, seed):
-    # every block of every segment has its own traceless part, so no held
-    # row shares its propagator, and a start fills every row
+    # every block of every segment has its own key, so no held row shares
+    # its propagator, and a start fills every row
     for k in range(path.segment_count):
         segment = Segment(*path.segment(k))
         held = np.arange(1 << len(segment.tapering.generators))
-        assume(segment.stacked(dynamics.KRYLOV_DIM_MAX))
-        assume(len(dynamics._distinct_blocks(segment, held)[0]) == len(held))
+        assume(segment.narrow(dynamics.KRYLOV_DIM_MAX))
+        assume(len(segment.factor(0, held)[2]) == len(held))
     rng = np.random.default_rng(seed)
     psi0 = rng.normal(size=1 << path.n) + 1j * rng.normal(size=1 << path.n)
     psi0 /= np.linalg.norm(psi0)

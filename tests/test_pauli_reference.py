@@ -324,12 +324,43 @@ def test_recorded_map_carries_states_to_the_tapered_blocks(op, seed, data):
     assert np.abs(unitary @ spread - rows.ravel()).max() < 1e-12
     assert np.abs(tapering.unfold(rows) - spread).max() < 1e-12
     assert np.array_equal(tapering.fold(spread), rows)
-    # the stack of any blocks, in any order, is their dense blocks
-    picked = data.draw(st.lists(st.integers(0, (1 << r) - 1), max_size=4))
-    dense = reference_dense(tapering.operators[0])
-    assert np.abs(tapering.stack(0, picked) - np.array(
-        [dense[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim]
-         for j in picked]).reshape(-1, dim, dim)).max(initial=0.0) < 1e-12
+
+
+def factored_blocks(tapering, k: int, blocks) -> np.ndarray:
+    """Blocks `blocks` of ``tapering.operators[k]`` rebuilt from
+    :meth:`Tapering.factor`, stacked ``(len(blocks), d, d)``."""
+    index, consts, actives = tapering.factor(k, blocks)
+    return consts[:, None, None] * np.eye(tapering.block_dim) + actives[index]
+
+
+@given(planted_symmetry_sums(), st.data())
+def test_factored_blocks_are_the_dense_blocks(op, data):
+    # one sum, or the two ends of a blend, its terms split at random and
+    # tapered under one map: for any blocks in any order, each block of
+    # each operator is its constant times 1 plus its key's active matrix
+    if data.draw(st.booleans()):
+        ops = (op,)
+    else:
+        ends = data.draw(st.lists(st.booleans(), min_size=len(op.terms),
+                                  max_size=len(op.terms)))
+        ops = tuple(OperatorSum(op.n, [t for t, e in zip(op.terms, ends)
+                                       if e == side]) for side in (0, 1))
+    tapering = taper(*ops)
+    dim, r = tapering.block_dim, len(tapering.generators)
+    picked = data.draw(st.one_of(
+        st.lists(st.integers(0, (1 << r) - 1), max_size=6),
+        st.just(range(1 << r))))
+    for k, mapped in enumerate(tapering.operators):
+        index, consts, actives = tapering.factor(k, picked)
+        # one key per distinct active part, shared by every operator
+        assert np.array_equal(index, tapering.factor(0, picked)[0])
+        assert len(actives) <= len(set(picked))
+        assert np.abs(np.trace(actives, axis1=1, axis2=2)).max(
+            initial=0.0) < 1e-12
+        dense = reference_dense(mapped)
+        assert np.abs(factored_blocks(tapering, k, picked) - np.array(
+            [dense[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim]
+             for j in picked]).reshape(-1, dim, dim)).max(initial=0.0) < 1e-12
 
 
 def reference_xz(n: int, x: int, z: int, q: int) -> np.ndarray:
@@ -436,7 +467,8 @@ def test_one_tapering_blocks_every_blend_of_two_sums(op, data):
     mixed = blend(op_a, op_b, s)
 
     def blocks(sector):
-        stack_a, stack_b = (tapering.stack(k, tapering.sector(sector))
+        stack_a, stack_b = (factored_blocks(tapering, k,
+                                            tapering.sector(sector))
                             for k in (0, 1))
         return np.sort(np.linalg.eigvalsh((1 - s) * stack_a + s * stack_b),
                        axis=None)
@@ -455,7 +487,8 @@ def test_one_tapering_blocks_every_blend_of_two_sums(op, data):
             OperatorSum(op.n, [g]))) / 2
     w, v = np.linalg.eigh(proj)
     span = v[:, w > 0.5]
-    stack_a, stack_b = (tapering.stack(k, range(b, b + 1)) for k in (0, 1))
+    stack_a, stack_b = (factored_blocks(tapering, k, range(b, b + 1))
+                        for k in (0, 1))
     assert np.abs(np.linalg.eigvalsh(span.conj().T @ full @ span)
                   - np.linalg.eigvalsh((1 - s) * stack_a[0] + s * stack_b[0])
                   ).max() < 1e-10

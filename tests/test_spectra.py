@@ -200,9 +200,31 @@ def test_sector_levels_is_one_block_solve_with_every_even_level(n,
         assert np.abs(np.column_stack([op.apply(v) for v in vecs.T])
                       - vecs * res.eigenvalues).max() < 1e-8
     # mid-segment, one qubit stays active: the even half of the 2^(n-1)
-    # blocks of 2 x 2 is one batched solve, with no other eigensolve
+    # blocks of 2 x 2 shares two active matrices, one batched solve, with
+    # no other eigensolve
     assert solves == []
-    assert stacks == [(1 << (n - 2), 2, 2)] * 3
+    assert stacks == [(2, 2, 2)] * 3
+
+
+def test_even_gap_sample_solves_at_most_two_active_blocks(monkeypatch):
+    # every sample of an even ising-stepwise scan at n = 12 is one eigvalsh
+    # of the keys' active matrices, not of the 2^10 even blocks; the last
+    # segment tapers every qubit, one key of 1 x 1
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    curve = gap_scan(make_path("ising-stepwise", n=12), points=9,
+                     sector="even")
+    assert len(shapes) == curve.evaluations
+    assert all(len(shape) == 3 and shape[0] <= 2
+               and shape[1:] in ((2, 2), (1, 1)) for shape in shapes)
+    assert (2, 2, 2) in shapes
+    assert curve.minimum[1] == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 @pytest.mark.parametrize("route", ["stacked", "wide"])
