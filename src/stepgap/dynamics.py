@@ -11,20 +11,20 @@ Each path segment is a :class:`stepgap.spectra.Segment`, built once per
 :func:`evolve` call, so every blend along it is block diagonal.  The start
 state is folded once per call into one row per block; rows that are exactly
 zero stay zero and are skipped.  A boundary takes one Clifford map
-(:func:`stepgap.pauli.boundary_map`) in place of an unfold and a fold
-through the two segments' gates.  Blocks at most :data:`KRYLOV_DIM_MAX`
-wide (2 x 2 or 4 x 4 on a stepwise segment) come in the segment's factored
-form: constants, which only add a phase, and one traceless active matrix
-per key, which batched ``eigh`` calls exponentiate, one propagator per key
-and chunk of substeps where rows share a key, else one exponential at a
-time.  Wider blocks, and a projector segment's one full-space block, take a
-Lanczos exponential that stops its Krylov space on an a-priori bound
-(:data:`KRYLOV_TOL`).  Both are unitary to rounding.  The last segment's
-rows are lifted back.  Where ``X^n`` is a generator, the parity is read off
-the rows once; elsewhere the state is lifted and measured after each
-substep.  The fidelity target is the final operator's ground state in the
-block of one segment over all the path's operators that holds the start,
-else the global ground state.
+(:func:`stepgap.pauli.boundary_map`) in place of an unfold and a fold.
+Blocks at most :data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise
+segment) come in the segment's factored form: constants, which only add a
+phase, and one traceless active matrix per key, which batched ``eigh``
+calls exponentiate, one propagator per key and chunk of substeps where rows
+share a key, else one exponential at a time.  Wider blocks, and a projector
+segment's one full-space block, take a Lanczos exponential that stops its
+Krylov space on an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to
+rounding.  Fidelities and norms are read on the last segment's rows, which
+are unfolded only for the state returned.  Where ``X^n`` is a generator,
+the parity is read off the rows once; elsewhere, after each substep, as
+``<C X^n C^dagger>`` of the rows.  The fidelity target is the final
+operator's ground state in the block of one segment over all the path's
+operators that holds the start, else the global ground state.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 
 from .models import InterpolationPath
-from .pauli import (Tapering, basis_state, boundary_map, n_qubits,
-                    parity_expectation, uniform_superposition)
+from .pauli import (PauliString, Tapering, basis_state, boundary_map,
+                    n_qubits, string_expectation, uniform_superposition)
 from .spectra import ConvergenceError, Segment
 
 #: Initial substep density (substeps per unit time) before refinement.
@@ -162,18 +162,20 @@ def _segment_parity(tapering: Tapering, held: np.ndarray,
     """``x -> <X^n>`` of the state whose fold holds the rows x at `held`.
     Where ``X^n`` is a generator, it reads off the rows' parities: exactly
     their one parity when they share it, else the weighted sum.  Anywhere
-    else the state is lifted and measured."""
+    else it is ``<rows|C X^n C^dagger|rows>``, read on the rows."""
     if tapering.parity(0) is not None:
         signs = tapering.parity(held).astype(float)
         if np.all(signs == signs[0]):
             return lambda x: float(signs[0])
         return lambda x: float(signs @ (x.real ** 2 + x.imag ** 2).sum(1))
+    n = tapering.operators[0].n
+    string = tapering.conjugated(PauliString(n, (1 << n) - 1, 0))
     rows = np.zeros(shape, dtype=complex)
 
-    def lifted(x):
+    def folded(x):
         rows[held] = x
-        return parity_expectation(tapering.unfold(rows))
-    return lifted
+        return string_expectation(string, rows.ravel())
+    return folded
 
 
 def _crossings(segments: list[Segment]):
@@ -192,7 +194,8 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
                steps_per_segment: list[int], segments: list[Segment],
                crossings: list, track_parity: bool):
     """One pass of CF4 substeps over every segment, in its blocks, from
-    the first one's `rows`; exactly-zero rows are skipped."""
+    the first one's `rows` to the last one's; exactly-zero rows are
+    skipped."""
     parities = []
     for k, segment in enumerate(segments):
         if k:
@@ -242,9 +245,8 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
                 x *= np.exp(-0.5j * path.durations[k] * (c0 + c1))[:, None]
         rows = np.zeros(rows.shape, dtype=complex)
         rows[held] = x
-    psi = segments[-1].tapering.unfold(rows)
     parity_range = (min(parities), max(parities)) if track_parity else None
-    return psi, sum(steps_per_segment), parity_range
+    return rows, sum(steps_per_segment), parity_range
 
 
 def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
@@ -258,7 +260,7 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     `accuracy`.  Raises :class:`ConvergenceError` after
     :data:`MAX_REFINEMENTS` doublings; ValueError, before any pass, unless
     `tau` (:meth:`InterpolationPath.rescaled`) and `accuracy` are finite
-    and positive.
+    and positive and `target`, if given, is a unit state like `psi0`.
     """
     if not 0 < accuracy < np.inf:
         raise ValueError(f"accuracy must be finite and positive, got "
@@ -268,8 +270,10 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
             f"state is on {n_qubits(psi0)} qubits, path on {path.n}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    if target is not None and abs(np.linalg.norm(target) - 1.0) > 1e-10:
-        raise ValueError("target state must be normalized")
+    if target is not None and (target.shape != psi0.shape or abs(
+            np.linalg.norm(target) - 1.0) > 1e-10):
+        raise ValueError(f"target state must be normalized and of shape "
+                         f"{psi0.shape}, got shape {target.shape}")
 
     run = path.rescaled(tau)
     steps = [max(1, int(np.ceil(d * BASE_STEPS_PER_TIME)))
@@ -278,16 +282,18 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
     segments = [Segment(*run.segment(k)) for k in range(run.segment_count)]
     # the maps' unit factors taken out of the start once for every pass
     crossings, unit = _crossings(segments)
-    rows = segments[0].tapering.fold(psi0.astype(complex)) / unit
+    start = segments[0].tapering.fold(psi0.astype(complex)) / unit
+    last = segments[-1].tapering
+    goal = None if target is None else last.fold(target)
     prev_state = None
     prev_metric = None
     for refinement in range(MAX_REFINEMENTS + 1):
-        psi, step_count, parity_range = _propagate(
-            run, rows, steps, segments, crossings, track_parity)
+        rows, step_count, parity_range = _propagate(
+            run, start, steps, segments, crossings, track_parity)
         if target is not None:
-            metric = fidelity(psi, target)
+            metric = fidelity(rows, goal)
         else:
-            metric = fidelity(psi, prev_state) if prev_state is not None \
+            metric = fidelity(rows, prev_state) if prev_state is not None \
                 else None
         converged = (prev_metric is not None and metric is not None
                      and abs(metric - prev_metric) < accuracy)
@@ -295,17 +301,16 @@ def evolve(path: InterpolationPath, psi0: np.ndarray, tau: float,
             # self-comparison: successive solutions must overlap to accuracy
             converged = metric is not None and abs(1.0 - metric) < accuracy
         if converged:
-            fid = fidelity(psi, target) if target is not None else None
             return EvolutionResult(
-                final_state=psi,
-                fidelity=fid,
-                norm_drift=float(abs(1.0 - np.linalg.norm(psi))),
+                final_state=last.unfold(rows),
+                fidelity=metric if target is not None else None,
+                norm_drift=float(abs(1.0 - np.linalg.norm(rows))),
                 step_count=step_count,
                 tau=tau,
                 refinements=refinement,
                 parity_range=parity_range,
             )
-        prev_state = psi
+        prev_state = rows
         prev_metric = metric
         steps = [2 * m for m in steps]
     raise ConvergenceError(

@@ -27,9 +27,11 @@ Conventions used throughout the package:
   together share the map, so every weighted sum of them is block diagonal
   too.  A block comes as a sum on the untapered qubits
   (:meth:`Tapering.block`) or as a constant plus the active matrix of its
-  key, which blocks with the same key share (:meth:`Tapering.factor`);
-  the map is kept as its gates, which carry states to the blocks and back
-  (:meth:`Tapering.fold`, :meth:`Tapering.unfold`, :meth:`Tapering.lift`).
+  key, which blocks with the same key share (:meth:`Tapering.factor`).
+  The map is kept as the steps that built it, which carry states to the
+  blocks and back gate by gate on a ``(2,)*n`` view, with no index array
+  (:meth:`Tapering.fold`, :meth:`Tapering.unfold`, :meth:`Tapering.lift`),
+  and carry strings as :meth:`Tapering.conjugated`.
   When the bit-flip string ``X^n`` is a symmetry, its blocks make up the
   even and odd parity sectors.
 * :func:`boundary_map` composes two taperings' maps into 2^h gathers with
@@ -351,9 +353,17 @@ def conjugate(op: OperatorSum, gate: GateSpec) -> OperatorSum:
     tableau = _Tableau(n, [(p.x, p.z, p.y_count) for p in op.terms])
     for step in hadamard + [(0, 0, t, 1 << c)] + hadamard:
         tableau.step(*step)
-    return OperatorSum(n, [PauliString(n, x, z, (1 - (q - (x & z).bit_count())
-                                              % 4) * p.coefficient)
-                           for (x, z, q), p in zip(tableau.rows(), op.terms)])
+    return OperatorSum(n, [_signed(n, *row, p.coefficient)
+                           for row, p in zip(tableau.rows(), op.terms)])
+
+
+def _signed(n: int, x: int, z: int, q: int, coefficient: float
+            ) -> PauliString:
+    """``i^q X^x Z^z`` times `coefficient`, as a string: that is i^(q - y)
+    times the string with y = popcount(x & z) factors Y, and i^(q - y) is
+    +-1 for a Hermitian string."""
+    return PauliString(n, x, z, (1 - (q - (x & z).bit_count()) % 4)
+                       * coefficient)
 
 
 def _anticommute(u: int, v: int, n: int) -> int:
@@ -424,8 +434,6 @@ class Tapering:
     signs: tuple[int, ...]
     operators: tuple[OperatorSum, ...]
     steps: tuple[tuple[int, int, int, int], ...]
-    _gates: list | None = field(default=None, init=False, repr=False,
-                                compare=False)
 
     @property
     def block_dim(self) -> int:
@@ -524,104 +532,75 @@ class Tapering:
         return self._carry(rows.reshape(-1, cols.shape[1]), True).reshape(
             (-1,) + phi.shape[1:])
 
-    def _carry(self, psi: np.ndarray, inverse: bool) -> np.ndarray:
-        """``C psi``, or ``C^dagger psi``, through :meth:`_compiled_gates`;
-        the rows of psi are the basis states; without generators C is the
-        identity, and no gate is built."""
-        gates = self._compiled_gates() if self.steps else ()
-        for gate in gates[::-1] if inverse else gates:
-            if isinstance(gate, int):
-                psi = _hadamard(psi, gate)
-                continue
-            gather, phase = gate
-            if inverse:
-                # the map psi -> phase * psi[gather], undone
-                out = psi if phase is None else phase.conj()[:, None] * psi
-                if gather is not None:
-                    psi = np.empty_like(out)
-                    psi[gather] = out
-                else:
-                    psi = out
-            else:
-                if gather is not None:
-                    psi = psi[gather]
-                if phase is not None:
-                    psi = phase[:, None] * psi
-        return psi
-
-    def _compiled_gates(self) -> list:
-        """`steps` as gates, built on first use and kept: the pivot bit of
-        each H, and between two of them one monomial map ``psi -> phase *
-        psi[gather]`` (either part None when trivial) that composes the S
-        gates, the CNOTs and, last, the move of the pivots to the top."""
-        if self._gates is not None:
-            return self._gates
+    def conjugated(self, string: PauliString) -> PauliString:
+        """``C P C^dagger`` of a Hermitian string P, carried through `steps`
+        as one :class:`_Tableau` row, as :func:`taper` carries terms."""
         n = self.operators[0].n
-        idx = np.arange(1 << n)
-        gates, pending = [], [None, None]
+        tableau = _Tableau(n, [(string.x, string.z, string.y_count)])
+        for step in self.steps:
+            tableau.step(*step)
+        tableau.reorder([p for _, _, p, _ in self.steps])
+        (row,) = tableau.rows()
+        return _signed(n, *row, string.coefficient)
 
-        def compose(gather=None, phase=None):
-            # (phase * psi[g])[h] = phase[h] * psi[g[h]]: gathers compose
-            # inside out, and a later phase multiplies the earlier one
-            old_gather, old_phase = pending
-            if gather is not None:
-                pending[0] = gather if old_gather is None \
-                    else old_gather[gather]
-                pending[1] = None if old_phase is None else old_phase[gather]
-            if phase is not None:
-                pending[1] = phase if pending[1] is None \
-                    else phase * pending[1]
+    def _carry(self, psi: np.ndarray, inverse: bool) -> np.ndarray:
+        """``C psi``, or ``C^dagger psi``, gate by gate on a ``(2,)*n`` view
+        whose axis ``n - 1 - c`` holds bit c; the rows of psi are the basis
+        states.  Without generators C is the identity."""
+        n = self.operators[0].n
+        v = psi.reshape((2,) * n + psi.shape[1:])
 
-        for ys, xs, p, fan_in in self.steps:
-            if ys:
-                compose(phase=np.array(_Y_PHASES)[
-                    np.bitwise_count(idx & ys) % 4])
-            if xs:
-                if xs ^ 1 << p:
-                    compose(gather=idx ^ (idx >> p & 1) * (xs ^ 1 << p))
-                if any(g is not None for g in pending):
-                    gates.append(tuple(pending))
-                    pending[:] = None, None
-                gates.append(p)
-            if fan_in:
-                compose(gather=idx ^ (np.bitwise_count(idx & fan_in)
-                                      .astype(np.intp) & 1) << p)
-        order = _reorder(idx, [p for _, _, p, _ in self.steps], n)
-        if np.any(order != idx):
-            # out[order] = psi is the gather by the inverse permutation
-            inverse = np.empty_like(order)
-            inverse[order] = idx
-            compose(gather=inverse)
-        if any(g is not None for g in pending):
-            gates.append(tuple(pending))
-        # one attribute store: a racing caller builds an equal list
-        object.__setattr__(self, "_gates", gates)
-        return gates
+        def half(v, axis, bit):
+            return v[(slice(None),) * axis + (bit,)]
 
-
-def _hadamard(psi: np.ndarray, p: int) -> np.ndarray:
-    """H on the qubit of bit p; the rows of psi are the basis states."""
-    v = psi.reshape(-1, 2, 1 << p, psi.shape[1])
-    out = np.empty_like(v)
-    np.add(v[:, 0], v[:, 1], out=out[:, 0])
-    np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
-    out /= np.sqrt(2.0)
-    return out.reshape(psi.shape)
-
-
-def _reorder(v, pivots: list[int], n: int):
-    """Bits `pivots` of v moved to the top in order, the rest kept in order
-    below them; v an int or an integer array."""
-    head = 0
-    for p in pivots:
-        head = head << 1 | v >> p & 1
-    for p in sorted(pivots, reverse=True):
-        v = v >> (p + 1) << p | v & ((1 << p) - 1)
-    return head << (n - len(pivots)) | v
+        pivots = [n - 1 - p for _, _, p, _ in self.steps]
+        top = range(len(pivots))
+        if inverse:
+            v = np.moveaxis(v, top, pivots)
+        for ys, xs, p, fan_in in self.steps[::-1] if inverse else self.steps:
+            # as in _Tableau.step: S on ys, CNOTs from p onto the rest of xs,
+            # H on p where xs is set, CNOTs from each bit of fan_in onto p
+            gates = [("S", ys, 0), ("CX", 1 << p, xs & ~(1 << p)),
+                     ("H", xs and 1 << p, 0), ("CX", fan_in, 1 << p)]
+            for gate, a, b in gates[::-1] if inverse else gates:
+                if gate == "S" and a:
+                    v = v.astype(complex)  # a copy: psi is left as it is
+                    for axis in _axes(n, a):
+                        half(v, axis, 1)[...] *= -1j if inverse else 1j
+                elif gate == "H" and a:
+                    (axis,) = _axes(n, a)
+                    out = np.empty_like(v)
+                    np.add(half(v, axis, 0), half(v, axis, 1),
+                           out=half(out, axis, 0))
+                    np.subtract(half(v, axis, 0), half(v, axis, 1),
+                                out=half(out, axis, 1))
+                    out /= np.sqrt(2.0)
+                    v = out
+                elif gate == "CX" and a and b:
+                    # the bits b flip where the bits a have odd parity
+                    out = v.copy()
+                    np.copyto(out, np.flip(v, _axes(n, b)),
+                              where=_odd(n, v.ndim, a))
+                    v = out
+        if not inverse:
+            v = np.moveaxis(v, pivots, top)
+        return v.reshape(psi.shape)
 
 
 def _bits(mask: int) -> list[int]:
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def _axes(n: int, mask: int) -> list[int]:
+    """The axes of the bits `mask` in a ``(2,)*n`` view of a state."""
+    return [n - 1 - c for c in _bits(mask)]
+
+
+def _odd(n: int, ndim: int, mask: int) -> np.ndarray:
+    """True where the bits `mask` of a basis index have odd parity, shaped
+    to broadcast against a ``(2,)*n`` view with `ndim` axes."""
+    return reduce(np.logical_xor, (np.array([False, True]).reshape(
+        [2 if i == a else 1 for i in range(ndim)]) for a in _axes(n, mask)))
 
 
 def _transpose(cols: list[int], width: int) -> list[int]:
@@ -680,7 +659,8 @@ class _Tableau:
                 self.q0 ^= x[c]
 
     def reorder(self, pivots: list[int], inverse: bool = False) -> None:
-        """Move columns as :func:`_reorder` moves bits, or back."""
+        """Move the columns `pivots` to the top in order, the first one
+        highest, the rest kept in order below them; or back."""
         order = [c for c in range(self.n) if c not in pivots] + pivots[::-1]
         if inverse:
             order = sorted(range(self.n), key=order.__getitem__)
@@ -730,12 +710,9 @@ def taper(*ops: OperatorSum) -> Tapering:
         steps.append((ys, xs, p, fan_in))
     tableau.reorder([p for _, _, p, _ in steps])
     rows = tableau.rows()
-    # i^q X^x Z^z is i^(q - y) times the string with y = popcount(x & z)
-    # factors Y, and i^(q - y) is +-1 for a Hermitian string; generator j
-    # ends as i^q Z on pivot j
-    mapped = [PauliString(n, x, z, (1 - (q - (x & z).bit_count()) % 4)
-                          * term.coefficient)
-              for (x, z, q), term in zip(rows[r:], terms)]
+    # generator j ends as i^q Z on pivot j
+    mapped = [_signed(n, *row, term.coefficient)
+              for row, term in zip(rows[r:], terms)]
     cuts = list(accumulate((len(op.terms) for op in ops), initial=0))
     return Tapering(generators, tuple(1 - q % 4 for _, _, q in rows[:r]),
                     tuple(OperatorSum(n, mapped[a:b])
@@ -746,13 +723,13 @@ def boundary_map(a: Tapering, b: Tapering):
     """``T = C_b C_a^dagger``, from rows folded by `a` to rows folded by
     `b`, up to a unit factor: 2^h gathers with phases, held as one index
     gather and one byte per term and index; where neither has steps, the
-    unfold by `a` and the fold by `b`, two reshapes.  X_j, Z_j carried back
-    through the steps of `b` and on through `a`'s are ``U X_j U^dagger =
-    i^q X^x Z^z`` (``U = T^dagger``) and the stabilizers of ``phi = U|0>``;
-    with ``U|j> = i^Q X^A Z^B phi``, ``(T v)[j]`` sums ``conj(i^Q
-    (-1)^popcount(B & y) phi_y) v[A ^ y]`` over the 2^h support of phi."""
+    identity.  X_j, Z_j carried back through the steps of `b` and on through
+    `a`'s are ``U X_j U^dagger = i^q X^x Z^z`` (``U = T^dagger``) and the
+    stabilizers of ``phi = U|0>``; with ``U|j> = i^Q X^A Z^B phi``, ``(T
+    v)[j]`` sums ``conj(i^Q (-1)^popcount(B & y) phi_y) v[A ^ y]`` over the
+    2^h support of phi."""
     if not (a.steps or b.steps):
-        return lambda rows: b.fold(a.unfold(rows))
+        return lambda rows: rows
     n = a.operators[0].n
     tableau = _Tableau(n, [(1 << j, 0, 0) for j in range(n)]
                        + [(0, 1 << j, 0) for j in range(n)])
@@ -958,6 +935,16 @@ def parity_apply(psi: np.ndarray) -> np.ndarray:
 def parity_expectation(psi: np.ndarray) -> float:
     """Expectation of the bit-flip string, real for any normalized state."""
     return float(np.real(np.vdot(psi, parity_apply(psi))))
+
+
+def string_expectation(string: PauliString, psi: np.ndarray) -> float:
+    """``<psi|P|psi>`` of a Hermitian string P, on a ``(2,)*n`` view of
+    psi: ``X^x`` a flip along the axes of x, ``Z^z`` a sign."""
+    n = string.n
+    v = psi.reshape((2,) * n)
+    signed = np.where(_odd(n, n, string.z), -v, v) if string.z else v
+    return float((string.coefficient * _Y_PHASES[string.y_count % 4]
+                  * np.vdot(np.flip(v, _axes(n, string.x)), signed)).real)
 
 
 def parity_operator(n: int) -> OperatorSum:

@@ -448,50 +448,112 @@ def test_boundary_maps_cross_like_unfold_then_fold(planted, stepwise, seed):
         assert np.abs(taperings[-1].unfold(rows) - psi).max() < 1e-12
 
 
-def test_intermediate_segments_build_no_gates(monkeypatch):
-    # every boundary of a stepwise Ising path is crossed by its map, so
-    # only the first segment's fold and the last one's unfold build gates
-    n, tau, fid, steps = PINNED_RUNS[1]
-    path = make_path("ising-stepwise", n=n)
+@pytest.mark.parametrize("family", ["ising-stepwise", "cluster1d-stepwise"])
+def test_fold_unfold_and_lift_allocate_no_index_array(family):
+    # at n = 14 a gate takes one state in and gives one out, and lift holds
+    # its zero rows besides: a 2^n intp array on top of that shows in the
+    # peak.  numpy's ufunc buffers (8192 elements by default, as large as
+    # half the state here) do not grow with n and are shrunk for the count
+    n = 14
+    tapering = Segment(*make_path(family, n=n).segment(0)).tapering
+    rng = np.random.default_rng(14)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    rows = psi.reshape(-1, tapering.block_dim)
+    state, index = psi.nbytes, 8 << n
+    calls = [(lambda: tapering.fold(psi), 2),
+             (lambda: tapering.unfold(rows), 2),
+             (lambda: tapering.lift(rows[1], 1), 3)]
+    bufsize = np.setbufsize(256)
+    try:
+        for call, states in calls:
+            tracemalloc.start()
+            try:
+                out = call()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < states * state + index
+            assert kept - out.nbytes < index
+    finally:
+        np.setbufsize(bufsize)
+    assert not [v for v in vars(tapering).values() for v in (
+        v if isinstance(v, tuple) else (v,)) if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("family, n, tau, parity", [
+    ("ising-stepwise", 8, 60.0, False), ("cluster1d-stepwise", 8, 20.0, True)])
+def test_evolve_unfolds_once_for_the_unit_and_once_to_return(
+        family, n, tau, parity, monkeypatch):
+    # every refinement pass reads fidelities, norms and the parity on the
+    # folded rows
+    calls = []
+    unfold = Tapering.unfold
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return unfold(self, rows)
+
+    monkeypatch.setattr(Tapering, "unfold", counted)
+    path = make_path(family, n=n)
     psi0 = uniform_superposition(n)
     target = evolution_target(path, psi0)
-    built = []
-
-    def recorded(*ops):
-        built.append(Segment(*ops))
-        return built[-1]
-
-    monkeypatch.setattr(dynamics, "Segment", recorded)
-    res = evolve(path, psi0, tau, target=target)
-    assert abs(res.fidelity - fid) < 1e-9
-    assert len(built) == path.segment_count
-    assert [s.tapering._gates is not None for s in built] == \
-        [True] + [False] * (len(built) - 2) + [True]
+    calls.clear()
+    res = evolve(path, psi0, tau, target=target, track_parity=parity)
+    assert res.refinements >= 3
+    assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("family", ["ising-stepwise", "cluster1d-stepwise"])
-def test_crossings_hold_less_than_every_segments_gates(family):
-    # what evolve holds across passes for its boundaries at n = 14: the
-    # maps, and the gates of the first fold and the last unfold, against
-    # the gates of every segment that a fold and unfold at each boundary
-    # would keep
-    n = 14
-    path = make_path(family, n=n)
-    segments = [Segment(*path.segment(k)) for k in range(path.segment_count)]
-    tracemalloc.start()
-    try:
-        crossings, _ = dynamics._crossings(segments)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    # every boundary takes its map: no intermediate segment built gates
-    assert [s.tapering._gates is not None for s in segments] == \
-        [True] + [False] * (len(segments) - 2) + [True]
-    every = sum(array.nbytes for segment in segments
-                for gate in segment.tapering._compiled_gates()
-                if not isinstance(gate, int)
-                for array in gate if array is not None)
-    assert held < every
+def _folded_parities_match_unfolded(path, psi0, tau, monkeypatch):
+    """Run `evolve` with the parity tracked, each folded read of every
+    pass checked against ``parity_expectation`` of the unfolded state; the
+    result and the last pass's reads."""
+    reads, errors = [], []
+    segment_parity, propagate = dynamics._segment_parity, dynamics._propagate
+
+    def checked(tapering, held, shape):
+        folded = segment_parity(tapering, held, shape)
+
+        def read(x):
+            rows = np.zeros(shape, dtype=complex)
+            rows[held] = x
+            reads.append(folded(x))
+            errors.append(reads[-1] - parity_expectation(
+                tapering.unfold(rows)))
+            return reads[-1]
+        return read
+
+    def one_pass(*args):
+        reads.clear()
+        return propagate(*args)
+
+    monkeypatch.setattr(dynamics, "_segment_parity", checked)
+    monkeypatch.setattr(dynamics, "_propagate", one_pass)
+    res = evolve(path, psi0, tau, accuracy=1e-6, track_parity=True)
+    assert np.abs(errors).max() < 1e-12
+    assert res.parity_range == (min(reads), max(reads))
+    return res, len(reads)
+
+
+def test_folded_parity_is_the_unfolded_states_after_each_substep(
+        monkeypatch):
+    # X^n is no generator of a cluster segment: one read per segment
+    # start and per substep, each matching the unfolded state's parity
+    n = 6
+    path = make_path("cluster1d-stepwise", n=n)
+    res, reads = _folded_parities_match_unfolded(
+        path, _start_state("mixed", n), 4.0, monkeypatch)
+    assert reads == path.segment_count + res.step_count
+
+
+@settings(max_examples=20)
+@given(planted_paths(), st.integers(0, 2**32 - 1))
+def test_folded_parity_of_planted_paths(path, seed):
+    # planted paths carry S gates and Y factors into C X^n C^dagger
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=1 << path.n) + 1j * rng.normal(size=1 << path.n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _folded_parities_match_unfolded(
+            path, psi0 / np.linalg.norm(psi0), path.tau, monkeypatch)
 
 
 def test_stationary_state_keeps_unit_fidelity():
@@ -573,6 +635,16 @@ def test_evolve_validation():
         evolve(path, 2.0 * psi0, tau=1.0)
     with pytest.raises(ValueError):
         evolve(path, psi0, tau=1.0, target=2.0 * psi0)
+
+
+def test_evolve_refuses_a_target_on_other_qubits(monkeypatch):
+    # before any pass
+    monkeypatch.setattr(dynamics, "_propagate", None)
+    path = make_path("ising-stepwise", n=4)
+    for m in (3, 5):
+        with pytest.raises(ValueError, match="target"):
+            evolve(path, uniform_superposition(4), tau=1.0,
+                   target=uniform_superposition(m))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stepgap.pauli import (GateSpec, OperatorSum, PauliString, _Tableau,
-                           blend, boundary_map, conjugate, taper)
+                           blend, boundary_map, conjugate, string_expectation,
+                           taper)
 from stepgap.spectra import Segment, sector_levels
 
 _PAULI_MATRICES = {
@@ -317,8 +318,8 @@ def test_recorded_map_carries_states_to_the_tapered_blocks(op, seed, data):
     if dim > 1:
         got = tapering.lift(tapering.block(0, b).apply(rows[b]), b)
         assert np.abs(got - op.apply(psi)).max(initial=0.0) < 1e-12
-    # unfold inverts fold for a state spread over every block, and the
-    # map's gates, built on the first carry and kept, repeat it exactly
+    # unfold inverts fold for a state spread over every block, and a
+    # second fold repeats the first exactly
     spread = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     rows = tapering.fold(spread)
     assert np.abs(unitary @ spread - rows.ravel()).max() < 1e-12
@@ -400,6 +401,25 @@ def test_tableau_steps_conjugate_like_the_recorded_map(op, seed):
     for step in tapering.steps[::-1]:
         tableau.step(*step, inverse=True)
     assert tableau.rows() == rows
+
+
+@given(planted_symmetry_sums(), st.data())
+def test_conjugated_strings_are_the_folded_strings(op, data):
+    # C P C^dagger of a string with Y factors among the others, and its
+    # expectation on folded states, against the dense map
+    tapering, n = taper(op), op.n
+    factors = data.draw(st.tuples(*[st.sampled_from("IXYZ")] * n))
+    string = label_string(factors, data.draw(coefficients))
+    unitary = fold_unitary(tapering)
+    got = tapering.conjugated(string)
+    assert (got.n, abs(got.coefficient)) == (n, abs(string.coefficient))
+    dense = reference_dense(OperatorSum(n, [string]))
+    assert np.abs(reference_dense(OperatorSum(n, [got]))
+                  - unitary @ dense @ unitary.conj().T).max() < 1e-12
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    assert abs(string_expectation(got, tapering.fold(psi).ravel())
+               - np.vdot(psi, dense @ psi).real) < 1e-10
 
 
 @given(planted_symmetry_sums(), st.data())
