@@ -22,7 +22,7 @@ from .dynamics import evolve, evolution_target, runtime_for_fidelity
 from .models import (N_FAMILIES, PATH_FAMILIES, build_order_from_file,
                      make_path)
 from .pauli import uniform_superposition
-from .spectra import ConvergenceError, gap_scan, sector_levels
+from .spectra import ConvergenceError, Segment, gap_scan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,9 +155,11 @@ def _load_path(args) -> "InterpolationPath":
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     path = _load_path(args)
-    op = path.at_progress(args.s)
-    res = sector_levels(op, "all", args.count, want_vectors=False,
-                        method=args.method)
+    # the segment at local s, solved as a gap-scan sample is
+    k, s = path.locate(args.s * path.tau)
+    segment = Segment(*path.segment(k))
+    res = segment.levels((1.0 - s, s), segment.sector("all"), args.count,
+                         want_vectors=False, method=args.method)
     labels = res.sector_labels or ("all",) * args.count
     rows = [[i, float(w), lab] for i, (w, lab) in
             enumerate(zip(res.eigenvalues, labels))]

@@ -45,7 +45,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import add, or_
 from typing import Iterable, Literal, Mapping
@@ -434,6 +434,8 @@ class Tapering:
     signs: tuple[int, ...]
     operators: tuple[OperatorSum, ...]
     steps: tuple[tuple[int, int, int, int], ...]
+    _keyed: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def block_dim(self) -> int:
@@ -475,17 +477,12 @@ class Tapering:
         and where the actives could outgrow DENSE_QUBIT_CAP dense qubits."""
         op, dim = self.operators[k], self.block_dim
         check_state_qubits(op.n)
-        # z // dim: the tapered bits of z, which read the block index
-        mask = reduce(or_, (t.z // dim for o in self.operators
-                            for t in o.terms if t.x or t.z % dim), 0)
-        most = min(len(blocks), 1 << mask.bit_count())
+        most = min(len(blocks), 1 << self._key_mask.bit_count())
         if most * dim * dim > 4 ** DENSE_QUBIT_CAP:
             raise ValueError(
                 f"tapered blocks refused: {most} active blocks of {dim} x "
                 f"{dim} exceed a dense matrix of {DENSE_QUBIT_CAP} qubits")
-        blocks = np.arange(blocks.start, blocks.stop, blocks.step) \
-            if isinstance(blocks, range) else np.asarray(blocks, np.intp)
-        keys, index = np.unique(blocks & mask, return_inverse=True)
+        blocks, keys, index = self._keys(blocks)
         consts = np.zeros(len(blocks))
         actives = np.zeros((len(keys), dim, dim), dtype=complex if any(
             t.y_count % 2 for t in op.terms) else float)
@@ -503,6 +500,29 @@ class Tapering:
             actives[:, rows, rows ^ t.x] += np.where(
                 np.bitwise_count(idx & t.z) & 1, -w, w)
         return index, consts, actives
+
+    @cached_property
+    def _key_mask(self) -> int:
+        """The tapered bits that the terms of :meth:`factor`'s active
+        matrices read, in any operator: ``z // block_dim`` is the tapered
+        bits of z, which read the block index."""
+        dim = self.block_dim
+        return reduce(or_, (t.z // dim for o in self.operators
+                            for t in o.terms if t.x or t.z % dim), 0)
+
+    def _keys(self, blocks) -> tuple:
+        """``(blocks, keys, index)`` of :meth:`factor`, the same for every
+        operator: the blocks as an array, the keys ``b & mask`` present,
+        ascending, and each block's place among them.  Built once per set
+        of blocks and kept; a range keys itself, its blocks never listed."""
+        tag = blocks if isinstance(blocks, range) \
+            else np.asarray(blocks, np.intp).tobytes()
+        if tag not in self._keyed:
+            listed = np.arange(blocks.start, blocks.stop, blocks.step) \
+                if isinstance(blocks, range) else np.asarray(blocks, np.intp)
+            self._keyed[tag] = (listed, *np.unique(
+                listed & self._key_mask, return_inverse=True))
+        return self._keyed[tag]
 
     def block(self, k: int, b: int) -> OperatorSum:
         """Block b of ``operators[k]`` as a sum on the n - r untapered

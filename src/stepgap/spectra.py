@@ -20,11 +20,17 @@ block at most :data:`DENSE_SOLVE_DIM` wide is a constant plus the active
 matrix of its key (:meth:`stepgap.pauli.Tapering.factor`): one batched
 solve of the keys' weighted active matrices solves them all.  Wider blocks
 are solved one by one by the eigensolver above, a projector segment's one
-block in its kept Rayleigh-Ritz basis.  Vectors are lifted to the full
-space through the recorded Clifford map.  When ``X^n`` is a symmetry, half
-the blocks make up the even sector and half the odd one, so every level
-carries its sector by construction.  Gap scans, sector levels, `evolve`,
-its target and `verify`'s level checks all solve through it.
+block in its kept Rayleigh-Ritz basis.  A third route takes the wider
+blocks of free-fermion segments, those of the Ising paths: where every
+operator is quadratic in Majoranas (:mod:`stepgap.majorana`), ``X^n`` is
+the one generator, no vectors are asked for and `method` is ``auto``, each
+block's levels are exact from the real Schur form of a 2n x 2n matrix
+(:func:`_quadratic_levels`), with no 2^n array, so they run at any n.
+Vectors are lifted to the full space through the recorded Clifford map.
+When ``X^n`` is a symmetry, half the blocks make up the even sector and
+half the odd one, so every level carries its sector by construction.  Gap
+scans, sector levels, `evolve`, its target and `verify`'s level checks all
+solve through it.
 
 The eigensolver's two settings, `method` and `tol`, are named on
 :func:`lowest_eigenpairs` alone and pick the solver of each wide block;
@@ -37,13 +43,15 @@ starts at a point whose gap is already known, so no gap is computed twice.
 A sample is the segment's two lowest levels at local s in the sector's
 blocks: on a stepwise chain segment one batched ``eigvalsh`` of at most
 two active matrices, 2 x 2 or 4 x 4, for any n, on a projector segment one
-small ``eigvalsh`` in the kept basis, 4 x 4 on the EC3 path for any n.
+small ``eigvalsh`` in the kept basis, 4 x 4 on the EC3 path for any n, on
+an ``ising-linear`` segment above n = 9 one 2n x 2n real Schur form per
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable
 
@@ -51,9 +59,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from .majorana import block_form, majorana_form
 from .models import InterpolationPath
-from .pauli import (DENSE_QUBIT_CAP, OperatorSum, ProjectorSum, Tapering,
-                    taper, weighted_sum)
+from .pauli import (DENSE_QUBIT_CAP, STATE_QUBIT_CAP, OperatorSum,
+                    ProjectorSum, Tapering, taper, weighted_sum)
 
 #: Up to this dimension the dense solver is used even when not forced:
 #: measured at k=2, dense LAPACK is faster below it and ARPACK above it.
@@ -210,6 +219,48 @@ def _projector_eigh(q: np.ndarray, small: np.ndarray, count: int,
     return SpectrumResult(w[:count], q @ u[:, :count])
 
 
+def _quadratic_levels(const: float, a: np.ndarray, sign: int, count: int
+                      ) -> np.ndarray:
+    """The `count` lowest levels where ``X^n`` reads `sign` of ``const +
+    (i/4) c^T a c`` (:func:`stepgap.majorana.block_form`).
+
+    The real Schur form ``a = O T O^T`` pairs the Majoranas into modes
+    ``c' = O^T c``: a 2 x 2 block ``[[0, t], [-t, 0]]`` adds ``(t/2) i c'_0
+    c'_1`` of energy ``+-t/2``, and the 1 x 1 blocks, zero, pair in order
+    into zero modes.  The vacuum has energy ``const - sum |t| / 2`` and
+    parity ``X^n = det(O) prod(-sign t)``; each mode raised adds ``|t|``
+    and flips it.  The lowest `count` levels of each parity come from the
+    lowest count + 1 modes, merged one mode at a time.  Raises
+    :class:`ConvergenceError` when ``O T O^T`` misses `a` by more than
+    1e-10 of its norm, and ValueError for more levels than a state of
+    STATE_QUBIT_CAP qubits holds.
+    """
+    if count > 1 << STATE_QUBIT_CAP:
+        raise ValueError(f"{count} levels refused: more than a state of "
+                         f"{STATE_QUBIT_CAP} qubits holds")
+    t, o = scipy.linalg.schur(a, output="real")
+    starts = np.flatnonzero(np.diagonal(t, -1))
+    single = np.ones(len(a), bool)
+    single[starts], single[starts + 1] = False, False
+    o = o[:, np.argsort(single, kind="stable")]
+    modes = np.zeros(len(a) // 2)
+    modes[:len(starts)] = 0.5 * (t[starts, starts + 1]
+                                 - t[starts + 1, starts])
+    rebuilt = (o[:, 0::2] * modes) @ o[:, 1::2].T
+    miss = np.linalg.norm(a - rebuilt + rebuilt.T)
+    if miss > 1e-10 * np.linalg.norm(a):
+        raise ConvergenceError(f"real Schur form misses the Majorana matrix "
+                               f"by {miss:.3g} (2n = {len(a)})")
+    vacuum = int(np.linalg.slogdet(o)[0] * np.prod(np.where(modes < 0,
+                                                             1, -1)))
+    levels = {vacuum: np.array([const - 0.5 * np.abs(modes).sum()]),
+              -vacuum: np.zeros(0)}
+    for e in np.sort(np.abs(modes))[:count + 1]:
+        levels = {p: np.sort(np.concatenate([levels[p], levels[-p] + e])
+                             )[:count] for p in (1, -1)}
+    return levels[sign]
+
+
 def _check_sector(ops, sector: str) -> None:
     """ValueError for an unknown sector, and for an even or odd one of
     projector sums or of sums with a term that anticommutes with ``X^n``,
@@ -231,11 +282,14 @@ class Segment:
 
     A narrow block is a constant plus the active matrix of its key
     (:meth:`stepgap.pauli.Tapering.factor`), a wide one a sum on the
-    untapered qubits.  Projector sums have no Pauli symmetries: their
-    `tapering` has no generators, one full-space block with the identity
-    fold and unfold.  Each operator's factors over a set of blocks and its
-    block sums are built on first use and kept; so is, per `count`, the
-    :func:`_projector_basis` of a segment's one or two projector sums.
+    untapered qubits, or, where ``X^n`` is the one generator and every
+    operator has a :func:`~stepgap.majorana.majorana_form`, a parity
+    sector of their Majorana forms.  Projector sums have no Pauli
+    symmetries: their `tapering` has no generators, one full-space block
+    with the identity fold and unfold.  Each operator's factors over a set
+    of blocks and its block sums are built on first use and kept; so is,
+    per `count`, the :func:`_projector_basis` of a segment's one or two
+    projector sums, and, once asked for, the Majorana forms.
     """
 
     def __init__(self, *ops):
@@ -244,6 +298,17 @@ class Segment:
         self.tapering = taper(*ops) if self._pauli \
             else Tapering((), (), ops, ())
         self._factors, self._blocks, self._bases = {}, {}, {}
+
+    @cached_property
+    def _forms(self) -> tuple | None:
+        """Each operator's :func:`~stepgap.majorana.majorana_form`, where
+        every one has one and ``X^n`` is the one generator, so that each
+        block is a parity sector; else None."""
+        if len(self.tapering.generators) != 1 \
+                or self.tapering.parity(0) is None:
+            return None
+        forms = tuple(map(majorana_form, self.operators))
+        return None if any(f is None for f in forms) else forms
 
     def sector(self, name: str) -> range:
         """The blocks of sector `name`; refusals as :func:`_check_sector`."""
@@ -278,8 +343,11 @@ class Segment:
         over `blocks`, vectors lifted to the full space.
 
         Narrow blocks take one batched dense solve of the weighted active
-        matrices, a block's levels its key's plus its weighted constant;
-        wider ones one :func:`lowest_eigenpairs` each, with `solver`.  One
+        matrices, a block's levels its key's plus its weighted constant.
+        Wider ones of a free-fermion segment (:attr:`_forms`), without
+        vectors and with `method` auto, take one :func:`_quadratic_levels`
+        of their parity's weighted Majorana matrix each; other wider ones
+        one :func:`lowest_eigenpairs` each, with `solver`.  One
         or two projector sums are one small solve of the weighted kept
         basis matrices; more, or an explicit dense or lanczos `method`,
         that of their one block.  Levels merge by value, the lower block
@@ -296,7 +364,14 @@ class Segment:
             q, small = self._bases[count]
             weighted = sum(w * x for w, x in zip(weights, small))
             return _projector_eigh(q, weighted, count, want_vectors)
-        if self.narrow(DENSE_SOLVE_DIM):
+        if not want_vectors and solver.get("method", "auto") == "auto" \
+                and dim > DENSE_SOLVE_DIM and self._forms:
+            w = np.stack([_quadratic_levels(
+                *block_form(self._forms, weights, sign), sign,
+                min(count, dim)) for sign in self.tapering.parity(
+                    np.asarray(blocks))])
+            v, index = None, np.arange(len(blocks))
+        elif self.narrow(DENSE_SOLVE_DIM):
             parts = [(w, *self.factor(k, blocks))
                      for k, w in enumerate(weights) if w]
             index = parts[0][1]

@@ -13,6 +13,7 @@ import pytest
 
 import stepgap
 from stepgap import dynamics, ec3
+from stepgap.analytic import ising_linear_ground_energy
 from stepgap.cli import (EXIT_CONFIG, EXIT_OK, _parse_tau_grid, build_parser,
                          main)
 from stepgap.pauli import STATE_QUBIT_CAP
@@ -518,7 +519,7 @@ def test_config_echo_names_no_duration(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--family", "ising-linear", "--n", "40"],
+    ["spectrum", "--family", "cluster1d-linear", "--n", "40"],
     ["evolve", "--family", "ising-stepwise", "--n", "30", "--tau", "1"],
     ["gap-scan", "--family", "cluster1d-stepwise", "--n", "29",
      "--points", "3"],
@@ -535,3 +536,28 @@ def test_oversized_register_refused_before_allocating(argv, tmp_path,
     assert code == EXIT_CONFIG
     assert f"capped at {STATE_QUBIT_CAP} qubits" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_ising_linear_spectrum_beyond_the_state_cap(s, capsys):
+    # quadratic in Majoranas: the levels of its 2^39-wide blocks come from
+    # an 80 x 80 matrix, with no register allocated
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "spectrum", "--family", "ising-linear",
+                               "--n", "40", "--count", "4", "--s", str(s))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    _, rows = read_csv_rows(out)
+    assert len(rows) == 4 and rows[0][2] == "even"
+    assert abs(float(rows[0][1]) - ising_linear_ground_energy(40, s)) <= 1e-9
+    assert peak < 4 << 20
+
+
+def test_more_free_fermion_levels_than_a_register_holds_exit_2(capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--family", "ising-linear",
+                           "--n", "40", "--count", str((1 << 24) + 1))
+    assert code == EXIT_CONFIG
+    assert "levels refused" in err

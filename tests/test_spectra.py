@@ -227,6 +227,19 @@ def test_even_gap_sample_solves_at_most_two_active_blocks(monkeypatch):
     assert curve.minimum[1] == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
+def test_operators_of_a_segment_share_one_key_index():
+    # the keys of a set of blocks, and each block's place among them, are
+    # built once and serve every operator of the segment
+    segment = Segment(*make_path("ising-stepwise", n=8).segment(3))
+    for blocks in (segment.sector("even"), [3, 1, 3]):
+        (index, *_), (again, *_) = (segment.factor(k, blocks)
+                                    for k in (0, 1))
+        assert index is again
+        assert np.array_equal(index, np.unique(
+            np.asarray(blocks) & segment.tapering._key_mask,
+            return_inverse=True)[1])
+
+
 @pytest.mark.parametrize("route", ["stacked", "wide"])
 @settings(max_examples=40)
 @given(planted_paths(), st.data())
