@@ -1,9 +1,11 @@
 """Command-line interface: spectra, gap scans, evolution, scaling, EC3, verify.
 
 Each subcommand takes only the options it reads.  Every run emits CSV or
-JSON with a metadata block (tool version, config echo, wall time).  Exit
-codes: 0 success, 2 configuration error, 3 numerical non-convergence,
-4 verification failure.
+JSON with a metadata block (tool version, config echo, wall time, BLAS
+thread count).  Every command runs at one OpenBLAS thread
+(:func:`stepgap._blas.limited`), except the wide solves that
+:func:`stepgap.spectra.solve_threads` names.  Exit codes: 0 success,
+2 configuration error, 3 numerical non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, ec3, verify
+from . import __version__, _blas, ec3, verify
 from .dynamics import evolve, evolution_target, runtime_for_fidelity
 from .models import (N_FAMILIES, PATH_FAMILIES, build_order_from_file,
                      make_path)
@@ -54,6 +56,7 @@ def _emit_csv(header: list[str], rows: list[list], args, wall: float) -> None:
         f"# stepgap {__version__}",
         f"# config {json.dumps(_config(args), default=str, sort_keys=True)}",
         f"# wall_seconds {wall:.3f}",
+        f"# blas_threads {_blas.threads() or 'none'}",
         ",".join(header),
     ]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
@@ -66,6 +69,7 @@ def _emit_json(payload: dict, args, wall: float) -> None:
             "tool": f"stepgap {__version__}",
             "config": {k: str(v) for k, v in _config(args).items()},
             "wall_seconds": round(wall, 3),
+            "blas_threads": _blas.threads(),
         },
         "data": payload,
     }
@@ -381,14 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"stepgap: numerical non-convergence: {exc}\n")
-        return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"stepgap: {exc}\n")
-        return EXIT_CONFIG
+    with _blas.limited():
+        try:
+            return args.func(args)
+        except ConvergenceError as exc:
+            sys.stderr.write(f"stepgap: numerical non-convergence: {exc}\n")
+            return EXIT_NUMERIC
+        except (ValueError, OSError) as exc:
+            sys.stderr.write(f"stepgap: {exc}\n")
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

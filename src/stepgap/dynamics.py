@@ -18,7 +18,8 @@ phase, and one traceless active matrix per key, which batched ``eigh``
 calls exponentiate, one propagator per key and chunk of substeps where rows
 share a key, else one exponential at a time.  Wider blocks, and a projector
 segment's one full-space block, take a Lanczos exponential that stops its
-Krylov space on an a-priori bound (:data:`KRYLOV_TOL`).  Both are unitary to
+Krylov space on an a-priori bound (:data:`KRYLOV_TOL`), at the BLAS
+threads of :func:`stepgap.spectra.solve_threads`.  Both are unitary to
 rounding.  Fidelities and norms are read on the last segment's rows, which
 are unfolded only for the state returned.  Where ``X^n`` is a generator,
 the parity is read off the rows once; elsewhere, after each substep, as
@@ -37,7 +38,7 @@ from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 from .models import InterpolationPath
 from .pauli import (PauliString, Tapering, basis_state, boundary_map,
                     n_qubits, string_expectation, uniform_superposition)
-from .spectra import ConvergenceError, Segment
+from .spectra import ConvergenceError, Segment, solve_threads
 
 #: Initial substep density (substeps per unit time) before refinement.
 BASE_STEPS_PER_TIME = 1.0
@@ -110,8 +111,8 @@ def _krylov_expm_apply(matvec, psi: np.ndarray, dt: float) -> np.ndarray:
     betas: list[float] = []
     bound = np.sqrt(2.0)
     # level-1 BLAS on one basis vector at a time, in place: single-threaded
-    # below about 10^4 amplitudes, whereas a matrix product over the basis
-    # is a threaded call at 2^12 amplitudes that waits on a busy core
+    # below about 10^4 amplitudes at any thread count (stepgap._blas),
+    # whereas a matrix product over the basis would thread from 2^12
     for j in range(min(KRYLOV_DIM_MAX, dim)):
         v = vecs[j]
         w = matvec(v)
@@ -211,12 +212,14 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
         m_seg = steps_per_segment[k]
         dt = path.durations[k] / m_seg
         if not segment.narrow(KRYLOV_DIM_MAX):
-            for j, s in enumerate(_cf4_parameters(m_seg)):
-                x = np.array([_krylov_expm_apply(
-                    segment.block((1.0 - s, s), b).apply, v, 0.5 * dt)
-                    for b, v in zip(held, x)])
-                if each and j % 2:
-                    parities.append(parity(x))
+            with solve_threads(segment.block((1.0, 0.0), held[0]),
+                               dense=False):
+                for j, s in enumerate(_cf4_parameters(m_seg)):
+                    x = np.array([_krylov_expm_apply(
+                        segment.block((1.0 - s, s), b).apply, v, 0.5 * dt)
+                        for b, v in zip(held, x)])
+                    if each and j % 2:
+                        parities.append(parity(x))
         else:
             (index, c0, a0), (_, c1, a1) = (segment.factor(j, held)
                                             for j in (0, 1))

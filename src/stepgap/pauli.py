@@ -195,7 +195,8 @@ class OperatorSum:
     groups that :meth:`apply` and :meth:`to_dense` read are compiled on
     first use and kept.  A :func:`blend` of two sums is built from their
     groups and canonicalizes its terms only when they are read.  Instances
-    are immutable.  The package starts no threads; if a caller's threads
+    are immutable.  The package starts no threads of its own, and sets
+    only OpenBLAS's count (:mod:`stepgap._blas`); if a caller's threads
     race on the first use of an operator, each compiles an equal tuple and
     publishes it with a single attribute store.
     """

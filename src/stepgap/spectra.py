@@ -34,7 +34,8 @@ solve through it.
 
 The eigensolver's two settings, `method` and `tol`, are named on
 :func:`lowest_eigenpairs` alone and pick the solver of each wide block;
-the sector, gap and scan functions pass them on as ``**solver``.
+the sector, gap and scan functions pass them on as ``**solver``.  Its BLAS
+threads follow :func:`solve_threads`.
 
 A gap scan samples a uniform grid and refines its smallest sample, and any
 dip between tied samples, by Brent's method (parabolic steps with a
@@ -50,6 +51,7 @@ block.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
@@ -59,6 +61,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from . import _blas
 from .majorana import block_form, majorana_form
 from .models import InterpolationPath
 from .pauli import (DENSE_QUBIT_CAP, STATE_QUBIT_CAP, OperatorSum,
@@ -122,6 +125,21 @@ class GapCurve:
             raise ValueError("gaps must be non-negative")
 
 
+def solve_threads(op, dense: bool):
+    """The BLAS threads for a solve of `op` (:mod:`stepgap._blas`): those in
+    force outside :func:`~stepgap._blas.limited` for a Pauli sum wider than
+    :data:`DENSE_SOLVE_DIM` solved densely, or wider than a dense matrix of
+    DENSE_QUBIT_CAP qubits solved by Lanczos steps, else those in force.
+
+    Measured on two cores: a second thread speeds up dense solves from 512
+    wide, but Lanczos eigensolves only from about 2^15, and below that its
+    idle spin after each call doubles the CPU time for no wall time.
+    """
+    limit = DENSE_SOLVE_DIM if dense else 1 << DENSE_QUBIT_CAP
+    wide = isinstance(op, OperatorSum) and 1 << op.n > limit
+    return _blas.unlimited() if wide else contextlib.nullcontext()
+
+
 def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
                       method: str = "auto", tol: float = 1e-9
                       ) -> SpectrumResult:
@@ -132,7 +150,8 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     and otherwise picks the dense LAPACK route for small dimensions and the
     matrix-free Lanczos solver above.  `tol` is the Lanczos (ARPACK)
     tolerance; the Lanczos route starts from a fixed vector and raises
-    :class:`ConvergenceError` when the iteration budget is exhausted.
+    :class:`ConvergenceError` when the iteration budget is exhausted.  Both
+    routes run at the BLAS threads of :func:`solve_threads`.
     """
     dim = 1 << op.n
     if not 1 <= count <= dim:
@@ -150,26 +169,27 @@ def lowest_eigenpairs(op, count: int, want_vectors: bool = True,
     if method == "dense" and op.n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense solve refused above {DENSE_QUBIT_CAP} qubits")
 
-    if method == "dense":
-        mat = op.to_dense()
-        if want_vectors:
-            w, v = scipy.linalg.eigh(mat)
-            return SpectrumResult(w[:count], v[:, :count])
-        w = scipy.linalg.eigvalsh(mat)
-        return SpectrumResult(w[:count])
+    with solve_threads(op, dense=method == "dense"):
+        if method == "dense":
+            mat = op.to_dense()
+            if want_vectors:
+                w, v = scipy.linalg.eigh(mat)
+                return SpectrumResult(w[:count], v[:, :count])
+            w = scipy.linalg.eigvalsh(mat)
+            return SpectrumResult(w[:count])
 
-    dtype = float if op.is_real else complex
-    linop = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=dtype)
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    ncv = min(dim, max(ARPACK_NCV, 2 * count + 1))
-    try:
-        out = spla.eigsh(linop, k=count, which="SA", ncv=ncv, tol=tol,
-                         maxiter=ARPACK_MAXITER, v0=v0,
-                         return_eigenvectors=want_vectors)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos solver did not converge within {ARPACK_MAXITER} "
-            f"iterations (dim {dim}, k {count})") from exc
+        dtype = float if op.is_real else complex
+        linop = spla.LinearOperator((dim, dim), matvec=op.apply, dtype=dtype)
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        ncv = min(dim, max(ARPACK_NCV, 2 * count + 1))
+        try:
+            out = spla.eigsh(linop, k=count, which="SA", ncv=ncv, tol=tol,
+                             maxiter=ARPACK_MAXITER, v0=v0,
+                             return_eigenvectors=want_vectors)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"Lanczos solver did not converge within {ARPACK_MAXITER} "
+                f"iterations (dim {dim}, k {count})") from exc
     if want_vectors:
         w, v = out
         order = np.argsort(w)
@@ -502,7 +522,9 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
     within DEGENERACY_TOL but whose midpoint lies below (a dip between tied
     segment boundaries).  Of samples tied within DEGENERACY_TOL, the
     bracketed one is the rightmost interior one, so the runs do not rest
-    on rounding.  Each run starts at a point of known value: that sample, or
+    on rounding; where a neighbour ties it too, it is not refined: it lies
+    on a plateau, whose dips the midpoint probes look for, and Brent's
+    steps along a plateau would follow the rounding of its values.  Each run starts at a point of known value: that sample, or
     the midpoint probe of the tie test, so no value is computed twice.  The
     value reported is the lowest found; s is the smallest among the runs'
     results and the samples whose values lie within DEGENERACY_TOL of it,
@@ -510,7 +532,8 @@ def _refined_minimum(f: Callable[[float], float], grid: np.ndarray,
     low = values.min()
     tie, mid = low + DEGENERACY_TOL, 0.5 * (grid[1:] + grid[:-1])
     inner = np.flatnonzero(values[1:-1] <= tie)
-    runs = [(k, k + 2, grid[k + 1], values[k + 1]) for k in inner[-1:]]
+    runs = [(k, k + 2, grid[k + 1], values[k + 1]) for k in inner[-1:]
+            if min(values[k], values[k + 2]) > tie]
     for j in range(len(grid) - 1):
         if max(values[j], values[j + 1]) <= tie:
             probe = f(mid[j])

@@ -134,8 +134,9 @@ def test_gap_scan_deterministic_output(tmp_path, capsys):
 
 
 def test_gap_scan_sidecar_counts_evaluations(tmp_path, capsys):
-    # the minimum lies at s = 1/2, between the samples 0.4 and 0.6: six
-    # samples plus ten refinement evaluations
+    # the minimum lies at s = 1/2, between the tied samples 0.4 and 0.6:
+    # six samples, the probe at 1/2 between them and four refinement
+    # evaluations from it
     out_file = tmp_path / "gaps.csv"
     counts = []
     for _ in range(2):
@@ -146,7 +147,7 @@ def test_gap_scan_sidecar_counts_evaluations(tmp_path, capsys):
         sidecar = json.loads((tmp_path / "gaps.csv.min.json").read_text())
         assert sidecar["minimum_s"] == pytest.approx(0.5, abs=1e-6)
         counts.append(sidecar["evaluations"])
-    assert counts == [16, 16]
+    assert counts == [11, 11]
 
 
 # ---------------------------------------------------------------------------

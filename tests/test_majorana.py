@@ -217,9 +217,9 @@ def test_ising_linear_scans_match_lanczos(n, monkeypatch):
         before = dict(counts)
         got = gap_scan(path, points=9, sector=sector)
         # the "all" gap at s >= 7/8 is the ground doublet's splitting, tied
-        # with the 0 at s = 1: Brent's steps there follow each solver's
-        # rounding, so only the parity sectors repeat their evaluations
-        assert got.evaluations == want.evaluations or sector == "all"
+        # with the 0 at s = 1: no Brent run chases its rounding there, so
+        # every sector repeats its evaluations
+        assert got.evaluations == want.evaluations
         assert np.abs(got.samples - want.samples).max() <= 1e-10
         assert abs(got.minimum[0] - want.minimum[0]) <= 1e-10
         assert abs(got.minimum[1] - want.minimum[1]) <= 1e-10

@@ -414,6 +414,27 @@ def test_tied_samples_report_the_leftmost():
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("edge, probes", [(0.5, 4), (0.8, 1)])
+def test_a_plateau_takes_no_brent_run(edge, probes):
+    # from `edge` on the values are rounding about 0, so the samples there
+    # tie; only the midpoints between tied samples are probed, whatever
+    # the rounding, and the leftmost tied sample is reported
+    grid = np.linspace(0.0, 1.0, 9)
+    for phase in (0.0, 1.0, 2.0):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return max(0.0, edge - x) + 1e-12 * np.sin(1e4 * x + phase)
+
+        values = np.array([f(x) for x in grid])
+        calls.clear()
+        s, v = _refined_minimum(f, grid, values)
+        assert len(calls) == probes
+        assert s == grid[np.flatnonzero(grid >= edge)[0]]
+        assert abs(v) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # gap scans
 # ---------------------------------------------------------------------------
