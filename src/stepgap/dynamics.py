@@ -14,18 +14,20 @@ zero stay zero and are skipped.  A boundary takes one Clifford map
 (:func:`stepgap.pauli.boundary_map`) in place of an unfold and a fold.
 Blocks at most :data:`KRYLOV_DIM_MAX` wide (2 x 2 or 4 x 4 on a stepwise
 segment) come in the segment's factored form: constants, which only add a
-phase, and one traceless active matrix per key, which batched ``eigh``
-calls exponentiate, one propagator per key and chunk of substeps where rows
-share a key, else one exponential at a time.  Wider blocks, and a projector
-segment's one full-space block, take a Lanczos exponential that stops its
-Krylov space on an a-priori bound (:data:`KRYLOV_TOL`), at the BLAS
+phase, and one traceless active matrix per key, exponentiated by one
+batched ``eigh`` per chunk of substeps, the chunk's propagators no more
+than two copies of the fold and composed to one per key (per key and
+substep where the parity is read after each).  Wider blocks, and a
+projector segment's one full-space block, take a Lanczos exponential that
+stops its Krylov space on an a-priori bound (:data:`KRYLOV_TOL`), at the BLAS
 threads of :func:`stepgap.spectra.solve_threads`.  Both are unitary to
 rounding.  Fidelities and norms are read on the last segment's rows, which
 are unfolded only for the state returned.  Where ``X^n`` is a generator,
 the parity is read off the rows once; elsewhere, after each substep, as
 ``<C X^n C^dagger>`` of the rows.  The fidelity target is the final
 operator's ground state in the block of one segment over all the path's
-operators that holds the start, else the global ground state.
+operators that holds the start, solved in that block's own tapering, else
+the global ground state.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ import numpy as np
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdscal
 
 from .models import InterpolationPath
-from .pauli import (PauliString, Tapering, basis_state, boundary_map,
-                    n_qubits, string_expectation, uniform_superposition)
-from .spectra import ConvergenceError, Segment, solve_threads
+from .pauli import (OperatorSum, PauliString, Tapering, basis_state,
+                    boundary_map, n_qubits, string_expectation,
+                    uniform_superposition)
+from .spectra import DEGENERACY_TOL, ConvergenceError, Segment, solve_threads
 
 #: Initial substep density (substeps per unit time) before refinement.
 BASE_STEPS_PER_TIME = 1.0
@@ -223,25 +226,22 @@ def _propagate(path: InterpolationPath, rows: np.ndarray,
         else:
             (index, c0, a0), (_, c1, a1) = (segment.factor(j, held)
                                             for j in (0, 1))
-            # rows that share a key share one propagator per chunk of
-            # `share` substeps, a stack no larger than the rows'; else, or to
-            # read the parity after each substep, one exponential at a time
-            share = 1 if each else len(held) // len(a0)
+            # one propagator per key and chunk of `share` substeps, a stack
+            # no larger than two copies of the fold; to read the parity
+            # after each substep, one per key and substep of the chunk
+            share = max(1, rows.size // a0.size)
             s = _cf4_parameters(m_seg)[:, None, None, None]
             for i in range(0, 2 * m_seg, 2 * share):
                 t = s[i:i + 2 * share]
                 w, v = np.linalg.eigh((1.0 - t) * a0 + t * a1)
-                if share > 1:
-                    e = v * np.exp(-0.5j * dt * w)[..., None, :] @ v.conj().mT
+                e = v * np.exp(-0.5j * dt * w)[..., None, :] @ v.conj().mT
+                if not each:
                     x = np.einsum("hij,hj->hi", _compose(e)[index], x)
                     continue
-                for wh, vh in zip(w[:, index], v[:, index]):
-                    y = np.einsum("hji,hj->hi", vh.conj(), x)
-                    x = np.einsum("hij,hj->hi", vh, np.exp(-0.5j * dt * wh) * y)
-                if each:
+                for p, u in zip(e[1::2] @ e[::2], t.reshape(-1, 2).mean(1)):
+                    x = np.einsum("hij,hj->hi", p[index], x)
                     # the constants commute: their phase at the midpoint
-                    c = (1.0 - t.mean()) * c0 + t.mean() * c1
-                    x *= np.exp(-1j * dt * c)[:, None]
+                    x *= np.exp(-1j * dt * ((1.0 - u) * c0 + u * c1))[:, None]
                     parities.append(parity(x))
             if not each:
                 # the constants' phase over the whole segment
@@ -330,14 +330,24 @@ def evolution_target(path: InterpolationPath, psi0: np.ndarray | None = None
     the only block with an amplitude above 1e-12, the ground state of the
     final operator in that block is returned (on the Ising paths, the even
     cat state of the bond Hamiltonian); otherwise the global ground state.
+    A Pauli block wider than 1 is solved in its own tapering; ValueError if
+    its lowest level is degenerate (within DEGENERACY_TOL).
     """
     if psi0 is None:
         psi0 = uniform_superposition(path.n)
     segment = Segment(*path.operators)
     held = np.flatnonzero(np.abs(segment.tapering.fold(psi0)).max(1) > 1e-12)
-    blocks = held if len(held) == 1 else segment.sector("all")
     final = (0.0,) * (len(path.operators) - 1) + (1.0,)
-    return segment.levels(final, blocks, 1).eigenvectors[:, 0]
+    if len(held) > 1 or segment.tapering.block_dim == 1 \
+            or not isinstance(path.operators[-1], OperatorSum):
+        blocks = held if len(held) == 1 else segment.sector("all")
+        return segment.levels(final, blocks, 1).eigenvectors[:, 0]
+    inner = Segment(segment.block(final, held[0]))
+    low = inner.levels((1.0,), inner.sector("all"), 2)
+    if low.eigenvalues[1] - low.eigenvalues[0] < DEGENERACY_TOL:
+        raise ValueError(f"degenerate target: the lowest final level "
+                         f"{low.eigenvalues[0]} ties in the start's block")
+    return segment.tapering.lift(low.eigenvectors[:, 0], held[0])
 
 
 def runtime_for_fidelity(family: str, n: int, f_target: float, tau_grid,

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from stepgap import dynamics
+from stepgap import dynamics, spectra
 from stepgap.dynamics import (
     EvolutionResult,
     ScalingRow,
@@ -153,14 +153,10 @@ def test_stepwise_ising_runs_keep_their_counts(n, tau, fid, steps):
     assert res.norm_drift < 1e-12
 
 
-def test_narrow_segments_take_one_eigh_per_chunk(monkeypatch):
-    # a pass exponentiates each segment's active matrices in chunks of as
-    # many substeps as it holds rows per key, one batched eigh a chunk,
-    # where it once took one per exponential
-    n, tau, fid, steps = PINNED_RUNS[0]
-    path = make_path("ising-stepwise", n=n)
-    psi0 = uniform_superposition(n)
-    target = evolution_target(path, psi0)
+def _recorded_chunks(monkeypatch):
+    """Shapes of the stacks that batched ``eigh`` exponentiates, and per
+    segment ``(keys, d)`` of its first operator's factored form, recorded
+    as `evolve` runs."""
     calls, shapes = [], []
     eigh, factor = np.linalg.eigh, Tapering.factor
 
@@ -172,23 +168,66 @@ def test_narrow_segments_take_one_eigh_per_chunk(monkeypatch):
     def recorded_factor(tapering, k, held):
         index, consts, actives = factor(tapering, k, held)
         if k == 0:
-            shapes.append((len(held), len(actives)))
+            shapes.append(actives.shape[:2])
         return index, consts, actives
 
     monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
     monkeypatch.setattr(Tapering, "factor", recorded_factor)
+    return calls, shapes
+
+
+def _chunk_count(path, tau, res, shapes):
+    """Batched ``eigh`` calls of a run: per pass and segment, one per chunk
+    of as many substeps as the fold holds amplitudes per active matrix."""
+    base = [int(np.ceil(d)) for d in path.rescaled(tau).durations]
+    share = [max(1, (1 << path.n) // (keys * d * d)) for keys, d in shapes]
+    return sum(-(-(m << r) // c) for r in range(res.refinements + 1)
+               for m, c in zip(base, share))
+
+
+def test_narrow_segments_take_one_eigh_per_chunk(monkeypatch):
+    # a pass exponentiates each segment's active matrices in chunks of as
+    # many substeps as the fold holds amplitudes per active matrix, one
+    # batched eigh a chunk, where it once took one per exponential
+    n, tau, fid, steps = PINNED_RUNS[0]
+    path = make_path("ising-stepwise", n=n)
+    psi0 = uniform_superposition(n)
+    target = evolution_target(path, psi0)
+    calls, shapes = _recorded_chunks(monkeypatch)
     res = evolve(path, psi0, tau, target=target, track_parity=True)
     assert res.step_count == steps
     assert abs(res.fidelity - fid) < 1e-9
     # set up once per segment for every pass
     assert len(shapes) == path.segment_count
-    base = [int(np.ceil(d)) for d in path.rescaled(tau).durations]
-    passes = range(res.refinements + 1)
-    chunks = sum(-(-(m << r) // max(1, held // u))
-                 for r in passes for m, (held, u) in zip(base, shapes))
-    exponentials = sum(2 * sum(base) << r for r in passes)
+    exponentials = sum(2 * res.step_count >> r
+                       for r in range(res.refinements + 1))
     assert exponentials == 1920
-    assert 0 < len(calls) <= chunks <= exponentials // 4
+    assert len(calls) == _chunk_count(path, tau, res, shapes)
+    assert len(calls) <= exponentials // 16
+    # no chunk's stack outgrows two copies of the fold
+    assert max(np.prod(shape) for shape in calls) <= 2 << n
+
+
+def test_parity_read_per_substep_takes_one_eigh_per_chunk(monkeypatch):
+    # X^n is no generator of a cluster segment, so the parity is read after
+    # every substep: each chunk's propagators compose per substep, not per
+    # chunk, from the same one batched eigh; the run's numbers are those of
+    # one eigh per substep
+    n, tau = 6, 20.0
+    path = make_path("cluster1d-stepwise", n=n)
+    psi0 = uniform_superposition(n)
+    target = evolution_target(path, psi0)
+    calls, shapes = _recorded_chunks(monkeypatch)
+    res = evolve(path, psi0, tau, target=target, track_parity=True)
+    assert (res.step_count, res.refinements) == (160, 3)
+    assert len(calls) == _chunk_count(path, tau, res, shapes)
+    assert len(calls) < sum(res.step_count >> r
+                            for r in range(res.refinements + 1))
+    assert max(np.prod(shape) for shape in calls) <= 2 << n
+    assert abs(res.fidelity - 0.9278183365695823) < 1e-12
+    lo, hi = res.parity_range
+    assert abs(lo + 0.1228746905227249) < 1e-12
+    assert abs(hi - 0.9999999999999993) < 1e-12
 
 
 def test_long_unshared_run_holds_no_propagator_per_substep():
@@ -704,6 +743,79 @@ def test_target_sector_is_the_block_evolve_runs_in():
     path = InterpolationPath((h_i, broken, flip), (1.0, 1.0))
     assert parity_expectation(evolution_target(path, even)) == \
         pytest.approx(-1.0, abs=1e-12)
+
+
+# from n = 9 the start's block is wider than a factored solve takes, and a
+# solve of it would call lowest_eigenpairs
+TARGET_PATHS = [dict(family=f, n=n)
+                for f in ("ising-linear", "ising-stepwise", "cluster1d-linear",
+                          "cluster1d-stepwise") for n in (5, 8, 10)] \
+    + [dict(family="cluster2d-stepwise", width=2, height=h) for h in (3, 5)]
+
+
+@pytest.mark.parametrize("spec", TARGET_PATHS,
+                         ids=lambda d: "-".join(map(str, d.values())))
+def test_target_is_the_dense_ground_state_in_the_start_block(spec,
+                                                              monkeypatch):
+    # the start's block of the path's symmetries, from the generators'
+    # values on the start, and the final operator's ground state there
+    path = make_path(**spec)
+    psi0 = uniform_superposition(path.n)
+    dim = 1 << path.n
+    proj = np.eye(dim)
+    for g in Segment(*path.operators).tapering.generators:
+        mat = OperatorSum(path.n, [g]).to_dense()
+        sign = np.vdot(psi0, mat @ psi0).real
+        assert abs(abs(sign) - 1.0) < 1e-12
+        proj = proj @ (np.eye(dim) + sign * mat) / 2
+    h = proj @ path.operators[-1].to_dense() @ proj
+    w, v = np.linalg.eigh(h - 100.0 * proj)
+    assert w[1] - w[0] > 1e-6
+    # solved in the block's own tapering, with no eigensolve of the block
+    solves, solve = [], spectra.lowest_eigenpairs
+    monkeypatch.setattr(spectra, "lowest_eigenpairs", lambda *args, **kw:
+                        solves.append(args) or solve(*args, **kw))
+    target = evolution_target(path, psi0)
+    assert solves == []
+    assert abs(np.linalg.norm(target) - 1.0) < 1e-12
+    assert fidelity(target, v[:, 0]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("family", ["ising-stepwise", "cluster1d-stepwise"])
+def test_target_holds_a_few_states_at_n14(family):
+    # the wide start block is never solved: at most 8 states of 2^14
+    # amplitudes, where one ARPACK solve over it held 8 to 20 MB
+    n = 14
+    path = make_path(family, n=n)
+    psi0 = uniform_superposition(n)
+    tracemalloc.start()
+    try:
+        target = evolution_target(path, psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 << n
+    # the target lies in the start's block: X^n is a symmetry of the Ising
+    # path, and the cluster target is the cluster state
+    if family == "ising-stepwise":
+        assert fidelity(target, ghz_state(n)) == pytest.approx(1.0, abs=1e-10)
+    else:
+        from stepgap.models import chain_lattice, cluster_state
+        assert fidelity(target, cluster_state(chain_lattice(n))) == \
+            pytest.approx(1.0, abs=1e-10)
+
+
+def test_degenerate_target_in_the_start_block_is_refused():
+    # the Heisenberg bond keeps X1 X2 alone; the start's block X1 X2 = +1
+    # holds |++> and |-->, both triplet states at -1
+    n = 2
+    h_i = OperatorSum(n, [PauliString.from_label(p, -1.0)
+                          for p in ("XI", "IX")])
+    h_f = OperatorSum(n, [PauliString.from_label(p, -1.0)
+                          for p in ("XX", "YY", "ZZ")])
+    path = InterpolationPath((h_i, h_f), (1.0,))
+    with pytest.raises(ValueError, match="degenerate"):
+        evolution_target(path)
 
 
 def test_projector_target_factors_the_final_operator_alone(monkeypatch):
