@@ -343,10 +343,11 @@ def evolution_target(path: InterpolationPath, psi0: np.ndarray | None = None
         blocks = held if len(held) == 1 else segment.sector("all")
         return segment.levels(final, blocks, 1).eigenvectors[:, 0]
     inner = Segment(segment.block(final, held[0]))
-    low = inner.levels((1.0,), inner.sector("all"), 2)
+    low = inner.levels((1.0,), inner.sector("all"), 2, want_vectors=False)
     if low.eigenvalues[1] - low.eigenvalues[0] < DEGENERACY_TOL:
         raise ValueError(f"degenerate target: the lowest final level "
                          f"{low.eigenvalues[0]} ties in the start's block")
+    low = inner.levels((1.0,), inner.sector("all"), 1)
     return segment.tapering.lift(low.eigenvectors[:, 0], held[0])
 
 

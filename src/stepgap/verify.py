@@ -5,7 +5,9 @@ returns the worst absolute deviation it saw.  Each level check reads the
 full spectrum at every local s from the blocks of one
 :class:`stepgap.spectra.Segment` per checked path segment, not from a 2^n
 x 2^n dense eigensolve, so it also runs above the dense qubit cap.  The
-CLI `verify` subcommand and the acceptance tests both run these.
+conjugation check bounds each eigenvalue's shift by a Frobenius norm
+against ``S H S``, S the gate's signed permutation, with no eigensolve.
+The CLI `verify` subcommand and the acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -151,19 +153,26 @@ def conjugation_rule_failures(n: int = 4, control: int = 2, target: int = 3
 def conjugation_spectrum_deviation(sizes=(4, 6, 8), trials: int = 3,
                                    seed: int = 17) -> float:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for kind in ("CNOT", "CZ"):
-        for n in sizes:
-            for _ in range(trials):
-                terms = [PauliString.from_label(
-                    "".join(rng.choice(list("IXYZ"), size=n)),
-                    float(rng.normal())) for _ in range(2 * n)]
-                op = OperatorSum(n, terms)
-                gate = GateSpec(kind, int(rng.integers(1, n)), n)
-                w0 = np.linalg.eigvalsh(op.to_dense())
-                w1 = np.linalg.eigvalsh(conjugate(op, gate).to_dense())
-                worst = max(worst, float(np.abs(w0 - w1).max()))
-    return worst
+    return max((_similarity_deviation(rng, kind, n) for kind in ("CNOT", "CZ")
+                for n in sizes for _ in range(trials)), default=0.0)
+
+
+def _similarity_deviation(rng, kind: str, n: int) -> float:
+    """``||conjugate(op, gate) - S op S||_F`` for a random sum of 2n strings
+    and `kind` gate, S its matrix as the signed permutation it must be."""
+    op = OperatorSum(n, [PauliString.from_label(
+        "".join(rng.choice(list("IXYZ"), size=n)), float(rng.normal()))
+        for _ in range(2 * n)])
+    gate = GateSpec(kind, int(rng.integers(1, n)), n)
+    smat = gate.to_matrix(n)
+    (rows, perm), sign = np.nonzero(smat), smat[smat != 0]
+    del smat
+    assert np.array_equal(rows, np.arange(1 << n)) and np.array_equal(
+        np.sort(perm), rows) and np.all(np.abs(sign) == 1), "not unitary"
+    want = op.to_dense()[np.ix_(perm, perm)]
+    want *= np.multiply.outer(sign, sign)
+    want -= conjugate(op, gate).to_dense()
+    return float(np.linalg.norm(want))
 
 
 def conjugation_dense_deviation() -> float:

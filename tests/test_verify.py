@@ -4,7 +4,10 @@ The checks read the full spectrum of each checked path segment from the
 blocks of one `stepgap.spectra.Segment`, its ends tapered once under one
 map.  `dense_match_deviation` is the route they replaced, one `eigvalsh` of
 the 2^n x 2^n blend per sample point; it stays here as the oracle, so a
-tapered spectrum that dropped or moved a level would show.
+tapered spectrum that dropped or moved a level would show.  Likewise
+`eigvalsh_conjugation_deviation` keeps the route the conjugation check
+replaced, two `eigvalsh` spectra per seeded draw, as the oracle of its
+signed-permutation certificate.
 """
 
 import tracemalloc
@@ -15,7 +18,8 @@ import pytest
 
 from stepgap import analytic, verify
 from stepgap.models import lattice_build_order, make_path
-from stepgap.pauli import OperatorSum, PauliString, blend
+from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
+                           conjugate)
 from stepgap.spectra import Segment
 
 
@@ -80,3 +84,91 @@ def test_oversized_tapered_stack_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def conjugation_draws():
+    """The (sum, gate) pairs of `conjugation_spectrum_deviation()`, drawn
+    in its order: per gate kind and size 4, 6, 8, three sums of 2n strings
+    from seed 17."""
+    rng = np.random.default_rng(17)
+    draws = []
+    for kind in ("CNOT", "CZ"):
+        for n in (4, 6, 8):
+            for _ in range(3):
+                terms = [PauliString.from_label(
+                    "".join(rng.choice(list("IXYZ"), size=n)),
+                    float(rng.normal())) for _ in range(2 * n)]
+                draws.append((OperatorSum(n, terms),
+                              GateSpec(kind, int(rng.integers(1, n)), n)))
+    return draws
+
+
+def eigvalsh_conjugation_deviation(draws) -> float:
+    """Largest distance between the spectra of each sum and of its
+    `verify.conjugate`, two dense `eigvalsh` per draw."""
+    worst = 0.0
+    for op, gate in draws:
+        w0 = np.linalg.eigvalsh(op.to_dense())
+        w1 = np.linalg.eigvalsh(verify.conjugate(op, gate).to_dense())
+        worst = max(worst, float(np.abs(w0 - w1).max()))
+    return worst
+
+
+def recorded_conjugations(monkeypatch):
+    """The pairs `conjugation_spectrum_deviation` hands to `conjugate`."""
+    seen = []
+
+    def record(op, gate):
+        seen.append((op, gate))
+        return conjugate(op, gate)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "conjugate", record)
+        verify.conjugation_spectrum_deviation()
+    return seen
+
+
+def test_conjugation_check_agrees_with_eigvalsh_oracle(monkeypatch):
+    draws = conjugation_draws()
+    assert recorded_conjugations(monkeypatch) == draws
+    old = eigvalsh_conjugation_deviation(draws)
+    new = verify.conjugation_spectrum_deviation()
+    assert old < 1e-10
+    assert new < 1e-10
+    assert new >= old - 1e-12
+
+
+def test_conjugation_by_another_gate_is_caught(monkeypatch):
+    # the same kind onto qubit n from another control: isospectral, so
+    # the eigvalsh spectra agree, but it is not the requested similarity
+    def wrong_gate(op, gate):
+        other = gate.control % (op.n - 1) + 1
+        return conjugate(op, GateSpec(gate.kind, other, gate.target))
+    monkeypatch.setattr(verify, "conjugate", wrong_gate)
+    assert eigvalsh_conjugation_deviation(conjugation_draws()) < 1e-10
+    assert verify.conjugation_spectrum_deviation() > 1e-10
+
+
+def test_nudged_coefficient_is_caught_by_both_forms(monkeypatch):
+    def nudged(op, gate):
+        got = conjugate(op, gate)
+        first = got.terms[0]
+        return got + PauliString(got.n, first.x, first.z, 1e-6)
+    monkeypatch.setattr(verify, "conjugate", nudged)
+    old = eigvalsh_conjugation_deviation(conjugation_draws())
+    new = verify.conjugation_spectrum_deviation()
+    assert old > 1e-10
+    assert new > 1e-10
+    # Hoffman-Wielandt: the Frobenius norm bounds every eigenvalue's shift
+    assert new >= old - 1e-12
+
+
+def test_conjugation_check_holds_two_dense_matrices():
+    # two 256 x 256 complex matrices are 2 MB; the eigvalsh route held 1.2
+    verify.conjugation_spectrum_deviation()
+    tracemalloc.start()
+    try:
+        verify.conjugation_spectrum_deviation()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
