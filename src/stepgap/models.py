@@ -348,6 +348,9 @@ class InterpolationPath:
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "durations",
                            tuple(float(d) for d in self.durations))
+        starts = np.concatenate([[0.0], np.cumsum(self.durations)])
+        starts.setflags(write=False)
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def n(self) -> int:
@@ -362,7 +365,7 @@ class InterpolationPath:
         return float(sum(self.durations))
 
     def segment_starts(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.durations)])
+        return self._starts
 
     def locate(self, t: float) -> tuple[int, float]:
         """Segment index and local parameter owning time t in [0, tau]."""
@@ -371,7 +374,7 @@ class InterpolationPath:
             raise ValueError(f"t={t} outside [0, {tau}]")
         if t >= tau:
             return self.segment_count - 1, 1.0
-        starts = self.segment_starts()
+        starts = self._starts
         k = int(np.searchsorted(starts, t, side="right") - 1)
         k = min(k, self.segment_count - 1)
         return k, (t - starts[k]) / self.durations[k]

@@ -662,22 +662,26 @@ class _Tableau:
 
     def step(self, ys: int, xs: int, p: int, fan_in: int,
              inverse: bool = False) -> None:
-        """Conjugate by a step of :attr:`Tapering.steps`, or its inverse."""
+        """Conjugate by a step of :attr:`Tapering.steps`, or its inverse:
+        S on ys, CNOTs from p onto the rest of xs, H on p where xs is set,
+        then CNOTs from each bit of fan_in onto p.  Gates of one kind
+        commute, so the inverse reverses the order of the kinds alone."""
         x, z = self.x, self.z
-        gates = [("S", c, c) for c in _bits(ys)] + [
-            ("CX", p, t) for t in _bits(xs & ~(1 << p))] + [
-            ("H", p, p)] * (xs > 0) + [("CX", c, p) for c in _bits(fan_in)]
-        for gate, c, t in gates[::-1] if inverse else gates:
-            if gate == "CX":
-                x[t] ^= x[c]
-                z[c] ^= z[t]
-            elif gate == "H":
-                self.q1 ^= x[c] & z[c]
-                x[c], z[c] = z[c], x[c]
-            else:
-                z[c] ^= x[c]
-                self.q1 ^= x[c] & (~self.q0 if inverse else self.q0)
-                self.q0 ^= x[c]
+        for kind in (3, 2, 1, 0) if inverse else (0, 1, 2, 3):
+            for c in _bits((ys, xs & ~(1 << p), xs and 1 << p, fan_in)[kind]):
+                if kind == 0:  # S on c
+                    z[c] ^= x[c]
+                    self.q1 ^= x[c] & (~self.q0 if inverse else self.q0)
+                    self.q0 ^= x[c]
+                elif kind == 1:  # CNOT from p onto c
+                    x[c] ^= x[p]
+                    z[p] ^= z[c]
+                elif kind == 2:  # H on c = p
+                    self.q1 ^= x[c] & z[c]
+                    x[c], z[c] = z[c], x[c]
+                else:  # CNOT from c onto p
+                    x[p] ^= x[c]
+                    z[c] ^= z[p]
 
     def reorder(self, pivots: list[int], inverse: bool = False) -> None:
         """Move the columns `pivots` to the top in order, the first one
@@ -706,10 +710,11 @@ def taper(*ops: OperatorSum) -> Tapering:
         raise ValueError("qubit counts differ")
     terms = tuple(t for op in ops for t in op.terms)
     low, xall = (1 << n) - 1, ((1 << n) - 1) << n
-    packed = [term.x << n | term.z for term in terms]
-    kernel = _null_space([(v & low) << n | v >> n for v in packed], 2 * n)
+    # the ends of a segment share most terms: each support is solved once
+    supports = list(dict.fromkeys((t.x, t.z) for t in terms))
+    kernel = _null_space([z << n | x for x, z in supports], 2 * n)
     vectors = list(kernel.values())
-    if not any(_anticommute(v, xall, n) for v in packed):
+    if not any(z.bit_count() & 1 for _, z in supports):
         # X^n is the sum of the basis vectors of its free bits: swap one out
         del kernel[next(f for f in kernel if xall >> f & 1)]
         vectors = [xall, *kernel.values()]
@@ -717,7 +722,8 @@ def taper(*ops: OperatorSum) -> Tapering:
                        for g in _commuting_subset(vectors, n))
 
     r = len(generators)
-    tableau = _Tableau(n, [(p.x, p.z, p.y_count) for p in generators + terms])
+    tableau = _Tableau(n, [(p.x, p.z, p.y_count) for p in generators]
+                       + [(x, z, (x & z).bit_count()) for x, z in supports])
     free, steps = low, []
     for i in range(r):
         # generator i has no X on earlier pivots
@@ -732,8 +738,8 @@ def taper(*ops: OperatorSum) -> Tapering:
     tableau.reorder([p for _, _, p, _ in steps])
     rows = tableau.rows()
     # generator j ends as i^q Z on pivot j
-    mapped = [_signed(n, *row, term.coefficient)
-              for row, term in zip(rows[r:], terms)]
+    image = dict(zip(supports, rows[r:]))
+    mapped = [_signed(n, *image[t.x, t.z], t.coefficient) for t in terms]
     cuts = list(accumulate((len(op.terms) for op in ops), initial=0))
     return Tapering(generators, tuple(1 - q % 4 for _, _, q in rows[:r]),
                     tuple(OperatorSum(n, mapped[a:b])

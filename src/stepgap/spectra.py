@@ -41,12 +41,13 @@ A gap scan samples a uniform grid and refines its smallest sample, and any
 dip between tied samples, by Brent's method (parabolic steps with a
 golden-section fallback) to about :data:`REFINE_XTOL` in s.  Each run
 starts at a point whose gap is already known, so no gap is computed twice.
-A sample is the segment's two lowest levels at local s in the sector's
-blocks: on a stepwise chain segment one batched ``eigvalsh`` of at most
-two active matrices, 2 x 2 or 4 x 4, for any n, on a projector segment one
-small ``eigvalsh`` in the kept basis, 4 x 4 on the EC3 path for any n, on
-an ``ising-linear`` segment above n = 9 one 2n x 2n real Schur form per
-block.
+The samples in one segment are solved at once, values only
+(:meth:`Segment.values`), each refinement evaluation alone: on a stepwise
+chain segment one ``eigvalsh`` of the samples' active matrices, at most
+two each, 2 x 2 or 4 x 4, for any n, on a projector segment one of their
+kept-basis matrices, 4 x 4 on the EC3 path for any n, on an
+``ising-linear`` segment above n = 9 one 2n x 2n real Schur form per
+sample and block.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add
+from itertools import groupby, repeat, starmap
+from operator import add, itemgetter
 from typing import Callable
 
 import numpy as np
@@ -357,6 +359,59 @@ class Segment:
                 len(self.operators))] if self._pauli else self.operators
         return weighted_sum(self._blocks[b], weights)
 
+    def _route(self, blocks, count: int, want_vectors: bool, solver) -> str:
+        """How :meth:`levels` and :meth:`values` solve `count` levels over
+        `blocks`: ``projector``, its basis for `count` then built, or
+        ``majorana``, ``narrow`` or ``wide``, as :meth:`levels` says; a
+        count outside the blocks raises ValueError."""
+        dim = self.tapering.block_dim
+        if not 1 <= count <= len(blocks) * dim:
+            raise ValueError(f"count {count} outside 1..{len(blocks) * dim}")
+        auto = solver.get("method", "auto") == "auto"
+        # a path's many operators would each widen the basis and its refusal
+        if not self._pauli and len(self.operators) <= 2 and auto:
+            if count not in self._bases:
+                self._bases[count] = _projector_basis(self.operators, count)
+            return "projector"
+        if not want_vectors and auto and dim > DENSE_SOLVE_DIM \
+                and self._forms:
+            return "majorana"
+        return "narrow" if self.narrow(DENSE_SOLVE_DIM) else "wide"
+
+    def _solve(self, route: str, weights: np.ndarray, blocks, count: int,
+               want_vectors: bool, solver):
+        """Yield ``(w, v, index)`` for each row of the S x K `weights` on a
+        Pauli route: row i of `w` the levels of block ``blocks[i]``,
+        ``v[index[i]]`` its vectors, None without.  Narrow blocks take one
+        ``eigvalsh`` of the S x keys stack of weighted active matrices, or
+        with vectors one ``eigh`` per row."""
+        if route == "narrow":
+            parts = [(w, *self.factor(k, blocks))
+                     for k, w in enumerate(weights.T) if w.any()]
+            index = parts[0][1]
+            active = reduce(add, (w[:, None, None, None] * a
+                                  for w, _, _, a in parts))
+            solved = map(np.linalg.eigh, active) if want_vectors \
+                else zip(np.linalg.eigvalsh(active), repeat(None))
+            for i, (keyed, vectors) in enumerate(solved):
+                yield keyed[index] + reduce(add, (
+                    x[i] * c for x, _, c, _ in parts if x[i]))[:, None], \
+                    vectors, index
+            return
+        dim, index = self.tapering.block_dim, np.arange(len(blocks))
+        for row in weights.tolist():
+            if route == "majorana":
+                yield np.stack([_quadratic_levels(
+                    *block_form(self._forms, row, sign), sign,
+                    min(count, dim)) for sign in self.tapering.parity(
+                        np.asarray(blocks))]), None, index
+                continue
+            res = [lowest_eigenpairs(self.block(row, b), min(count, dim),
+                                     want_vectors=want_vectors, **solver)
+                   for b in blocks]
+            yield np.stack([x.eigenvalues for x in res]), np.stack(
+                [x.eigenvectors for x in res]) if want_vectors else None, index
+
     def levels(self, weights, blocks, count: int, want_vectors: bool = True,
                **solver) -> SpectrumResult:
         """The `count` lowest levels of ``sum_k weights[k] * operators[k]``
@@ -373,41 +428,13 @@ class Segment:
         that of their one block.  Levels merge by value, the lower block
         first on ties, with their parity where ``X^n`` is a generator.
         """
-        dim = self.tapering.block_dim
-        if not 1 <= count <= len(blocks) * dim:
-            raise ValueError(f"count {count} outside 1..{len(blocks) * dim}")
-        # a path's many operators would each widen the basis and its refusal
-        if not self._pauli and len(self.operators) <= 2 \
-                and solver.get("method", "auto") == "auto":
-            if count not in self._bases:
-                self._bases[count] = _projector_basis(self.operators, count)
+        route = self._route(blocks, count, want_vectors, solver)
+        if route == "projector":
             q, small = self._bases[count]
             weighted = sum(w * x for w, x in zip(weights, small))
             return _projector_eigh(q, weighted, count, want_vectors)
-        if not want_vectors and solver.get("method", "auto") == "auto" \
-                and dim > DENSE_SOLVE_DIM and self._forms:
-            w = np.stack([_quadratic_levels(
-                *block_form(self._forms, weights, sign), sign,
-                min(count, dim)) for sign in self.tapering.parity(
-                    np.asarray(blocks))])
-            v, index = None, np.arange(len(blocks))
-        elif self.narrow(DENSE_SOLVE_DIM):
-            parts = [(w, *self.factor(k, blocks))
-                     for k, w in enumerate(weights) if w]
-            index = parts[0][1]
-            active = reduce(add, (w * a for w, _, _, a in parts))
-            const = reduce(add, (w * c for w, _, c, _ in parts))
-            w, v = np.linalg.eigh(active) if want_vectors \
-                else (np.linalg.eigvalsh(active), None)
-            w = w[index] + const[:, None]
-        else:
-            res = [lowest_eigenpairs(self.block(weights, b), min(count, dim),
-                                     want_vectors=want_vectors, **solver)
-                   for b in blocks]
-            w = np.stack([x.eigenvalues for x in res])
-            v = np.stack([x.eigenvectors for x in res]) if want_vectors \
-                else None
-            index = np.arange(len(res))
+        (w, v, index), = self._solve(route, np.asarray(weights, float)[None],
+                                     blocks, count, want_vectors, solver)
         # the stable argsort's first `count`, from the lowest levels alone
         flat = w.ravel()
         low = np.flatnonzero(flat <= np.partition(flat, count - 1)[count - 1])
@@ -420,6 +447,22 @@ class Segment:
         labels = None if signs is None else tuple(
             "even" if x == 1 else "odd" for x in signs.tolist())
         return SpectrumResult(flat[order], vectors, labels)
+
+    def values(self, weights, blocks, count: int, **solver) -> np.ndarray:
+        """The S x count array of the levels :meth:`levels` gives for each
+        row of the S x K `weights`, ascending, on its route but without its
+        vectors, labels or merge; a projector segment's S kept-basis
+        matrices take one ``eigvalsh``, like narrow blocks' active ones."""
+        weights = np.asarray(weights, dtype=float)
+        route = self._route(blocks, count, False, solver)
+        if route == "projector":
+            return np.linalg.eigvalsh(sum(w[:, None, None] * x for w, x in zip(
+                weights.T, self._bases[count][1])))[:, :count]
+        # one row's levels at a time: each is dropped before the next
+        return np.fromiter(starmap(
+            lambda w, *_: np.sort(np.partition(w.ravel(), count - 1)[:count]),
+            self._solve(route, weights, blocks, count, False, solver)),
+            np.dtype((float, count)), len(weights))
 
 
 def sector_levels(op, sector: str, count: int = 2, want_vectors: bool = True,
@@ -556,29 +599,38 @@ def gap_scan(path: InterpolationPath, points: int = 200,
     is refused before any solve, and before any tapering, unless ``X^n``
     commutes with every term of every operator of the path.  Each path
     segment becomes a :class:`Segment` when a sample first falls in it,
-    and only the current one is kept; a sample is its levels at local s,
-    with `solver`.
+    and only the current one is kept; its samples are one
+    :meth:`Segment.values` call, with `solver`, and each refinement
+    evaluation one more.
     """
     if points < 2:
         raise ValueError("need at least two sample points")
     _check_sector(path.operators, sector)
     grid = np.linspace(0.0, 1.0, points)
-    evaluations = 0
-    current, segment, blocks = None, None, None  # the segment last sampled
+    evaluations = points
+    current, segment, blocks = None, None, None  # the segment last solved
 
-    def eval_gap(s_global: float) -> tuple[float, float, float]:
-        nonlocal evaluations, current, segment, blocks
-        evaluations += 1
-        k, s = path.locate(float(s_global) * path.tau)
+    def levels(k: int, s) -> np.ndarray:
+        """The two lowest levels of segment k at each local s."""
+        nonlocal current, segment, blocks
         if k != current:
             current, segment = k, Segment(*path.segment(k))
             blocks = segment.sector(sector)
-        lam0, lam1 = (float(x) for x in segment.levels(
-            (1.0 - s, s), blocks, 2, want_vectors=False, **solver).eigenvalues)
-        return lam1 - lam0, lam0, lam1
+        return segment.values(np.column_stack([1.0 - s, s]), blocks, 2,
+                              **solver)
 
-    samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
-    minimum = _refined_minimum(lambda s: eval_gap(s)[0], grid, samples[:, 1])
+    def eval_gap(s_global: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        (lam0, lam1), = levels(*path.locate(float(s_global) * path.tau)
+                               ).tolist()
+        return lam1 - lam0
+
+    located = [path.locate(float(s) * path.tau) for s in grid]
+    rows = np.concatenate([levels(k, np.array([s for _, s in group]))
+                           for k, group in groupby(located, itemgetter(0))])
+    samples = np.column_stack([grid, rows[:, 1] - rows[:, 0], rows])
+    minimum = _refined_minimum(eval_gap, grid, samples[:, 1])
     return GapCurve(samples, sector, minimum, evaluations)
 
 

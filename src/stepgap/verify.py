@@ -2,9 +2,9 @@
 
 Each check evaluates a closed-form prediction against exact numerics and
 returns the worst absolute deviation it saw.  Each level check reads the
-full spectrum at every local s from the blocks of one
-:class:`stepgap.spectra.Segment` per checked path segment, not from a 2^n
-x 2^n dense eigensolve, so it also runs above the dense qubit cap.  The
+full spectrum at all its local s from one :meth:`Segment.values` call
+(:class:`stepgap.spectra.Segment`) per checked path segment, not from a
+2^n x 2^n dense eigensolve, so it also runs above the dense qubit cap.  The
 conjugation check bounds each eigenvalue's shift by a Frobenius norm
 against ``S H S``, S the gate's signed permutation, with no eigensolve.
 The CLI `verify` subcommand and the acceptance tests both run these.
@@ -34,21 +34,20 @@ class CheckResult:
         return self.deviation < self.tolerance
 
 
-def _match_deviation(segment: Segment, s: float, levels) -> float:
-    """Worst distance from each analytic level to the full spectrum of
-    `segment` at local s."""
-    blocks = segment.sector("all")
-    num = segment.levels((1.0 - s, s), blocks,
-                         len(blocks) * segment.tapering.block_dim,
-                         want_vectors=False).eigenvalues
+def _match_deviation(num: np.ndarray, levels) -> float:
+    """Worst distance from each analytic level to the spectrum `num`."""
     return max(float(np.min(np.abs(num - level.value))) for level in levels)
 
 
 def _segment_deviation(path, k: int, points: int, levels_at) -> float:
-    """Worst :func:`_match_deviation` of segment k at `points` local s."""
+    """Worst :func:`_match_deviation` of the full spectrum of segment k at
+    `points` local s, from one :meth:`Segment.values` call."""
     segment = Segment(*path.segment(k))
-    return max(_match_deviation(segment, s, levels_at(s))
-               for s in np.linspace(0.0, 1.0, points))
+    blocks, grid = segment.sector("all"), np.linspace(0.0, 1.0, points)
+    spectra = segment.values(np.column_stack([1.0 - grid, grid]), blocks,
+                             len(blocks) * segment.tapering.block_dim)
+    return max(_match_deviation(num, levels_at(s))
+               for s, num in zip(grid, spectra))
 
 
 def first_step_deviation(n: int, points: int = 101, kappa_max: int = 2

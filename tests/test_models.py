@@ -295,6 +295,24 @@ def test_path_boundary_continuity():
     assert path.locate(t_boundary)[0] == 1
 
 
+def test_segment_starts_are_stored_once_and_read_only():
+    # locate reads the starts built with the path, the same values as the
+    # cumulative sum of the durations
+    path = make_path("ising-stepwise", n=5).rescaled(3.7)
+    starts = path.segment_starts()
+    assert starts is path.segment_starts()
+    assert np.array_equal(starts, np.concatenate([[0.0], np.cumsum(
+        path.durations)]))
+    with pytest.raises(ValueError):
+        starts[1] = 0.0
+    for t in np.linspace(0.0, path.tau, 23):
+        k = int(np.searchsorted(starts, t, side="right") - 1)
+        k = min(k, path.segment_count - 1)
+        want = (k, (t - starts[k]) / path.durations[k]) if t < path.tau \
+            else (path.segment_count - 1, 1.0)
+        assert path.locate(t) == want
+
+
 def test_path_midpoint_matches_hand_built_operator():
     n = 5
     path = make_path("ising-stepwise", n=n)

@@ -10,15 +10,22 @@ against `eigvalsh` of `reference_dense`, its generators by counting where
 two strings differ and by a GF(2) rank of their own.  The column tableau
 and the boundary maps built on it are checked against the recorded map as
 a dense unitary, itself checked against `reference_dense`.
+`gate_list_taper` is `taper` as first written, every term carried through
+a tableau that runs each step from a list of gates; the tapering must
+equal it exactly.
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from stepgap.pauli import (GateSpec, OperatorSum, PauliString, _Tableau,
-                           blend, boundary_map, conjugate, string_expectation,
-                           taper)
+from stepgap.models import make_path
+from stepgap.pauli import (GateSpec, OperatorSum, PauliString, Tapering,
+                           _Tableau, _anticommute, _commuting_subset,
+                           _null_space, _signed, blend, boundary_map,
+                           conjugate, string_expectation, taper)
 from stepgap.spectra import Segment, sector_levels
 
 _PAULI_MATRICES = {
@@ -538,3 +545,111 @@ def test_pauli_string_apply_matches_reference():
     psi = rng.normal(size=8)
     want = reference_apply(op, psi)
     assert np.abs(op.apply(psi) - want).max() < 1e-15
+
+
+def bits(mask: int) -> list[int]:
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+class GateListTableau(_Tableau):
+    """The tableau with each step run from a list of its gates, in order,
+    and in reverse for the inverse."""
+
+    def step(self, ys, xs, p, fan_in, inverse=False):
+        x, z = self.x, self.z
+        gates = [("S", c, c) for c in bits(ys)] + [
+            ("CX", p, t) for t in bits(xs & ~(1 << p))] + [
+            ("H", p, p)] * (xs > 0) + [("CX", c, p) for c in bits(fan_in)]
+        for gate, c, t in gates[::-1] if inverse else gates:
+            if gate == "CX":
+                x[t] ^= x[c]
+                z[c] ^= z[t]
+            elif gate == "H":
+                self.q1 ^= x[c] & z[c]
+                x[c], z[c] = z[c], x[c]
+            else:
+                z[c] ^= x[c]
+                self.q1 ^= x[c] & (~self.q0 if inverse else self.q0)
+                self.q0 ^= x[c]
+
+
+def gate_list_taper(*ops):
+    """`taper` with every term, repeated or not, carried on its own row of
+    a :class:`GateListTableau`, and ``X^n`` tested by `_anticommute`."""
+    n = ops[0].n
+    terms = tuple(t for op in ops for t in op.terms)
+    low, xall = (1 << n) - 1, ((1 << n) - 1) << n
+    packed = [term.x << n | term.z for term in terms]
+    kernel = _null_space([(v & low) << n | v >> n for v in packed], 2 * n)
+    vectors = list(kernel.values())
+    if not any(_anticommute(v, xall, n) for v in packed):
+        del kernel[next(f for f in kernel if xall >> f & 1)]
+        vectors = [xall, *kernel.values()]
+    generators = tuple(PauliString(n, g >> n, g & low)
+                       for g in _commuting_subset(vectors, n))
+    r = len(generators)
+    tableau = GateListTableau(n, [(p.x, p.z, p.y_count)
+                                  for p in generators + terms])
+    free, steps = low, []
+    for i in range(r):
+        gx, gz = tableau.row(i)
+        ys, xs = free & gx & gz, free & gx
+        p = (xs or free & gz).bit_length() - 1
+        tableau.step(ys, xs, p, 0)
+        fan_in = tableau.row(i)[1] ^ 1 << p
+        tableau.step(0, 0, p, fan_in)
+        free ^= 1 << p
+        steps.append((ys, xs, p, fan_in))
+    tableau.reorder([p for _, _, p, _ in steps])
+    rows = tableau.rows()
+    mapped = [_signed(n, *row, term.coefficient)
+              for row, term in zip(rows[r:], terms)]
+    cuts = list(accumulate((len(op.terms) for op in ops), initial=0))
+    return Tapering(generators, tuple(1 - q % 4 for _, _, q in rows[:r]),
+                    tuple(OperatorSum(n, mapped[a:b])
+                          for a, b in zip(cuts, cuts[1:])), tuple(steps))
+
+
+@given(planted_symmetry_sums(), st.data())
+def test_tapering_equals_the_gate_list_taper(op, data):
+    # a second sum that shares some of the first's terms, with other
+    # coefficients, as the two ends of a path segment do
+    n = op.n
+    shared = data.draw(st.lists(st.sampled_from(op.terms), max_size=8)
+                       if op.terms else st.just([]))
+    scales = data.draw(st.lists(coefficients, min_size=len(shared),
+                                max_size=len(shared)))
+    other = OperatorSum(n, [PauliString(n, t.x, t.z, c * t.coefficient)
+                            for t, c in zip(shared, scales)]
+                        + list(data.draw(pauli_sums(n)).terms))
+    for ops in ((op,), (op, other), (other, op, op)):
+        assert taper(*ops) == gate_list_taper(*ops)
+
+
+@pytest.mark.parametrize("family, sizes", [
+    (family, [{"n": n} for n in range(3, 13)]) for family in (
+        "ising-stepwise", "ising-linear", "cluster1d-stepwise",
+        "cluster1d-linear")] + [("cluster2d-stepwise", [
+            {"width": w, "height": h} for w, h in ((2, 2), (3, 2), (3, 3))])])
+def test_path_taperings_equal_the_gate_list_taper(family, sizes):
+    # every segment's ends, and every path's operators all at once
+    for size in sizes:
+        path = make_path(family, **size)
+        for ops in [path.segment(k) for k in range(path.segment_count)] + [
+                path.operators]:
+            assert taper(*ops) == gate_list_taper(*ops)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_tableau_step_equals_the_gate_list_step(n, seed, inverse):
+    rng = np.random.default_rng(seed)
+    rows = [(int(x), int(z), int(q)) for x, z, q in zip(
+        *rng.integers(0, 1 << n, size=(2, 6)), rng.integers(0, 4, size=6))]
+    p = int(rng.integers(0, n))
+    ys, xs, fan_in = (int(v) for v in rng.integers(0, 1 << n, size=3))
+    fan_in &= ~(1 << p)
+    got, want = _Tableau(n, rows), GateListTableau(n, rows)
+    for tableau in (got, want):
+        tableau.step(ys, xs | 1 << p, p, fan_in, inverse)
+        tableau.step(ys, 0, p, fan_in, inverse)
+    assert got.rows() == want.rows()

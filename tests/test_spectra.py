@@ -1,12 +1,14 @@
 """Tests for eigensolvers, sector-labelled spectra and gap scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_dynamics import planted_paths
 from test_pauli import projector_sums
 
-from stepgap import spectra
+from stepgap import ec3, spectra
 from stepgap.models import (
     InterpolationPath,
     chain_lattice,
@@ -207,23 +209,35 @@ def test_sector_levels_is_one_block_solve_with_every_even_level(n,
 
 
 def test_even_gap_sample_solves_at_most_two_active_blocks(monkeypatch):
-    # every sample of an even ising-stepwise scan at n = 12 is one eigvalsh
-    # of the keys' active matrices, not of the 2^10 even blocks; the last
-    # segment tapers every qubit, one key of 1 x 1
-    shapes = []
+    # an even ising-stepwise scan at n = 12 solves the grid samples of each
+    # segment it enters in one eigvalsh of their keys' active matrices, not
+    # of the 2^10 even blocks, and each refinement evaluation in one more;
+    # the last segment tapers every qubit, one key of 1 x 1
+    shapes, entered = [], []
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
         shapes.append(a.shape)
         return eigvalsh(a, *args, **kwargs)
 
+    class Entered(Segment):
+        def __init__(self, *ops):
+            entered.append(ops)
+            super().__init__(*ops)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    curve = gap_scan(make_path("ising-stepwise", n=12), points=9,
-                     sector="even")
-    assert len(shapes) == curve.evaluations
-    assert all(len(shape) == 3 and shape[0] <= 2
-               and shape[1:] in ((2, 2), (1, 1)) for shape in shapes)
-    assert (2, 2, 2) in shapes
+    monkeypatch.setattr(spectra, "Segment", Entered)
+    path, points = make_path("ising-stepwise", n=12), 41
+    curve = gap_scan(path, points=points, sector="even")
+    grid_segments = len({path.locate(s * path.tau)[0]
+                         for s in np.linspace(0.0, 1.0, points)})
+    refinements = curve.evaluations - points
+    assert len(shapes) == grid_segments + refinements
+    assert sum(shape[0] for shape in shapes) == curve.evaluations
+    assert all(len(shape) == 4 and shape[1] <= 2
+               and shape[2:] in ((2, 2), (1, 1)) for shape in shapes)
+    assert (3, 2, 2, 2) in shapes and (4, 1, 1, 1) in shapes
+    assert len(entered) >= path.segment_count
     assert curve.minimum[1] == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
@@ -603,6 +617,146 @@ def test_projector_scan_is_one_block_solve_per_evaluation(monkeypatch):
     assert curve.evaluations > len(entered) >= 2
     assert factored == [(64, 4)] * len(entered)
     assert per_sample == []
+
+
+def levels_scan(path, points, sector="all", **solver):
+    """`gap_scan` as it solved before :meth:`Segment.values`: one
+    :meth:`Segment.levels` per sample and per refinement evaluation."""
+    grid = np.linspace(0.0, 1.0, points)
+    evaluations = 0
+    current, segment, blocks = None, None, None
+
+    def eval_gap(s_global):
+        nonlocal evaluations, current, segment, blocks
+        evaluations += 1
+        k, s = path.locate(float(s_global) * path.tau)
+        if k != current:
+            current, segment = k, Segment(*path.segment(k))
+            blocks = segment.sector(sector)
+        lam0, lam1 = (float(x) for x in segment.levels(
+            (1.0 - s, s), blocks, 2, want_vectors=False, **solver).eigenvalues)
+        return lam1 - lam0, lam0, lam1
+
+    samples = np.column_stack([grid, np.array([eval_gap(s) for s in grid])])
+    minimum = _refined_minimum(lambda s: eval_gap(s)[0], grid, samples[:, 1])
+    return GapCurve(samples, sector, minimum, evaluations)
+
+
+def levels_rows(segment, weights, blocks, count, **solver):
+    """Each row's :meth:`Segment.levels` eigenvalues, one call per row."""
+    return np.array([segment.levels(row, blocks, count, want_vectors=False,
+                                    **solver).eigenvalues for row in weights])
+
+
+def value_weights(seed, size=2):
+    """Rows at s = 0, 1/4, 1/2 and 1, then three random ones; with more
+    than two operators, random rows with zeros and one-hot rows."""
+    rng = np.random.default_rng(seed)
+    if size == 2:
+        s = np.concatenate([[0.0, 0.25, 0.5, 1.0], rng.random(3)])
+        return np.column_stack([1.0 - s, s])
+    return np.vstack([rng.random((3, size)) * (rng.random((3, size)) < 0.5),
+                      np.eye(size)[[0, size // 2, -1]]])
+
+
+def ec3_path(n, m, seed=None, clauses=None):
+    """The greedy-ordered projector path of the given clauses, else of a
+    seeded satisfiable instance."""
+    inst = ec3.Ec3Instance(n, clauses) if clauses else \
+        ec3.random_satisfiable_instance(n, m, np.random.default_rng(seed))
+    return make_path("ec3-projector", instance=inst,
+                     clause_order=ec3.order_clauses(inst, "greedy-max-r"))
+
+
+@pytest.mark.parametrize("family, size, sector", ROUTE_CASES)
+def test_values_equal_the_per_sample_levels(family, size, sector):
+    path = make_path(family, **size)
+    weights = value_weights(path.n)
+    for k in range(path.segment_count):
+        segment = Segment(*path.segment(k))
+        blocks = segment.sector(sector)
+        assert segment._route(blocks, 2, False, {}) == "narrow"
+        for count in (1, 2, len(blocks) * segment.tapering.block_dim):
+            got = segment.values(weights, blocks, count)
+            assert got.shape == (len(weights), count)
+            assert np.array_equal(got, levels_rows(segment, weights, blocks,
+                                                   count))
+
+
+@pytest.mark.parametrize("route, segment, sector, solver, counts", [
+    ("narrow", lambda: Segment(*make_path("ising-stepwise", n=6).operators),
+     "even", {}, (1, 2, 5)),
+    ("projector", lambda: Segment(*ec3_path(8, 6, 5).segment(2)), "all", {},
+     (1, 2, 3)),
+    ("wide", lambda: Segment(*ec3_path(8, 6, 5).segment(4)), "all",
+     {"method": "dense"}, (2,)),
+    ("majorana", lambda: Segment(*make_path("ising-linear", n=10).segment(0)),
+     "even", {}, (1, 2, 3)),
+    ("majorana", lambda: Segment(*make_path("ising-linear", n=11).segment(0)),
+     "all", {}, (2, 4)),
+    ("wide", lambda: Segment(*make_path("ising-linear", n=10).segment(0)),
+     "even", {"method": "lanczos"}, (2,)),
+    ("wide", lambda: Segment(*make_path("ising-linear", n=10).segment(0)),
+     "all", {"method": "dense"}, (2,)),
+], ids=["path-wide", "projector", "projector-dense", "majorana-even",
+        "majorana-all", "lanczos", "dense"])
+def test_values_equal_the_per_sample_levels_on_every_route(
+        route, segment, sector, solver, counts):
+    segment = segment()
+    blocks = segment.sector(sector)
+    weights = value_weights(7, len(segment.operators))
+    for count in counts:
+        assert segment._route(blocks, count, False, solver) == route
+        assert np.array_equal(
+            segment.values(weights, blocks, count, **solver),
+            levels_rows(segment, weights, blocks, count, **solver))
+
+
+#: the fixed instance of the benchmark's ec3-projector workload
+EC3_FAULT = ((1, 2, 7), (6, 7, 8), (3, 4, 7), (2, 7, 8), (4, 9, 10),
+             (4, 6, 10), (7, 8, 9), (6, 7, 9))
+
+
+@pytest.mark.parametrize("path, points, sector", [
+    # the benchmark's scans
+    (lambda: make_path("ising-linear", n=10), 5, "even"),
+    (lambda: make_path("ising-stepwise", n=10), 21, "even"),
+    (lambda: make_path("cluster1d-stepwise", n=10), 19, "all"),
+    (lambda: make_path("cluster2d-stepwise", width=3, height=3), 17, "all"),
+    (lambda: ec3_path(10, 8, clauses=EC3_FAULT), 33, "all"),
+    (lambda: ec3_path(10, 8, 401), 33, "all"),
+    # the CLI's default 200 points
+    (lambda: make_path("ising-stepwise", n=10), 200, "even"),
+    (lambda: make_path("cluster2d-stepwise", width=3, height=3), 200, "all"),
+    (lambda: make_path("cluster1d-stepwise", n=12), 200, "all"),
+    (lambda: make_path("ising-linear", n=12), 200, "even"),
+], ids=["linear-10", "stepwise-10", "cluster1d-10", "cluster2d-3x3",
+        "ec3-fault", "ec3-seeded", "stepwise-10-200", "cluster2d-3x3-200",
+        "cluster1d-12-200", "linear-12-200"])
+def test_scan_equals_the_per_sample_levels_route(path, points, sector):
+    path = path()
+    got, want = (scan(path, points, sector)
+                 for scan in (gap_scan, levels_scan))
+    assert np.array_equal(got.samples, want.samples)
+    assert got.minimum == want.minimum
+    assert got.evaluations == want.evaluations
+
+
+def test_even_scan_memory_at_n16():
+    # the per-sample route peaked at 15.0 words per even block of a mid
+    # segment; the batch may add its S x keys x d stack of key levels
+    n, points = 16, 200
+    path = make_path("ising-stepwise", n=n)
+    blocks = len(Segment(*path.segment(n // 2)).sector("even"))
+    tracemalloc.start()
+    try:
+        curve = gap_scan(path, points=points, sector="even")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = (points // path.segment_count + 2) * 2 * 2 * 8
+    assert peak < 15.1 * 8 * blocks + stack
+    assert curve.minimum[1] == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 def test_even_scan_without_the_symmetry_is_refused_before_any_solve(

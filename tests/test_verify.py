@@ -1,10 +1,12 @@
 """The level checks of `verify` against a dense-eigvalsh oracle.
 
-The checks read the full spectrum of each checked path segment from the
-blocks of one `stepgap.spectra.Segment`, its ends tapered once under one
-map.  `dense_match_deviation` is the route they replaced, one `eigvalsh` of
-the 2^n x 2^n blend per sample point; it stays here as the oracle, so a
-tapered spectrum that dropped or moved a level would show.  Likewise
+The checks read the full spectrum of each checked path segment at all of
+its sample points from one `Segment.values` call, its ends tapered once
+under one map.  `dense_values` is the route they replaced, one `eigvalsh`
+of the 2^n x 2^n blend per sample point; it stays here as the oracle, so a
+tapered spectrum that dropped or moved a level would show, and
+`levels_segment_deviation` the route before the batch, one
+`Segment.levels` per sample point, whose deviations it keeps.  Likewise
 `eigvalsh_conjugation_deviation` keeps the route the conjugation check
 replaced, two `eigvalsh` spectra per seeded draw, as the oracle of its
 signed-permutation certificate.
@@ -23,9 +25,27 @@ from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
 from stepgap.spectra import Segment
 
 
-def dense_match_deviation(segment, s, levels) -> float:
-    num = np.linalg.eigvalsh(blend(*segment.operators, s).to_dense())
-    return max(float(np.min(np.abs(num - level.value))) for level in levels)
+def dense_values(segment, weights, blocks, count):
+    """`Segment.values` of a segment's full spectrum, from one `eigvalsh`
+    of the dense blend per row ``(1 - s, s)`` of `weights`."""
+    return [np.linalg.eigvalsh(blend(*segment.operators, s).to_dense())
+            for _, s in weights]
+
+
+def levels_segment_deviation(path, k, points, levels_at) -> float:
+    """`verify._segment_deviation` with one `Segment.levels` per sample."""
+    segment = Segment(*path.segment(k))
+    blocks = segment.sector("all")
+    return max(verify._match_deviation(segment.levels(
+        (1.0 - s, s), blocks, len(blocks) * segment.tapering.block_dim,
+        want_vectors=False).eigenvalues, levels_at(s))
+        for s in np.linspace(0.0, 1.0, points))
+
+
+def spectrum_at(segment, s):
+    blocks = segment.sector("all")
+    return segment.values([(1.0 - s, s)], blocks,
+                          len(blocks) * segment.tapering.block_dim)[0]
 
 
 LEVEL_CHECKS = (verify.first_step_deviation, verify.mid_step_deviation,
@@ -35,10 +55,20 @@ LEVEL_CHECKS = (verify.first_step_deviation, verify.mid_step_deviation,
 @pytest.mark.parametrize("check", LEVEL_CHECKS, ids=lambda f: f.__name__)
 def test_level_check_equals_dense_route(check, monkeypatch):
     got = check(6, points=11)
-    monkeypatch.setattr(verify, "_match_deviation", dense_match_deviation)
+    monkeypatch.setattr(Segment, "values", dense_values)
     want = check(6, points=11)
     assert got < 1e-8
     assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n, points", [(8, 7), (12, 5)])
+@pytest.mark.parametrize("check", LEVEL_CHECKS, ids=lambda f: f.__name__)
+def test_level_check_equals_the_per_sample_levels_route(check, n, points,
+                                                        monkeypatch):
+    got = check(n, points=points)
+    monkeypatch.setattr(verify, "_segment_deviation",
+                        levels_segment_deviation)
+    assert got == check(n, points=points)
 
 
 def _levels_at(name: str, s: float):
@@ -62,11 +92,12 @@ def _levels_at(name: str, s: float):
 @pytest.mark.parametrize("name", ("first", "mid", "cluster", "two-link"))
 def test_moved_level_is_caught(name):
     segment, levels = _levels_at(name, 0.3)
-    assert verify._match_deviation(segment, 0.3, levels) < 1e-12
+    spectrum = spectrum_at(segment, 0.3)
+    assert verify._match_deviation(spectrum, levels) < 1e-12
     for i, level in enumerate(levels):
         moved = list(levels)
         moved[i] = replace(level, value=level.value + 1e-6)
-        assert verify._match_deviation(segment, 0.3, moved) >= 0.9e-6
+        assert verify._match_deviation(spectrum, moved) >= 0.9e-6
 
 
 def test_oversized_tapered_stack_refused_before_allocating():
