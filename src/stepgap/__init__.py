@@ -43,6 +43,7 @@ from .spectra import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     EvolutionResult,
     ScalingRow,
+    adiabatic_run,
     evolution_target,
     evolve,
     fidelity,

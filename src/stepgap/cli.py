@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _blas, ec3, verify
-from .dynamics import evolve, evolution_target, runtime_for_fidelity
+from .dynamics import adiabatic_run, runtime_for_fidelity
 from .models import (N_FAMILIES, PATH_FAMILIES, build_order_from_file,
                      make_path)
-from .pauli import uniform_superposition
 from .spectra import ConvergenceError, Segment, gap_scan
 
 EXIT_OK = 0
@@ -204,10 +203,8 @@ def cmd_gap_scan(args) -> int:
 def cmd_evolve(args) -> int:
     t0 = time.perf_counter()
     path = _load_path(args)
-    psi0 = uniform_superposition(path.n)
-    target = evolution_target(path, psi0)
-    res = evolve(path, psi0, args.tau, accuracy=args.accuracy,
-                 target=target, track_parity=args.track_parity)
+    res = adiabatic_run(path, args.tau, accuracy=args.accuracy,
+                        track_parity=args.track_parity)
     wall = time.perf_counter() - t0
     payload = {
         "fidelity": res.fidelity,

@@ -748,8 +748,8 @@ def taper(*ops: OperatorSum) -> Tapering:
 
 def boundary_map(a: Tapering, b: Tapering):
     """``T = C_b C_a^dagger``, from rows folded by `a` to rows folded by
-    `b`, up to a unit factor: 2^h gathers with phases, held as one index
-    gather and one byte per term and index; where neither has steps, the
+    `b`, up to a unit factor: 2^h gathers with phases, each term's index
+    and phase built once with the map; where neither has steps, the
     identity.  X_j, Z_j carried back through the steps of `b` and on through
     `a`'s are ``U X_j U^dagger = i^q X^x Z^z`` (``U = T^dagger``) and the
     stabilizers of ``phi = U|0>``; with ``U|j> = i^Q X^A Z^B phi``, ``(T
@@ -792,13 +792,15 @@ def boundary_map(a: Tapering, b: Tapering):
         exponents = np.concatenate([exponents, exponents - np.array(
             shift, np.uint8) - (np.bitwise_count(gather & z) << 1)], axis=1)
         gather = np.concatenate([gather, gather ^ x])
-    exponents &= 3
-    support, scale = np.array(support)[:, None], 2.0 ** (-len(lead) / 2)
+    # held at 12 bytes per term and index: the phases, +-1 and +-i, are
+    # exact in complex64, and 2^n fits int32 below any register refused
+    phases = np.take(np.array(_Y_PHASES, np.complex64), exponents & 3)
+    index = (gather ^ np.array(support)[:, None]).astype(np.int32)
+    scale = 2.0 ** (-len(lead) / 2)
 
     def crossing(rows: np.ndarray) -> np.ndarray:
-        terms = np.take(np.array(_Y_PHASES), exponents)
         # the scale last: terms that cancel give exactly 0
-        terms *= rows.ravel()[gather ^ support]
+        terms = phases * rows.ravel()[index]
         return (scale * terms.sum(0)).reshape(-1, b.block_dim)
     return crossing
 

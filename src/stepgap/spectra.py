@@ -241,25 +241,15 @@ def _projector_eigh(q: np.ndarray, small: np.ndarray, count: int,
     return SpectrumResult(w[:count], q @ u[:, :count])
 
 
-def _quadratic_levels(const: float, a: np.ndarray, sign: int, count: int
-                      ) -> np.ndarray:
-    """The `count` lowest levels where ``X^n`` reads `sign` of ``const +
-    (i/4) c^T a c`` (:func:`stepgap.majorana.block_form`).
-
-    The real Schur form ``a = O T O^T`` pairs the Majoranas into modes
-    ``c' = O^T c``: a 2 x 2 block ``[[0, t], [-t, 0]]`` adds ``(t/2) i c'_0
-    c'_1`` of energy ``+-t/2``, and the 1 x 1 blocks, zero, pair in order
-    into zero modes.  The vacuum has energy ``const - sum |t| / 2`` and
-    parity ``X^n = det(O) prod(-sign t)``; each mode raised adds ``|t|``
-    and flips it.  The lowest `count` levels of each parity come from the
-    lowest count + 1 modes, merged one mode at a time.  Raises
-    :class:`ConvergenceError` when ``O T O^T`` misses `a` by more than
-    1e-10 of its norm, and ValueError for more levels than a state of
-    STATE_QUBIT_CAP qubits holds.
-    """
-    if count > 1 << STATE_QUBIT_CAP:
-        raise ValueError(f"{count} levels refused: more than a state of "
-                         f"{STATE_QUBIT_CAP} qubits holds")
+def normal_modes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(o, t)`` of a real antisymmetric 2n x 2n `a`: o real orthogonal
+    and ``a = sum_k t_k (o_2k o_2k+1^T - o_2k+1 o_2k^T)``, the real Schur
+    form ``a = O T O^T`` with its 2 x 2 blocks ``[[0, t], [-t, 0]]`` first
+    and its 1 x 1 blocks, zero, paired in order into modes ``t_k = 0``.
+    The modes ``c' = O^T c`` of ``(i/4) c^T a c`` (:func:`stepgap.majorana.
+    block_form`) each add ``(t_k/2) i c'_2k c'_2k+1``, of energy ``+-t_k/2``.
+    Raises :class:`ConvergenceError` when the form misses `a` by more than
+    1e-10 of its norm."""
     t, o = scipy.linalg.schur(a, output="real")
     starts = np.flatnonzero(np.diagonal(t, -1))
     single = np.ones(len(a), bool)
@@ -273,6 +263,25 @@ def _quadratic_levels(const: float, a: np.ndarray, sign: int, count: int
     if miss > 1e-10 * np.linalg.norm(a):
         raise ConvergenceError(f"real Schur form misses the Majorana matrix "
                                f"by {miss:.3g} (2n = {len(a)})")
+    return o, modes
+
+
+def _quadratic_levels(const: float, a: np.ndarray, sign: int, count: int
+                      ) -> np.ndarray:
+    """The `count` lowest levels where ``X^n`` reads `sign` of ``const +
+    (i/4) c^T a c`` (:func:`stepgap.majorana.block_form`).
+
+    Of the :func:`normal_modes` of a, the vacuum has energy ``const - sum
+    |t| / 2`` and parity ``X^n = det(O) prod(-sign t)``; each mode raised
+    adds ``|t|`` and flips it.  The lowest `count` levels of each parity
+    come from the lowest count + 1 modes, merged one mode at a time.
+    Raises ValueError for more levels than a state of STATE_QUBIT_CAP
+    qubits holds.
+    """
+    if count > 1 << STATE_QUBIT_CAP:
+        raise ValueError(f"{count} levels refused: more than a state of "
+                         f"{STATE_QUBIT_CAP} qubits holds")
+    o, modes = normal_modes(a)
     vacuum = int(np.linalg.slogdet(o)[0] * np.prod(np.where(modes < 0,
                                                              1, -1)))
     levels = {vacuum: np.array([const - 0.5 * np.abs(modes).sum()]),
@@ -322,7 +331,7 @@ class Segment:
         self._factors, self._blocks, self._bases = {}, {}, {}
 
     @cached_property
-    def _forms(self) -> tuple | None:
+    def forms(self) -> tuple | None:
         """Each operator's :func:`~stepgap.majorana.majorana_form`, where
         every one has one and ``X^n`` is the one generator, so that each
         block is a parity sector; else None."""
@@ -374,7 +383,7 @@ class Segment:
                 self._bases[count] = _projector_basis(self.operators, count)
             return "projector"
         if not want_vectors and auto and dim > DENSE_SOLVE_DIM \
-                and self._forms:
+                and self.forms:
             return "majorana"
         return "narrow" if self.narrow(DENSE_SOLVE_DIM) else "wide"
 
@@ -402,7 +411,7 @@ class Segment:
         for row in weights.tolist():
             if route == "majorana":
                 yield np.stack([_quadratic_levels(
-                    *block_form(self._forms, row, sign), sign,
+                    *block_form(self.forms, row, sign), sign,
                     min(count, dim)) for sign in self.tapering.parity(
                         np.asarray(blocks))]), None, index
                 continue
@@ -419,7 +428,7 @@ class Segment:
 
         Narrow blocks take one batched dense solve of the weighted active
         matrices, a block's levels its key's plus its weighted constant.
-        Wider ones of a free-fermion segment (:attr:`_forms`), without
+        Wider ones of a free-fermion segment (:attr:`forms`), without
         vectors and with `method` auto, take one :func:`_quadratic_levels`
         of their parity's weighted Majorana matrix each; other wider ones
         one :func:`lowest_eigenpairs` each, with `solver`.  One

@@ -2,8 +2,9 @@
 
 Each check evaluates a closed-form prediction against exact numerics and
 returns the worst absolute deviation it saw.  Each level check reads the
-full spectrum at all its local s from one :meth:`Segment.values` call
-(:class:`stepgap.spectra.Segment`) per checked path segment, not from a
+full spectrum at its local s from :meth:`Segment.values` calls
+(:class:`stepgap.spectra.Segment`) of at most :data:`LEVELS_PER_CALL`
+levels each, one per checked path segment where that holds all, not from a
 2^n x 2^n dense eigensolve, so it also runs above the dense qubit cap.  The
 conjugation check bounds each eigenvalue's shift by a Frobenius norm
 against ``S H S``, S the gate's signed permutation, with no eigensolve.
@@ -39,15 +40,22 @@ def _match_deviation(num: np.ndarray, levels) -> float:
     return max(float(np.min(np.abs(num - level.value))) for level in levels)
 
 
+#: Levels held by one :meth:`Segment.values` call of a level check (2 MB).
+LEVELS_PER_CALL = 1 << 18
+
+
 def _segment_deviation(path, k: int, points: int, levels_at) -> float:
     """Worst :func:`_match_deviation` of the full spectrum of segment k at
-    `points` local s, from one :meth:`Segment.values` call."""
+    `points` local s, from as few :meth:`Segment.values` calls as hold at
+    most :data:`LEVELS_PER_CALL` levels each."""
     segment = Segment(*path.segment(k))
     blocks, grid = segment.sector("all"), np.linspace(0.0, 1.0, points)
-    spectra = segment.values(np.column_stack([1.0 - grid, grid]), blocks,
-                             len(blocks) * segment.tapering.block_dim)
-    return max(_match_deviation(num, levels_at(s))
-               for s, num in zip(grid, spectra))
+    count = len(blocks) * segment.tapering.block_dim
+    share = max(1, LEVELS_PER_CALL // count)
+    return max(max(_match_deviation(num, levels_at(s)) for s, num in zip(
+        part, segment.values(np.column_stack([1.0 - part, part]), blocks,
+                             count)))
+        for part in np.split(grid, range(share, points, share)))
 
 
 def first_step_deviation(n: int, points: int = 101, kappa_max: int = 2

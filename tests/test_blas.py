@@ -145,15 +145,16 @@ def test_narrow_and_projector_blocks_solve_at_one_thread(
 @needs_blas
 def test_krylov_threads_on_wide_pauli_blocks_only(two_threads, monkeypatch,
                                                   tmp_path):
-    # ising-linear blocks are 2^15 wide at n = 16, 512 at n = 10; the
-    # projector segments of an EC3 path are never Pauli blocks
+    # cluster1d-linear blocks are 2^16 wide at n = 16, 256 at n = 9
+    # (ising-linear runs on its covariance); the projector segments of an
+    # EC3 path are never Pauli blocks
     inst = tmp_path / "inst.txt"
     inst.write_text(ec3.format_instance(ec3.random_satisfiable_instance(
         8, 4, np.random.default_rng(0))))
     seen = []
     _recording(monkeypatch, dynamics, "_krylov_expm_apply", seen)
-    for path, want in ((["--family", "ising-linear", "--n", "16"], {2}),
-                       (["--family", "ising-linear", "--n", "10"], {1}),
+    for path, want in ((["--family", "cluster1d-linear", "--n", "16"], {2}),
+                       (["--family", "cluster1d-linear", "--n", "9"], {1}),
                        (["--family", "ec3-projector", "--instance",
                          str(inst)], {1})):
         seen.clear()

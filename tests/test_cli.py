@@ -224,8 +224,9 @@ _SCALING = ["scaling", "--family", "ising-stepwise", "--n-list", "4"]
 def test_unbounded_runtime_or_accuracy_refused_before_propagating(
         argv, name, capsys, monkeypatch):
     passes = []
-    monkeypatch.setattr(dynamics, "_propagate",
-                        lambda *args: passes.append(args))
+    for route in ("_propagate", "_covariance_pass"):
+        monkeypatch.setattr(dynamics, route,
+                            lambda *args: passes.append(args))
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert f"stepgap: {name} must be finite and positive" in err
@@ -521,7 +522,7 @@ def test_config_echo_names_no_duration(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--family", "cluster1d-linear", "--n", "40"],
-    ["evolve", "--family", "ising-stepwise", "--n", "30", "--tau", "1"],
+    ["evolve", "--family", "cluster1d-stepwise", "--n", "30", "--tau", "1"],
     ["gap-scan", "--family", "cluster1d-stepwise", "--n", "29",
      "--points", "3"],
 ], ids=["spectrum", "evolve", "gap-scan"])
@@ -537,6 +538,26 @@ def test_oversized_register_refused_before_allocating(argv, tmp_path,
     assert code == EXIT_CONFIG
     assert f"capped at {STATE_QUBIT_CAP} qubits" in err
     assert peak < 1 << 20
+
+
+def test_sudden_quench_beyond_the_state_cap(tmp_path, capsys):
+    # the Ising paths evolve an 80 x 80 covariance: at tau -> 0 the state
+    # stays |+>^n, whose overlap with the even cat state is 2^(1 - n)
+    n, out = 40, tmp_path / "e40.json"
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "evolve", "--family", "ising-stepwise",
+                             "--n", str(n), "--tau", "1e-6", "--track-parity",
+                             "--out", str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    data = json.loads(out.read_text())["data"]
+    assert abs(data["fidelity"] / 2.0 ** (1 - n) - 1.0) <= 1e-9
+    assert data["parity_min"] == data["parity_max"] == 1.0
+    assert data["norm_drift"] <= 1e-12
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5])

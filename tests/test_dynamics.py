@@ -1,4 +1,10 @@
-"""Tests for time evolution, fidelity measures and runtime scaling."""
+"""Tests for time evolution, fidelity measures and runtime scaling.
+
+`evolve` on vectors is the oracle of the covariance route of
+`adiabatic_run`, and the dense covariance ``<psi| i c_a c_b |psi>`` of
+`evolution_target`'s vector, with the Majoranas built by Kronecker
+products, that of its Gaussian target.
+"""
 
 import tracemalloc
 
@@ -12,6 +18,7 @@ from stepgap.dynamics import (
     EvolutionResult,
     ScalingRow,
     _krylov_expm_apply,
+    adiabatic_run,
     evolution_target,
     evolve,
     fidelity,
@@ -837,6 +844,167 @@ def test_projector_target_factors_the_final_operator_alone(monkeypatch):
     assert factored == [(64, 2)]
     assert fidelity(target, solution_superposition(inst, (0, 1, 2, 3), 4)) \
         == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# covariance route
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=14)
+@given(st.sampled_from(["ising-linear", "ising-stepwise"]),
+       st.integers(4, 12), st.floats(0.5, 60.0))
+def test_covariance_route_matches_evolve(family, n, tau):
+    path = make_path(family, n=n)
+    got = adiabatic_run(path, tau, track_parity=True)
+    psi0 = uniform_superposition(n)
+    want = evolve(path, psi0, tau, target=evolution_target(path, psi0),
+                  track_parity=True)
+    assert got.final_state is None
+    assert abs(got.fidelity - want.fidelity) <= 1e-10
+    assert (got.step_count, got.refinements, got.parity_range, got.tau) == (
+        want.step_count, want.refinements, want.parity_range, want.tau)
+    assert got.norm_drift <= 1e-12
+
+
+@pytest.mark.parametrize("family, n, tau", [
+    ("ising-stepwise", 8, 60.0), ("ising-linear", 10, 5.0),
+    ("cluster1d-stepwise", 6, 4.0)])
+def test_adiabatic_run_is_the_vector_run_where_no_form(family, n, tau,
+                                                       monkeypatch):
+    # the Ising paths never reach the vector route, the cluster path only
+    passes = []
+    propagate = dynamics._propagate
+    monkeypatch.setattr(dynamics, "_propagate", lambda *args: passes.append(
+        args) or propagate(*args))
+    res = adiabatic_run(make_path(family, n=n), tau, track_parity=True)
+    assert (res.final_state is None) == (passes == []) \
+        == family.startswith("ising")
+
+
+def covariance(psi: np.ndarray, n: int) -> np.ndarray:
+    """``Gamma_ab = <psi| i c_a c_b |psi>``, zero on the diagonal."""
+    from test_majorana import majoranas
+    cs = [c @ psi for c in majoranas(n)]
+    gamma = np.array([[np.vdot(a, 1j * b).real for b in cs] for a in cs])
+    return gamma - np.diag(np.diag(gamma))
+
+
+@pytest.mark.parametrize("d, room", [(3, 1 << 16), (3, 18), (4, 1 << 16),
+                                     (6, 72), (6, 1)])
+def test_component_propagator_is_the_expm_product(d, room):
+    # Rodrigues on three Majoranas, eigh on more; a small room splits the
+    # exponentials into chunks of 2 (and 1), composed in order
+    rng = np.random.default_rng(d + room)
+    a = rng.normal(size=(2, d, d))
+    a -= a.transpose(0, 2, 1)
+    p, h = dynamics._cf4_parameters(3), 0.37
+    want = np.eye(d)
+    for t in p:
+        want = scipy.linalg.expm(h * ((1 - t) * a[0] + t * a[1])) @ want
+    got = dynamics._component_propagator(a, p, h, room)
+    assert np.abs(got - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("family", ["ising-linear", "ising-stepwise"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_covariance_is_the_evolved_states(family, n):
+    # Gamma of the last pass against <psi| i c_a c_b |psi> of the state
+    # `evolve` returns from the same substeps
+    path, tau = make_path(family, n=n), 3.0
+    psi0 = uniform_superposition(n)
+    res = evolve(path, psi0, tau, target=evolution_target(path, psi0))
+    run = path.rescaled(tau)
+    steps = next(s for r, s in dynamics._ladder(run, 1e-6)
+                 if r == res.refinements)
+    gamma = dynamics._covariance_pass(
+        run, steps, dynamics._couplings(Segment(*path.operators).forms))
+    assert np.abs(gamma - covariance(res.final_state, n)).max() < 1e-10
+
+
+def _chain(n, fields, bonds):
+    """``-sum h_j X_j - sum J_j Z_j Z_j+1``, the wrap bond last."""
+    return OperatorSum(n, [PauliString.from_ops(n, {q: "X"}, -h)
+                           for q, h in enumerate(fields, 1) if h] + [
+        PauliString.from_ops(n, {q: "Z", q % n + 1: "Z"}, -j)
+        for q, j in enumerate(bonds, 1) if j])
+
+
+def _final_ops(n):
+    """Final operators with a form: the closed ring, the open chain (a
+    zero mode: the sector fixes its sign), unequal positive fields (odd n:
+    the vacuum is odd, its softest mode flipped) and random couplings."""
+    rng = np.random.default_rng(n)
+    return [ising_endpoints(n)[1], ising_endpoints(n, "open")[1],
+            _chain(n, -1.0 - np.arange(n), [0.0] * n),
+            _chain(n, rng.normal(size=n), rng.normal(size=n))]
+
+
+def _through_the_ring(h_f):
+    """The path from the fields through the closed ring to `h_f`: X^n is
+    its one symmetry."""
+    h_i, ring = ising_endpoints(h_f.n)
+    return InterpolationPath((h_i, ring, h_f), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_target_covariance_is_the_dense_targets(n):
+    for h_f in _final_ops(n):
+        path = _through_the_ring(h_f)
+        want = covariance(evolution_target(path), n)
+        forms = Segment(*path.operators).forms
+        got = dynamics._target_covariance(forms[-1])
+        assert np.abs(got - want).max() < 1e-10
+
+
+def test_covariance_route_needs_x_string_as_the_one_symmetry():
+    # fields to fields: every X_j is a symmetry, and the vector route's
+    # target is the start itself, where the odd-n vacuum of the X^n = +1
+    # sector would be another state
+    n = 5
+    path = InterpolationPath((ising_endpoints(n)[0], _chain(
+        n, [-1.0] * n, [0.0] * n)), (1.0,))
+    assert Segment(*path.operators).forms is None
+    res = adiabatic_run(path, 1.0)
+    assert res.final_state is not None
+    assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degenerate_target_is_refused_on_both_routes():
+    # an open chain missing its middle bond has two even ground states;
+    # the Heisenberg pair of the vector route's test has no form
+    n = 6
+    split = _chain(n, [0.0] * n, [1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    heisenberg = OperatorSum(2, [PauliString.from_label(p, -1.0)
+                                 for p in ("XX", "YY", "ZZ")])
+    for path in (_through_the_ring(split),
+                 InterpolationPath((ising_endpoints(2)[0], heisenberg),
+                                   (1.0,))):
+        with pytest.raises(ValueError, match="degenerate"):
+            evolution_target(path)
+        with pytest.raises(ValueError, match="degenerate"):
+            adiabatic_run(path, 1.0)
+
+
+def test_covariance_larger_than_a_state_is_refused(monkeypatch):
+    # at a cap of 8 qubits a state holds 4 kB, a 24 x 24 covariance 4.5 kB
+    monkeypatch.setattr(dynamics, "STATE_QUBIT_CAP", 8)
+    assert adiabatic_run(make_path("ising-stepwise", n=11), 1.0).fidelity
+    with pytest.raises(ValueError, match="covariance is refused"):
+        adiabatic_run(make_path("ising-stepwise", n=12), 1.0)
+
+
+def test_covariance_route_runs_at_n100_in_little_memory():
+    # no 2^n array: the 200 x 200 covariance and one segment's couplings
+    path = make_path("ising-stepwise", n=100)
+    tracemalloc.start()
+    try:
+        res = adiabatic_run(path, 1e-3, track_parity=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.parity_range == (1.0, 1.0) and res.norm_drift <= 1e-12
+    assert abs(res.fidelity / 2.0 ** -99 - 1.0) < 1e-6
+    assert peak < 4 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ and the boundary maps built on it are checked against the recorded map as
 a dense unitary, itself checked against `reference_dense`.
 `gate_list_taper` is `taper` as first written, every term carried through
 a tableau that runs each step from a list of gates; the tapering must
-equal it exactly.
+equal it exactly.  `per_call_boundary_map` is `boundary_map` as it was when
+each crossing rebuilt its phases and indices; the crossings must equal it
+bit for bit.
 """
 
 from itertools import accumulate
@@ -22,10 +24,10 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from stepgap.models import make_path
-from stepgap.pauli import (GateSpec, OperatorSum, PauliString, Tapering,
-                           _Tableau, _anticommute, _commuting_subset,
-                           _null_space, _signed, blend, boundary_map,
-                           conjugate, string_expectation, taper)
+from stepgap.pauli import (_Y_PHASES, GateSpec, OperatorSum, PauliString,
+                           Tapering, _Tableau, _anticommute,
+                           _commuting_subset, _null_space, _signed, blend,
+                           boundary_map, conjugate, string_expectation, taper)
 from stepgap.spectra import Segment, sector_levels
 
 _PAULI_MATRICES = {
@@ -653,3 +655,80 @@ def test_tableau_step_equals_the_gate_list_step(n, seed, inverse):
         tableau.step(ys, xs | 1 << p, p, fan_in, inverse)
         tableau.step(ys, 0, p, fan_in, inverse)
     assert got.rows() == want.rows()
+
+
+def per_call_boundary_map(a: Tapering, b: Tapering):
+    """`boundary_map` with one byte of phase per term and index, its phases
+    and indices rebuilt on every crossing."""
+    if not (a.steps or b.steps):
+        return lambda rows: rows
+    n = a.operators[0].n
+    tableau = _Tableau(n, [(1 << j, 0, 0) for j in range(n)]
+                       + [(0, 1 << j, 0) for j in range(n)])
+    tableau.reorder([p for _, _, p, _ in b.steps], inverse=True)
+    for step, inverse in [(t, True) for t in b.steps[::-1]] + [
+            (t, False) for t in a.steps]:
+        tableau.step(*step, inverse)
+    tableau.reorder([p for _, _, p, _ in a.steps])
+    rows = tableau.rows()
+    lead, checks = {}, []
+    for x, z, q in rows[n:]:
+        while x and x.bit_length() - 1 in lead:
+            px, pz, pq = lead[x.bit_length() - 1]
+            x, z, q = x ^ px, z ^ pz, q + pq + 2 * (z & px).bit_count()
+        if x:
+            lead[x.bit_length() - 1] = x, z, q
+        else:
+            checks.append(z << 1 | q >> 1 & 1)
+    support, phases = [_null_space(checks, n + 1)[0] >> 1], [0]
+    for px, pz, pq in lead.values():
+        phases += [e + pq + 2 * (y & pz).bit_count()
+                   for y, e in zip(support, phases)]
+        support += [y ^ px for y in support]
+    gather = np.zeros(1, np.intp)
+    exponents = np.array([[-e % 4] for e in phases], np.uint8)
+    for x, z, q in rows[:n]:
+        shift = [[q + 2 * (z & y).bit_count() & 3] for y in support]
+        exponents = np.concatenate([exponents, exponents - np.array(
+            shift, np.uint8) - (np.bitwise_count(gather & z) << 1)], axis=1)
+        gather = np.concatenate([gather, gather ^ x])
+    exponents &= 3
+    support, scale = np.array(support)[:, None], 2.0 ** (-len(lead) / 2)
+
+    def crossing(rows: np.ndarray) -> np.ndarray:
+        terms = np.take(np.array(_Y_PHASES), exponents)
+        terms *= rows.ravel()[gather ^ support]
+        return (scale * terms.sum(0)).reshape(-1, b.block_dim)
+    return crossing
+
+
+def assert_crossings_bitwise_equal(a: Tapering, b: Tapering, rng) -> None:
+    crossing, want = boundary_map(a, b), per_call_boundary_map(a, b)
+    n = a.operators[0].n
+    rows = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).reshape(
+        -1, a.block_dim)
+    # a basis state too: its crossings hold exact zeros
+    for x in rows, np.eye(1 << n, 1, dtype=complex).reshape(rows.shape):
+        for _ in range(2):  # a map is built once and crossed many times
+            got = crossing(x)
+            assert got.dtype == want(x).dtype and got.shape == want(x).shape
+            assert got.tobytes() == want(x).tobytes()
+
+
+@given(planted_symmetry_sums(), st.integers(0, 2**32 - 1), st.data())
+def test_boundary_map_equals_the_per_call_map_bitwise(op, seed, data):
+    other = data.draw(pauli_sums(op.n))
+    a, rng = taper(op), np.random.default_rng(seed)
+    for b in taper(other), taper(op, other), a:
+        assert_crossings_bitwise_equal(a, b, rng)
+        assert_crossings_bitwise_equal(b, a, rng)
+
+
+@pytest.mark.parametrize("family, size", [
+    ("ising-stepwise", {"n": 9}), ("cluster1d-stepwise", {"n": 10}),
+    ("cluster2d-stepwise", {"width": 3, "height": 3})])
+def test_path_boundary_maps_equal_the_per_call_maps_bitwise(family, size):
+    path, rng = make_path(family, **size), np.random.default_rng(7)
+    taperings = [taper(*path.segment(k)) for k in range(path.segment_count)]
+    for a, b in zip(taperings, taperings[1:]):
+        assert_crossings_bitwise_equal(a, b, rng)

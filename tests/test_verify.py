@@ -1,11 +1,11 @@
 """The level checks of `verify` against a dense-eigvalsh oracle.
 
-The checks read the full spectrum of each checked path segment at all of
-its sample points from one `Segment.values` call, its ends tapered once
-under one map.  `dense_values` is the route they replaced, one `eigvalsh`
-of the 2^n x 2^n blend per sample point; it stays here as the oracle, so a
-tapered spectrum that dropped or moved a level would show, and
-`levels_segment_deviation` the route before the batch, one
+The checks read the full spectrum of each checked path segment at its
+sample points from `Segment.values` calls of bounded size, its ends
+tapered once under one map.  `dense_values` is the route they replaced,
+one `eigvalsh` of the 2^n x 2^n blend per sample point; it stays here as
+the oracle, so a tapered spectrum that dropped or moved a level would
+show, and `levels_segment_deviation` the route before the batch, one
 `Segment.levels` per sample point, whose deviations it keeps.  Likewise
 `eigvalsh_conjugation_deviation` keeps the route the conjugation check
 replaced, two `eigvalsh` spectra per seeded draw, as the oracle of its
@@ -98,6 +98,27 @@ def test_moved_level_is_caught(name):
         moved = list(levels)
         moved[i] = replace(level, value=level.value + 1e-6)
         assert verify._match_deviation(spectrum, moved) >= 0.9e-6
+
+
+@pytest.mark.parametrize("check", LEVEL_CHECKS, ids=lambda f: f.__name__)
+def test_split_level_checks_equal_the_single_call(check, monkeypatch):
+    # 256 levels per point at n = 8: 1, 2 and 3 points per call
+    want = check(8, points=7)
+    for share in (1, 2, 3):
+        monkeypatch.setattr(verify, "LEVELS_PER_CALL", share << 8)
+        assert check(8, points=7) == want
+
+
+def test_level_check_memory_at_n14():
+    # one call held 101 x 2^14 levels, 13.9 MB
+    verify.mid_step_deviation(14, points=3)
+    tracemalloc.start()
+    try:
+        verify.mid_step_deviation(14, points=101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_oversized_tapered_stack_refused_before_allocating():
