@@ -75,11 +75,15 @@ def _emit_json(payload: dict, args, wall: float) -> None:
     _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_n_list(text: str) -> list[int]:
+    """The system sizes of --n-list; ValueError when it names none."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        sizes = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ValueError(f"bad integer list {text!r}") from exc
+    if not sizes:
+        raise ValueError(f"--n-list {text!r} names no system size")
+    return sizes
 
 
 def _parse_tau_grid(text: str) -> list[float]:
@@ -223,7 +227,7 @@ def cmd_scaling(args) -> int:
     t0 = time.perf_counter()
     grid = _parse_tau_grid(args.tau_grid)
     rows = []
-    for n in _parse_int_list(args.n_list):
+    for n in _parse_n_list(args.n_list):
         row = runtime_for_fidelity(args.family, n, args.f_target, grid,
                                    accuracy=args.accuracy)
         rows.append([n, args.family,
@@ -270,8 +274,13 @@ def cmd_ec3(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, value, least in (("points", args.points, 2),
+                                 ("kappa-max", args.kappa_max, 0)):
+        if value < least:
+            raise ValueError(f"--{option} must be at least {least}, "
+                             f"got {value}")
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
-    n_list = _parse_int_list(args.n_list)
+    n_list = _parse_n_list(args.n_list)
     results = verify.run_checks(names, n_list, points=args.points,
                                 kappa_max=args.kappa_max)
     failures = 0

@@ -1,9 +1,10 @@
 """Numerical eigensolution and gap curves along interpolation paths.
 
-Low-lying spectra come from dense diagonalization for small registers and
-from a matrix-free Lanczos solver (ARPACK) above that.  Projector sums
-(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) are solved exactly
-instead: the span of their vectors is invariant and its complement one
+Every level is solved block by block through a :class:`Segment` (below);
+a wide block with no structured route falls to :func:`lowest_eigenpairs`,
+dense LAPACK or a matrix-free Lanczos solver (ARPACK).  Projector sums
+(:class:`stepgap.pauli.ProjectorSum`, the EC3 path) are solved exactly:
+the span of their vectors is invariant and its complement one
 degenerate level per sum, so a Rayleigh-Ritz step on that span plus a few
 fixed random directions yields the lowest eigenpairs of every weighted sum
 of them without iteration; it is refused, like the dense route, where its

@@ -1,26 +1,29 @@
 """Analytic-vs-numeric verification checks.
 
 Each check evaluates a closed-form prediction against exact numerics and
-returns the worst absolute deviation it saw.  Each level check reads the
-full spectrum at its local s from :meth:`Segment.values` calls
-(:class:`stepgap.spectra.Segment`) of at most :data:`LEVELS_PER_CALL`
-levels each, one per checked path segment where that holds all, not from a
-2^n x 2^n dense eigensolve, so it also runs above the dense qubit cap.  The
-conjugation check bounds each eigenvalue's shift by a Frobenius norm
-against ``S H S``, S the gate's signed permutation, with no eigensolve.
-The CLI `verify` subcommand and the acceptance tests both run these.
+returns the worst absolute deviation it saw.  Every level checked comes
+from :meth:`stepgap.spectra.Segment.values`, as in `gap-scan`, in calls of
+at most :data:`LEVELS_PER_CALL` levels: a step segment's full spectrum,
+the ``ising-linear`` ground level (from its Majorana form above n = 9, at
+any n), and the two lowest levels of an EC3 projector segment, from its
+kept basis.  The conjugation check compares matrices instead:
+``conjugate(H)`` against ``S H S``, S the gate's signed permutation, in
+Frobenius norm.  The CLI `verify` subcommand and the acceptance tests run
+these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, product
 
 import numpy as np
 
 from . import analytic, ec3
 from .models import ising_step_hamiltonian, lattice_build_order, make_path
 from .pauli import GateSpec, OperatorSum, PauliString, conjugate
-from .spectra import Segment, lowest_eigenpairs, sector_ground_state
+from .spectra import Segment, sector_ground_state
 
 
 @dataclass(frozen=True)
@@ -44,33 +47,37 @@ def _match_deviation(num: np.ndarray, levels) -> float:
 LEVELS_PER_CALL = 1 << 18
 
 
-def _segment_deviation(path, k: int, points: int, levels_at) -> float:
-    """Worst :func:`_match_deviation` of the full spectrum of segment k at
-    `points` local s, from as few :meth:`Segment.values` calls as hold at
-    most :data:`LEVELS_PER_CALL` levels each."""
+def _segment_deviation(path, k: int, grid, levels_at,
+                       count: int | None = None) -> float:
+    """Worst deviation from ``levels_at(s)`` at the local s of `grid` of
+    segment k's full spectrum (:func:`_match_deviation`), or element-wise of
+    its `count` lowest levels, from as few :meth:`Segment.values` calls as
+    hold at most :data:`LEVELS_PER_CALL` levels each."""
     segment = Segment(*path.segment(k))
-    blocks, grid = segment.sector("all"), np.linspace(0.0, 1.0, points)
-    count = len(blocks) * segment.tapering.block_dim
+    blocks, grid = segment.sector("all"), np.asarray(grid, dtype=float)
+    compare = _match_deviation if count is None else \
+        lambda num, want: float(np.abs(num - want).max())
+    if count is None:
+        count = len(blocks) * segment.tapering.block_dim
     share = max(1, LEVELS_PER_CALL // count)
-    return max(max(_match_deviation(num, levels_at(s)) for s, num in zip(
+    return max(max(compare(num, levels_at(s)) for s, num in zip(
         part, segment.values(np.column_stack([1.0 - part, part]), blocks,
                              count)))
-        for part in np.split(grid, range(share, points, share)))
+        for part in np.split(grid, range(share, len(grid), share)))
 
 
 def first_step_deviation(n: int, points: int = 101, kappa_max: int = 2
                          ) -> float:
     return _segment_deviation(
-        make_path("ising-stepwise", n=n), 0, points,
+        make_path("ising-stepwise", n=n), 0, np.linspace(0.0, 1.0, points),
         lambda s: analytic.ising_first_step_levels(n, s, kappa_max))
 
 
 def mid_step_deviation(n: int, points: int = 101, kappa_max: int = 2,
                        k: int | None = None) -> float:
-    if k is None:
-        k = max(1, (n - 1) // 2)
+    k = max(1, (n - 1) // 2) if k is None else k
     return _segment_deviation(
-        make_path("ising-stepwise", n=n), k, points,
+        make_path("ising-stepwise", n=n), k, np.linspace(0.0, 1.0, points),
         lambda s: analytic.ising_mid_step_levels(n, s, kappa_max))
 
 
@@ -78,7 +85,7 @@ def cluster_step_deviation(n: int, points: int = 101, kappa_max: int = 2
                            ) -> float:
     path = make_path("cluster1d-stepwise", n=n)
     return max(_segment_deviation(
-        path, k, points,
+        path, k, np.linspace(0.0, 1.0, points),
         lambda s: analytic.cluster1d_step_levels(n, s, kappa_max))
         for k in (0, max(1, path.segment_count // 2)))
 
@@ -90,32 +97,25 @@ def two_link_deviation(n: int, points: int = 101, kappa_max: int = 2
         raise ValueError("two-link check uses 2-row grids, n must be even")
     k = lattice_build_order(n // 2, 2).two_link_steps()[0]
     path = make_path("cluster2d-stepwise", width=n // 2, height=2)
-
-    def levels_at(s):
-        lam0, lam1 = analytic.cluster2d_two_link_lowest(n, s, kappa_max)
-        return lam0 + lam1
-    return _segment_deviation(path, k, points, levels_at)
+    return _segment_deviation(
+        path, k, np.linspace(0.0, 1.0, points), lambda s: list(chain(
+            *analytic.cluster2d_two_link_lowest(n, s, kappa_max))))
 
 
 def ground_energy_deviation(n: int, points: int = 101) -> float:
-    path = make_path("ising-linear", n=n)
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, points):
-        e0 = lowest_eigenpairs(path.at_progress(s), 1,
-                               want_vectors=False).eigenvalues[0]
-        worst = max(worst,
-                    abs(e0 - analytic.ising_linear_ground_energy(n, s)))
-    return worst
+    """The lowest level of the ``ising-linear`` path at `points` progress
+    values against Pfeuty's closed form."""
+    return _segment_deviation(
+        make_path("ising-linear", n=n), 0, np.linspace(0.0, 1.0, points),
+        lambda s: analytic.ising_linear_ground_energy(n, s), count=1)
 
 
 def overlap_chain_deviation(n: int) -> float:
     states = [sector_ground_state(ising_step_hamiltonian(n, k), "even")
               for k in range(n + 1)]
-    worst = 0.0
-    for k in range(n - 1):
-        overlap = abs(np.vdot(states[k], states[k + 1]))
-        worst = max(worst, abs(overlap - 1.0 / np.sqrt(2.0)))
-    return max(worst, abs(abs(np.vdot(states[n - 1], states[n])) - 1.0))
+    want = [1.0 / np.sqrt(2.0)] * (n - 1) + [1.0]
+    return max(abs(abs(np.vdot(a, b)) - w)
+               for a, b, w in zip(states, states[1:], want))
 
 
 # The six conjugation rules stated for the two gates, plus the three
@@ -139,18 +139,11 @@ def conjugation_rule_failures(n: int = 4, control: int = 2, target: int = 3
     """Exact term-pattern checks of the stated gate rules; empty = all hold."""
     failures = []
     for kind, pc, qt, expect in CONJUGATION_RULES:
-        ops = {}
-        if pc != "I":
-            ops[control] = pc
-        if qt != "I":
-            ops[target] = qt
+        ops = {q: f for q, f in ((control, pc), (target, qt)) if f != "I"}
         op = OperatorSum(n, [PauliString.from_ops(n, ops, -1.5)])
         got = conjugate(op, GateSpec(kind, control, target))
-        want_ops = {}
-        if "control" in expect:
-            want_ops[control] = expect["control"]
-        if "target" in expect:
-            want_ops[target] = expect["target"]
+        want_ops = {q: expect[role] for role, q in (
+            ("control", control), ("target", target)) if role in expect}
         want = OperatorSum(n, [PauliString.from_ops(n, want_ops, -1.5)])
         if got != want:
             failures.append(f"{kind} {pc}{qt}: got {got}, want {want}")
@@ -185,34 +178,31 @@ def _similarity_deviation(rng, kind: str, n: int) -> float:
 def conjugation_dense_deviation() -> float:
     """All 16 two-qubit Pauli pairs against dense gate conjugation."""
     worst = 0.0
-    for kind in ("CNOT", "CZ"):
+    for kind, pc, qt in product(("CNOT", "CZ"), "IXYZ", "IXYZ"):
         gate = GateSpec(kind, 1, 2)
         smat = gate.to_matrix(2)
-        for pc in "IXYZ":
-            for qt in "IXYZ":
-                ops = {k: v for k, v in ((1, pc), (2, qt)) if v != "I"}
-                op = OperatorSum(2, [PauliString.from_ops(2, ops)])
-                got = conjugate(op, gate).to_dense()
-                want = smat @ op.to_dense() @ smat
-                worst = max(worst, float(np.abs(got - want).max()))
+        ops = {k: v for k, v in ((1, pc), (2, qt)) if v != "I"}
+        op = OperatorSum(2, [PauliString.from_ops(2, ops)])
+        got = conjugate(op, gate).to_dense()
+        want = smat @ op.to_dense() @ smat
+        worst = max(worst, float(np.abs(got - want).max()))
     return worst
 
 
 def ec3_two_level_deviation(count: int = 3, seed: int = 99) -> float:
+    """The two lowest levels of every segment of `count` seeded EC3
+    projector paths at s = 1/4, 1/2, 3/4 against the closed form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(count):
         inst = ec3.random_satisfiable_instance(6, 4, rng)
         order = ec3.order_clauses(inst)
         gaps = ec3.path_gaps(ec3.solution_counts(inst, order))
-        dense = [op.to_dense()
-                 for op in ec3.projector_hamiltonian(inst, order)]
-        for k in range(inst.m):
-            h_a, h_b = dense[k], dense[k + 1]
-            for s in (0.25, 0.5, 0.75):
-                w = np.linalg.eigvalsh((1 - s) * h_a + s * h_b)
-                lam0, lam1 = analytic.projector_two_level(gaps[k], s)
-                worst = max(worst, abs(w[0] - lam0), abs(w[1] - lam1))
+        path = make_path("ec3-projector", instance=inst, clause_order=order)
+        worst = max(worst, *(_segment_deviation(
+            path, k, (0.25, 0.5, 0.75),
+            partial(analytic.projector_two_level, gap), count=2)
+            for k, gap in enumerate(gaps)))
     return worst
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stepgap
-from stepgap import dynamics, ec3
+from stepgap import cli, dynamics, ec3, verify
 from stepgap.analytic import ising_linear_ground_energy
 from stepgap.cli import (EXIT_CONFIG, EXIT_OK, _parse_tau_grid, build_parser,
                          main)
@@ -363,6 +363,53 @@ def test_verify_level_check_above_dense_cap(capsys):
                            "--n-list", "16", "--points", "3")
     assert code == EXIT_OK
     assert out.startswith("PASS ising-mid-step n=16")
+
+
+def test_verify_ground_energy_above_register_cap(capsys):
+    # the levels come from the Majorana form: no 2^100 register is built
+    code, out, _ = run_cli(capsys, "verify", "--check", "ising-ground-energy",
+                           "--n-list", "100", "--points", "5")
+    assert code == EXIT_OK
+    (line,) = out.splitlines()
+    status, label, n, dev, _ = line.split()
+    assert (status, label, n) == ("PASS", "ising-ground-energy", "n=100")
+    assert float(dev.removeprefix("max_dev=")) <= 1e-8
+
+
+_VERIFY = ["verify", "--check", "ising-first-step", "--n-list", "4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--check", "ising-ground-energy", "--points", "0"],
+     "--points must be at least 2, got 0"),
+    (_VERIFY + ["--points", "0"], "--points must be at least 2, got 0"),
+    (_VERIFY + ["--points", "1"], "--points must be at least 2, got 1"),
+    (_VERIFY + ["--kappa-max", "-1"],
+     "--kappa-max must be at least 0, got -1"),
+    (["verify", "--n-list", ""], "--n-list '' names no system size"),
+    (["verify", "--n-list", " , "], "--n-list ' , ' names no system size"),
+    (_SCALING[:3] + ["--n-list", "", "--tau-grid", "1,2"],
+     "--n-list '' names no system size"),
+], ids=["ground-energy-points-0", "points-0", "points-1", "kappa-max-neg",
+        "verify-n-list-empty", "verify-n-list-blank", "scaling-n-list-empty"])
+def test_checks_and_runs_without_work_refused(argv, message, capsys,
+                                              monkeypatch):
+    started = []
+    monkeypatch.setattr(verify, "run_checks",
+                        lambda *args, **kw: started.append(args))
+    monkeypatch.setattr(cli, "runtime_for_fidelity",
+                        lambda *args, **kw: started.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err == f"stepgap: {message}\n"
+    assert out == "" and started == []
+
+
+def test_verify_at_two_points(capsys):
+    code, out, _ = run_cli(capsys, *_VERIFY, "--points", "2",
+                           "--kappa-max", "0")
+    assert code == EXIT_OK
+    assert out.startswith("PASS ising-first-step n=4")
 
 
 def test_missing_family_param_is_config_error(capsys):

@@ -1,12 +1,15 @@
-"""The level checks of `verify` against a dense-eigvalsh oracle.
+"""The checks of `verify` against the routes they replaced.
 
-The checks read the full spectrum of each checked path segment at its
-sample points from `Segment.values` calls of bounded size, its ends
-tapered once under one map.  `dense_values` is the route they replaced,
-one `eigvalsh` of the 2^n x 2^n blend per sample point; it stays here as
-the oracle, so a tapered spectrum that dropped or moved a level would
-show, and `levels_segment_deviation` the route before the batch, one
-`Segment.levels` per sample point, whose deviations it keeps.  Likewise
+Every level check reads its levels from `Segment.values` calls of bounded
+size, its segment's ends tapered once under one map.  `dense_values` is the
+route the four step checks replaced, one `eigvalsh` of the 2^n x 2^n blend
+per sample point; it stays here as the oracle, so a tapered spectrum that
+dropped or moved a level would show, and `levels_segment_deviation` the
+route before the batch, one `Segment.levels` per sample point, whose
+deviations it keeps.  `full_space_ground_energy_deviation` keeps the route
+the ground-energy check replaced, one full-space `lowest_eigenpairs` of
+the 2^n blend per point, and `dense_ec3_two_level_deviation` that of the
+EC3 check, one dense `eigvalsh` of each projector blend.  Likewise
 `eigvalsh_conjugation_deviation` keeps the route the conjugation check
 replaced, two `eigvalsh` spectra per seeded draw, as the oracle of its
 signed-permutation certificate.
@@ -18,11 +21,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stepgap import analytic, verify
+from stepgap import analytic, ec3, verify
 from stepgap.models import lattice_build_order, make_path
 from stepgap.pauli import (GateSpec, OperatorSum, PauliString, blend,
                            conjugate)
-from stepgap.spectra import Segment
+from stepgap.spectra import Segment, lowest_eigenpairs
 
 
 def dense_values(segment, weights, blocks, count):
@@ -32,14 +35,49 @@ def dense_values(segment, weights, blocks, count):
             for _, s in weights]
 
 
-def levels_segment_deviation(path, k, points, levels_at) -> float:
-    """`verify._segment_deviation` with one `Segment.levels` per sample."""
+def levels_segment_deviation(path, k, grid, levels_at, count=None) -> float:
+    """`verify._segment_deviation` of a full spectrum with one
+    `Segment.levels` per sample."""
+    assert count is None
     segment = Segment(*path.segment(k))
     blocks = segment.sector("all")
     return max(verify._match_deviation(segment.levels(
         (1.0 - s, s), blocks, len(blocks) * segment.tapering.block_dim,
-        want_vectors=False).eigenvalues, levels_at(s))
-        for s in np.linspace(0.0, 1.0, points))
+        want_vectors=False).eigenvalues, levels_at(s)) for s in grid)
+
+
+def full_space_ground_energy_deviation(n, points) -> float:
+    """`verify.ground_energy_deviation` from one full-space
+    `lowest_eigenpairs` of the 2^n blend per point."""
+    path = make_path("ising-linear", n=n)
+    return max(abs(lowest_eigenpairs(path.at_progress(s), 1,
+                                     want_vectors=False).eigenvalues[0]
+                   - analytic.ising_linear_ground_energy(n, s))
+               for s in np.linspace(0.0, 1.0, points))
+
+
+def ec3_draws():
+    """The (instance, order) pairs of `verify.ec3_two_level_deviation()`:
+    three satisfiable 6-bit 4-clause instances from seed 99, given order."""
+    rng = np.random.default_rng(99)
+    instances = [ec3.random_satisfiable_instance(6, 4, rng) for _ in range(3)]
+    return [(inst, ec3.order_clauses(inst)) for inst in instances]
+
+
+def dense_ec3_two_level_deviation() -> float:
+    """`verify.ec3_two_level_deviation()` from one dense `eigvalsh` of each
+    projector blend at s = 1/4, 1/2, 3/4, compared element by element."""
+    worst = 0.0
+    for inst, order in ec3_draws():
+        gaps = ec3.path_gaps(ec3.solution_counts(inst, order))
+        dense = [op.to_dense()
+                 for op in ec3.projector_hamiltonian(inst, order)]
+        for k in range(inst.m):
+            for s in (0.25, 0.5, 0.75):
+                w = np.linalg.eigvalsh((1 - s) * dense[k] + s * dense[k + 1])
+                lam0, lam1 = analytic.projector_two_level(gaps[k], s)
+                worst = max(worst, abs(w[0] - lam0), abs(w[1] - lam1))
+    return worst
 
 
 def spectrum_at(segment, s):
@@ -100,13 +138,92 @@ def test_moved_level_is_caught(name):
         assert verify._match_deviation(spectrum, moved) >= 0.9e-6
 
 
-@pytest.mark.parametrize("check", LEVEL_CHECKS, ids=lambda f: f.__name__)
-def test_split_level_checks_equal_the_single_call(check, monkeypatch):
-    # 256 levels per point at n = 8: 1, 2 and 3 points per call
-    want = check(8, points=7)
+def _check_run(check):
+    """A check at n = 8 and 7 points, or the EC3 check as `verify` runs it."""
+    if check is verify.ec3_two_level_deviation:
+        return check()
+    return check(8, points=7)
+
+
+@pytest.mark.parametrize("check, per_point", [
+    pytest.param(f, count, id=f.__name__) for f, count in
+    [(f, 256) for f in LEVEL_CHECKS]
+    + [(verify.ground_energy_deviation, 1),
+       (verify.ec3_two_level_deviation, 2)]])
+def test_split_level_checks_equal_the_single_call(check, per_point,
+                                                  monkeypatch):
+    # 256 levels per point for the full spectrum at n = 8, `count` for the
+    # ground energy and the two EC3 levels: 1, 2 and 3 points per call
+    want = _check_run(check)
     for share in (1, 2, 3):
-        monkeypatch.setattr(verify, "LEVELS_PER_CALL", share << 8)
-        assert check(8, points=7) == want
+        monkeypatch.setattr(verify, "LEVELS_PER_CALL", share * per_point)
+        assert _check_run(check) == want
+
+
+def recorded_values_calls(monkeypatch, check):
+    """(weights, count) of each `Segment.values` call `check()` makes."""
+    seen, values = [], Segment.values
+
+    def record(self, weights, blocks, count, **solver):
+        seen.append((np.asarray(weights).tolist(), count))
+        return values(self, weights, blocks, count, **solver)
+    with monkeypatch.context() as patch:
+        patch.setattr(Segment, "values", record)
+        check()
+    return seen
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_ground_energy_check_equals_full_space_route(n, monkeypatch):
+    got = verify.ground_energy_deviation(n, points=5)
+    assert got < 1e-8
+    assert abs(got - full_space_ground_energy_deviation(n, 5)) <= 1e-12
+    grid = np.linspace(0.0, 1.0, 5)
+    assert recorded_values_calls(
+        monkeypatch, lambda: verify.ground_energy_deviation(n, points=5)) \
+        == [(np.column_stack([1.0 - grid, grid]).tolist(), 1)]
+
+
+def test_ground_energy_check_runs_at_n100():
+    # 2^100 amplitudes would not fit: the levels are the Majorana form's
+    assert verify.ground_energy_deviation(100, points=5) < 1e-8
+
+
+@pytest.mark.parametrize("n", (8, 12))
+def test_nudged_ground_energy_is_caught(n, monkeypatch):
+    exact = analytic.ising_linear_ground_energy
+    monkeypatch.setattr(analytic, "ising_linear_ground_energy",
+                        lambda n, s: exact(n, s) + 1e-6)
+    assert verify.ground_energy_deviation(n, points=5) >= 0.9e-6
+
+
+def test_ec3_check_equals_dense_route(monkeypatch):
+    seen = []
+
+    def record(family, **kwargs):
+        seen.append((kwargs["instance"], kwargs["clause_order"]))
+        return make_path(family, **kwargs)
+    monkeypatch.setattr(verify, "make_path", record)
+    got = verify.ec3_two_level_deviation()
+    assert seen == ec3_draws()
+    assert got < 1e-10
+    assert abs(got - dense_ec3_two_level_deviation()) <= 1e-12
+    # one two-level call per segment of the three 4-clause paths
+    weights = [[1.0 - s, s] for s in (0.25, 0.5, 0.75)]
+    assert recorded_values_calls(monkeypatch, verify.ec3_two_level_deviation
+                                 ) == [(weights, 2)] * 12
+
+
+@pytest.mark.parametrize("which", (0, 1), ids=("lambda0", "lambda1"))
+def test_nudged_two_level_value_is_caught(which, monkeypatch):
+    exact = analytic.projector_two_level
+
+    def nudged(overlap, s):
+        levels = list(exact(overlap, s))
+        levels[which] += 1e-6
+        return tuple(levels)
+    monkeypatch.setattr(analytic, "projector_two_level", nudged)
+    assert verify.ec3_two_level_deviation() >= 0.9e-6
 
 
 def test_level_check_memory_at_n14():
