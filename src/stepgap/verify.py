@@ -6,10 +6,9 @@ from :meth:`stepgap.spectra.Segment.values`, as in `gap-scan`, in calls of
 at most :data:`LEVELS_PER_CALL` levels: a step segment's full spectrum,
 the ``ising-linear`` ground level (from its Majorana form above n = 9, at
 any n), and the two lowest levels of an EC3 projector segment, from its
-kept basis.  The conjugation check compares matrices instead:
-``conjugate(H)`` against ``S H S``, S the gate's signed permutation, in
-Frobenius norm.  The CLI `verify` subcommand and the acceptance tests run
-these.
+kept basis.  The conjugation check compares entries instead, each string's
+2^n in ``conjugate(H)`` against ``S H S``, S the gate's signed permutation,
+in Frobenius norm.  The CLI `verify` and the acceptance tests run these.
 """
 
 from __future__ import annotations
@@ -153,39 +152,54 @@ def conjugation_rule_failures(n: int = 4, control: int = 2, target: int = 3
 def conjugation_spectrum_deviation(sizes=(4, 6, 8), trials: int = 3,
                                    seed: int = 17) -> float:
     rng = np.random.default_rng(seed)
-    return max((_similarity_deviation(rng, kind, n) for kind in ("CNOT", "CZ")
-                for n in sizes for _ in range(trials)), default=0.0)
+    draws = ((OperatorSum(n, [PauliString.from_label("".join(
+        "IXYZ"[i] for i in rng.integers(4, size=n)), float(rng.normal()))
+        for _ in range(2 * n)]), GateSpec(kind, int(rng.integers(1, n)), n))
+        for kind in ("CNOT", "CZ") for n in sizes for _ in range(trials))
+    return max((_similarity_deviation(*draw) for draw in draws), default=0.0)
 
 
-def _similarity_deviation(rng, kind: str, n: int) -> float:
-    """``||conjugate(op, gate) - S op S||_F`` for a random sum of 2n strings
-    and `kind` gate, S its matrix as the signed permutation it must be."""
-    op = OperatorSum(n, [PauliString.from_label(
-        "".join(rng.choice(list("IXYZ"), size=n)), float(rng.normal()))
-        for _ in range(2 * n)])
-    gate = GateSpec(kind, int(rng.integers(1, n)), n)
-    smat = gate.to_matrix(n)
-    (rows, perm), sign = np.nonzero(smat), smat[smat != 0]
-    del smat
-    assert np.array_equal(rows, np.arange(1 << n)) and np.array_equal(
-        np.sort(perm), rows) and np.all(np.abs(sign) == 1), "not unitary"
-    want = op.to_dense()[np.ix_(perm, perm)]
-    want *= np.multiply.outer(sign, sign)
-    want -= conjugate(op, gate).to_dense()
-    return float(np.linalg.norm(want))
+def _signed_permutation(gate: GateSpec, n: int) -> tuple:
+    """(p, s) with ``S|j> = s_j |p(j)>`` for the gate's n-qubit matrix S: a
+    CNOT flips the target bit where the control bit is set, a CZ negates
+    where both are set."""
+    idx = np.arange(1 << n)
+    flip = (idx >> (n - gate.control) & 1) << (n - gate.target)
+    return (idx ^ flip, np.ones(1 << n)) if gate.kind == "CNOT" else (
+        idx, np.where(idx & flip, -1.0, 1.0))
+
+
+def _similarity_deviation(op: OperatorSum, gate: GateSpec) -> float:
+    """``||S op S - conjugate(op, gate)||_F`` from both sides' entries, no
+    2^n x 2^n array: a string ``c i^y X^x Z^z`` sends |j> to ``c i^y
+    (-1)^|j & z| |j ^ x>``, and S of :func:`_signed_permutation`, symmetric
+    as the gate is Hermitian, moves ``op[r, c]`` to ``(p(r), p(c))`` times
+    ``s_r s_c``.  Entries at one position are summed before the norm."""
+    n, terms = op.n, op.terms + conjugate(op, gate).terms
+    (perm, sign), cols = _signed_permutation(gate, n), np.arange(1 << n)
+    x, z = (np.array([getattr(t, a) for t in terms], np.int64)[:, None]
+            for a in "xz")
+    w = np.array([t.coefficient * 1j ** t.y_count for t in terms])[:, None]
+    rows, vals = cols ^ x, np.where(np.bitwise_count(cols & z) & 1, -w, w)
+    lhs = np.arange(len(terms))[:, None] < len(op.terms)  # the S op S side
+    keys = np.where(lhs, perm[rows] << n | perm[cols], rows << n | cols)
+    vals = np.where(lhs, sign[rows] * sign[cols] * vals, -vals).ravel()
+    order = np.argsort(keys.ravel(), kind="stable")
+    starts = np.flatnonzero(np.diff(keys.ravel()[order], prepend=-1))
+    return float(np.linalg.norm(np.add.reduceat(vals[order], starts)))
 
 
 def conjugation_dense_deviation() -> float:
     """All 16 two-qubit Pauli pairs against dense gate conjugation."""
     worst = 0.0
-    for kind, pc, qt in product(("CNOT", "CZ"), "IXYZ", "IXYZ"):
-        gate = GateSpec(kind, 1, 2)
+    for gate in (GateSpec(kind, 1, 2) for kind in ("CNOT", "CZ")):
         smat = gate.to_matrix(2)
-        ops = {k: v for k, v in ((1, pc), (2, qt)) if v != "I"}
-        op = OperatorSum(2, [PauliString.from_ops(2, ops)])
-        got = conjugate(op, gate).to_dense()
-        want = smat @ op.to_dense() @ smat
-        worst = max(worst, float(np.abs(got - want).max()))
+        for pc, qt in product("IXYZ", "IXYZ"):
+            ops = {k: v for k, v in ((1, pc), (2, qt)) if v != "I"}
+            op = OperatorSum(2, [PauliString.from_ops(2, ops)])
+            got = conjugate(op, gate).to_dense()
+            want = smat @ op.to_dense() @ smat
+            worst = max(worst, float(np.abs(got - want).max()))
     return worst
 
 

@@ -12,7 +12,9 @@ the 2^n blend per point, and `dense_ec3_two_level_deviation` that of the
 EC3 check, one dense `eigvalsh` of each projector blend.  Likewise
 `eigvalsh_conjugation_deviation` keeps the route the conjugation check
 replaced, two `eigvalsh` spectra per seeded draw, as the oracle of its
-signed-permutation certificate.
+signed-permutation certificate, and `dense_similarity_deviation` the route
+before the entry-wise form, S H S gathered from the gate's dense matrix and
+compared with the dense conjugated sum.
 """
 
 import tracemalloc
@@ -20,6 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stepgap import analytic, ec3, verify
 from stepgap.models import lattice_build_order, make_path
@@ -332,7 +336,9 @@ def test_nudged_coefficient_is_caught_by_both_forms(monkeypatch):
 
 
 def test_conjugation_check_holds_two_dense_matrices():
-    # two 256 x 256 complex matrices are 2 MB; the eigvalsh route held 1.2
+    # two 256 x 256 complex matrices are 2 MB, which the dense similarity
+    # route held (2.5 MB bound); the eigvalsh route held 1.2 MB and the
+    # entry-wise form holds 0.7 MB, within this bound of one such matrix
     verify.conjugation_spectrum_deviation()
     tracemalloc.start()
     try:
@@ -340,4 +346,131 @@ def test_conjugation_check_holds_two_dense_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < 1.05e6
+
+
+def dense_similarity_deviation(op, gate) -> float:
+    """`verify._similarity_deviation` from dense matrices: p and s read off
+    ``gate.to_matrix(n)``, S H S by one `np.ix_` gather of the dense sum,
+    against the dense `conjugate`."""
+    n = op.n
+    smat = gate.to_matrix(n)
+    (rows, perm), sign = np.nonzero(smat), smat[smat != 0]
+    del smat
+    assert np.array_equal(rows, np.arange(1 << n)) and np.array_equal(
+        np.sort(perm), rows) and np.all(np.abs(sign) == 1), "not unitary"
+    want = op.to_dense()[np.ix_(perm, perm)]
+    want *= np.multiply.outer(sign, sign)
+    want -= conjugate(op, gate).to_dense()
+    return float(np.linalg.norm(want))
+
+
+def test_similarity_deviation_equals_dense_route_on_every_draw():
+    for op, gate in conjugation_draws():
+        got = verify._similarity_deviation(op, gate)
+        assert got < 1e-12
+        assert abs(got - dense_similarity_deviation(op, gate)) <= 1e-12
+
+
+@st.composite
+def similarity_cases(draw):
+    """A Pauli sum on 2-8 qubits, general or Y-heavy (complex entries),
+    with optional identity terms, repeated strings whose coefficients
+    cancel and pairs of strings with one flip whose entries cancel in
+    part, and a CNOT or CZ with its control above or below its target."""
+    n = draw(st.integers(2, 8))
+    label = st.text(draw(st.sampled_from(("IXYZ", "YYYX", "YYYZ", "YI"))),
+                    min_size=n, max_size=n)
+    coeff = st.floats(-2.0, 2.0, allow_nan=False).filter(
+        lambda c: abs(c) > 1e-3)
+    terms = [PauliString.from_label(f, c) for f, c in draw(st.lists(
+        st.tuples(label, coeff), min_size=1, max_size=8))]
+    for f, c in draw(st.lists(st.tuples(label, coeff), max_size=2)):
+        terms += [PauliString.from_label(f, c), PauliString.from_label(f, -c)]
+    for f, c in draw(st.lists(st.tuples(label, coeff), max_size=2)):
+        # the same flip x with Z on qubit 1 toggled: entries of equal size
+        first = PauliString.from_label(f, c)
+        terms += [first, PauliString(n, first.x, first.z ^ 1 << n - 1, -c)]
+    if draw(st.booleans()):
+        terms.append(PauliString.identity(n, draw(coeff)))
+    control, target = draw(st.permutations(range(1, n + 1)))[:2]
+    gate = GateSpec(draw(st.sampled_from(("CNOT", "CZ"))), control, target)
+    return OperatorSum(n, terms), gate
+
+
+@given(similarity_cases())
+def test_similarity_deviation_equals_dense_route(case):
+    op, gate = case
+    got = verify._similarity_deviation(op, gate)
+    assert got < 1e-12
+    assert abs(got - dense_similarity_deviation(op, gate)) <= 1e-12
+
+
+exact_signed_permutation = verify._signed_permutation
+
+
+def unsigned(gate, n):
+    """S with every sign dropped: a CZ read as the identity."""
+    perm, sign = exact_signed_permutation(gate, n)
+    return perm, np.abs(sign)
+
+
+def wrong_control(gate, n):
+    """p and s taken from the control bit next to the gate's own."""
+    other = gate.control % (n - 1) + 1
+    return exact_signed_permutation(GateSpec(gate.kind, other, gate.target),
+                                    n)
+
+
+@pytest.mark.parametrize("mutant", (unsigned, wrong_control),
+                         ids=lambda f: f.__name__)
+def test_wrong_signed_permutation_is_caught(mutant, monkeypatch):
+    monkeypatch.setattr(verify, "_signed_permutation", mutant)
+    assert verify.conjugation_spectrum_deviation() > 1e-10
+
+
+def transposed(op, gate):
+    """The conjugated sum read with rows and columns swapped: a Hermitian
+    string's transpose is its complex conjugate, so the strings with an odd
+    Y count, the imaginary entries, change sign and no others."""
+    got = conjugate(op, gate)
+    return OperatorSum(got.n, [t * (-1) ** t.y_count for t in got.terms])
+
+
+def test_transposed_side_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "conjugate", transposed)
+    assert verify.conjugation_spectrum_deviation() > 1e-10
+    # a sum without Y is real and symmetric, its transpose the same
+    op = OperatorSum(4, [PauliString.from_label("XZIX", 0.5),
+                         PauliString.from_label("ZXZI", -1.5)])
+    assert verify._similarity_deviation(op, GateSpec("CZ", 1, 2)) < 1e-12
+
+
+def test_similarity_deviation_memory_at_n10():
+    # one 2^10 x 2^10 complex matrix is 16 MB
+    rng = np.random.default_rng(5)
+    op = OperatorSum(10, [PauliString.from_label("".join(
+        "IXYZ"[i] for i in rng.integers(4, size=10)), float(rng.normal()))
+        for _ in range(20)])
+    for gate in (GateSpec("CNOT", 3, 10), GateSpec("CZ", 10, 4)):
+        verify._similarity_deviation(op, gate)
+        tracemalloc.start()
+        try:
+            assert verify._similarity_deviation(op, gate) < 1e-12
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("kind", ("CNOT", "CZ"))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gate_matrix_is_its_basis_state_signed_permutation(kind, n):
+    cols = np.arange(1 << n)
+    for control in range(1, n + 1):
+        for target in set(range(1, n + 1)) - {control}:
+            gate = GateSpec(kind, control, target)
+            perm, sign = verify._signed_permutation(gate, n)
+            smat = np.zeros((1 << n, 1 << n))
+            smat[perm, cols] = sign
+            assert np.array_equal(gate.to_matrix(n), smat)
