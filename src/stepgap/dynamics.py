@@ -18,17 +18,17 @@ as its 2n x 2n covariance ``Gamma_ab = <i c_a c_b>``, each exponential
 ``Gamma -> R Gamma R^T`` with ``R = exp((dt/2) A)`` (Pfeuty, Ann. Phys.
 57, 79 (1970)), applied per connected component of the segment's Majorana
 coupling graph: a plane rotation by its summed angle on two Majoranas,
-Rodrigues' formula on three, one batched ``eigh`` per chunk on more.  The
-target is the lowest Gaussian state of the final form in that sector, and
-the fidelity ``sqrt|det((Gamma + Gamma_target)/2)|`` (Bravyi, Quantum Inf.
-Comput. 5, 216 (2005)).  The substeps and the refinement ladder are
-:func:`evolve`'s, so are `step_count` and `refinements`; `norm_drift` is
-``max|Gamma Gamma^T - 1|``, the parity exactly the sector's +1, and
-`final_state` None: no 2^n array is held, and the run is refused only
-where Gamma would outgrow a state of STATE_QUBIT_CAP qubits.  Every other
-path (cluster, EC3) takes :func:`evolution_target` and :func:`evolve` on
-vectors, described below, which also stay the oracle of the covariance
-route.
+Rodrigues' formula on three, ``eigh`` on more, each pass's angles built at
+once and its propagators in one stack per component size and substep
+count, chunked.  The target is the lowest Gaussian state of the final form
+in that sector, the fidelity ``sqrt|det((Gamma + Gamma_target)/2)|``
+(Bravyi, Quantum Inf. Comput. 5, 216 (2005)).  Substeps, ladder,
+`step_count` and `refinements` are :func:`evolve`'s; `norm_drift` is
+``max|Gamma Gamma^T - 1|``, the parity exactly +1, and `final_state` None:
+no 2^n array is held, and the run is refused only where Gamma would
+outgrow a state of STATE_QUBIT_CAP qubits.  Every other path (cluster,
+EC3) takes :func:`evolution_target` and :func:`evolve` on vectors,
+described below, the covariance route's oracle.
 
 Each path segment is a :class:`stepgap.spectra.Segment`, built once per
 :func:`evolve` call, so every blend along it is block diagonal.  The start
@@ -81,8 +81,8 @@ KRYLOV_TOL = 1e-12
 #: Substep doublings tried before `evolve` raises ConvergenceError.
 MAX_REFINEMENTS = 12
 
-# Entries in one chunk's stack of a covariance component's propagators:
-# a bound on memory (1 MB complex), not on accuracy
+# Entries in one chunk's stack of covariance propagators, summed over its
+# components: a bound on memory (1 MB complex), not on accuracy
 _CHUNK_ENTRIES = 1 << 16
 
 # Gauss nodes and weights of the two-exponential fourth-order scheme
@@ -440,28 +440,34 @@ def _couplings(forms: tuple[MajoranaForm, ...]) -> list:
     return out
 
 
-def _component_propagator(a: np.ndarray, p: np.ndarray, h: float,
-                          room: int) -> np.ndarray:
-    """``exp(h A(p_last)) ... exp(h A(p_first))`` of one component, ``A(p)
-    = (1 - p) a[0] + p a[1]``: each exponential by Rodrigues' formula on
-    three Majoranas, else by one batched ``eigh`` of ``i h A`` per chunk,
-    the chunk's stack of propagators no larger than `room` entries."""
-    d = a.shape[-1]
-    share = max(1, room // (d * d))
-    out = np.eye(d)
-    for k in range(0, len(p), share):
-        t = p[k:k + share, None, None]
-        x = h * ((1.0 - t) * a[0] + t * a[1])
-        if d == 3:
-            # x^3 = -theta^2 x
-            theta = np.sqrt(0.5 * np.square(x).sum((1, 2)))[:, None, None]
-            e = np.eye(3) + np.sinc(theta / np.pi) * x \
-                + 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2 * (x @ x)
-        else:
-            w, v = np.linalg.eigh(1j * x)
-            e = (v * np.exp(-1j * w)[..., None, :] @ v.conj().mT).real
-        out = _compose(e) @ out
-    return out
+def _propagators(components: list, room: int) -> list:
+    """``exp(h A(p_last)) ... exp(h A(p_first))``, ``A(p) = (1 - p) a[0] + p
+    a[1]`` over the CF4 parameters p of m substeps, of each component ``(a,
+    h, m)``.  Those of one size and m are stacked: Rodrigues' formula on
+    three Majoranas, else one batched ``eigh`` of ``i h A`` per chunk, all
+    the substeps of as many as fit in `room` entries, else a share of one's."""
+    out, groups = {}, {}
+    for k, (a, _, m) in enumerate(components):
+        groups.setdefault((a.shape[-1], m), []).append(k)
+    for (d, m), ks in groups.items():
+        p, share = _cf4_parameters(m), max(1, room // (d * d))
+        a, h = (np.array([components[k][f] for k in ks]) for f in (0, 1))
+        width, depth = max(1, share // len(p)), min(len(p), share)
+        for i in range(0, len(ks), width):
+            b, hb, r = a[i:i + width], h[i:i + width, None, None], np.eye(d)
+            for j in range(0, len(p), depth):
+                t = p[j:j + depth, None, None, None]
+                x = hb * ((1.0 - t) * b[:, 0] + t * b[:, 1])
+                if d == 3:  # x^3 = -theta^2 x
+                    theta = np.sqrt(0.5 * (x * x).sum((2, 3), keepdims=True))
+                    e = np.eye(3) + np.sinc(theta / np.pi) * x + 0.5 * \
+                        np.sinc(theta / (2.0 * np.pi)) ** 2 * (x @ x)
+                else:
+                    w, v = np.linalg.eigh(1j * x)
+                    e = (v * np.exp(-1j * w)[..., None, :] @ v.conj().mT).real
+                r = _compose(e) @ r
+            out.update(zip(ks[i:i + width], r))
+    return [out[k] for k in range(len(components))]
 
 
 def _covariance_pass(run: InterpolationPath, steps: list[int],
@@ -471,23 +477,32 @@ def _covariance_pass(run: InterpolationPath, steps: list[int],
     +1.  Each exponential ``exp(-i (dt/2) H(p))`` takes ``Gamma -> R Gamma
     R^T`` with ``R = exp((dt/2) A(p))``, one component at a time; on a
     two-Majorana component the exponentials commute, so a segment's are
-    one plane rotation by their summed angle."""
-    gamma = np.kron(np.eye(run.n), [[0.0, 1.0], [-1.0, 0.0]])
-    params = {m: _cf4_parameters(m) for m in set(steps)}
-    for ((ij, a0, a1), blocks), m, duration in zip(
-            couplings, steps, run.durations):
-        h, p = 0.5 * duration / m, params[m]
-        theta = h * (a0 * (len(p) - p.sum()) + a1 * p.sum())
-        # (i, j) rows -> (c i + s j, c j - s i)
-        c = np.cos(theta)[:, None]
-        s = np.array([1.0, -1.0])[:, None, None] * np.sin(theta)[:, None]
-        rs = [(index, _component_propagator(a, p, h, _CHUNK_ENTRIES))
-              for index, a in blocks]
+    one plane rotation by their summed angle.  Every angle and larger
+    component's propagator (:func:`_propagators`) is built first."""
+    gamma = np.diag(np.resize([1.0, 0.0], 2 * run.n - 1), 1)
+    gamma -= gamma.T
+    h = 0.5 * np.asarray(run.durations) / steps
+    # over a segment's 2m exponentials a1 weighs sum(p), a0 2m - sum(p)
+    sums = {m: _cf4_parameters(m).sum() for m in set(steps)}
+    late = np.array([sums[m] for m in steps])
+    sizes = [len(ij) // 2 for (ij, _, _), _ in couplings]
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    a0, a1 = np.concatenate([pairs[1:] for pairs, _ in couplings], 1)
+    theta = h[seg] * (a0 * (2 * np.array(steps) - late)[seg] + a1 * late[seg])
+    # (i, j) rows -> (c i + s j, c j - s i)
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    sin = np.stack([sin, -sin])
+    ends = np.cumsum(sizes).tolist()
+    rs = iter(_propagators([(a, hk, m) for (_, blocks), hk, m in zip(
+        couplings, h, steps) for _, a in blocks], _CHUNK_ENTRIES))
+    for ((ij, _, _), blocks), start, end in zip(couplings, [0] + ends, ends):
+        c, s = cos[start:end], sin[:, start:end]
+        mine = [(index, next(rs)) for index, _ in blocks]
         # rows, then columns: R Gamma R^T
         for g in gamma, gamma.T:
             x = g[ij].reshape(2, len(c), len(g))
             g[ij] = (c * x + s * x[::-1]).reshape(len(ij), len(g))
-            for index, r in rs:
+            for index, r in mine:
                 g[index] = r @ g[index]
     return gamma
 
@@ -567,13 +582,11 @@ def adiabatic_run(path: InterpolationPath, tau: float,
     X^n is the path's one symmetry (:attr:`stepgap.spectra.Segment.forms`:
     the Ising paths), the state stays Gaussian in the start's X^n = +1
     sector, the block :func:`evolution_target` reads, so it runs on its
-    2n x 2n covariance instead, with the same
-    CF4 substeps and refinement ladder (same `step_count` and
-    `refinements`), the target the lowest Gaussian state of the final form
-    in that sector.  There `final_state` is None, `parity_range` is
-    exactly (1, 1) when tracked, and the run is refused, with ValueError,
-    only where the covariance outgrows a state of STATE_QUBIT_CAP qubits.
-    Every other path takes :func:`evolution_target` and :func:`evolve`.
+    2n x 2n covariance, with the same CF4 substeps and ladder (`step_count`
+    and `refinements`), against the lowest Gaussian state of the final form
+    there: `final_state` is None, `parity_range` exactly (1, 1) when
+    tracked, and ValueError only where the covariance outgrows a state of
+    STATE_QUBIT_CAP qubits.  Other paths take :func:`evolve`.
     """
     return _adiabatic(path)(tau, accuracy, track_parity=track_parity)
 

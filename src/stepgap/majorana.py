@@ -20,6 +20,7 @@ it is then ``const + (i/4) c^T A c`` with A real antisymmetric and 2n x 2n
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +58,10 @@ def _monomial(n: int, x: int, z: int) -> list[int]:
                   for b in range(n) if mask >> b & 1)
 
 
-def _majorana_row(n: int, a: int) -> tuple[int, int, int]:
-    """``c_a`` as ``i^q X^x Z^z``: ``(q, x, z)``."""
-    j, odd = divmod(a, 2)
-    b = n - 1 - j
-    before = ((1 << n) - 1) ^ ((2 << b) - 1)  # the bits above b
-    return odd, before | odd << b, 1 << b
-
-
-def majorana_form(op: OperatorSum) -> MajoranaForm | None:
-    """The :class:`MajoranaForm` of a Pauli sum, or None when a term is of
-    any other degree than 0, 2, 2n - 2 or 2n.
-
+def _term_form(n: int, x: int, z: int) -> tuple[list[int], int, int]:
+    """``(m, factor, parity)``: ``h P``, P the string of ``(x, z)``, adds
+    ``h factor`` to the constant (m empty) or to ``A`` at the pair m, in the
+    ``X^n`` part where `parity` is 1; a monomial m of other length has none.
     ``c_a c_b = i^q X^x Z^z``, the product of their rows, is ``i^(q - y)
     P`` for the Hermitian string P with y factors Y; ``c_a c_b`` being
     anti-Hermitian, ``i^(q - y) = i sigma`` with sigma = +-1, so ``h P`` is
@@ -76,28 +69,43 @@ def majorana_form(op: OperatorSum) -> MajoranaForm | None:
     term P of degree 2n - d is ``(P X^n) X^n`` with ``P X^n = i^(y + 2
     popcount(z) - y') Q`` of degree d, that phase +-1.
     """
-    n, low = op.n, (1 << op.n) - 1
-    consts, entries = [0.0, 0.0], []
-    for t in op.terms:
-        x, h, parity = t.x, t.coefficient, 0
-        m = _monomial(n, x, t.z)
-        if len(m) > 2:
-            x ^= low
-            h *= 1 - (t.y_count + 2 * t.z.bit_count()
-                      - (x & t.z).bit_count()) % 4
-            m, parity = _monomial(n, x, t.z), 1
-        if not m:
-            consts[parity] += h
-        elif len(m) == 2:
-            (qa, _, za), (qb, xb, _) = (_majorana_row(n, a) for a in m)
-            q = qa + qb + 2 * (za & xb).bit_count()
-            sigma = 1 - (q - (x & t.z).bit_count() - 1) % 4
-            entries.append((*m, -2.0 * h * sigma, parity))
-        else:
-            return None
-    table = np.array(entries, float).reshape(-1, 4)
-    return MajoranaForm(n, *consts, *table[:, :2].T.astype(np.intp),
-                        table[:, 2], table[:, 3] == 1)
+    factor, parity, m = 1, 0, _monomial(n, x, z)
+    if len(m) > 2:
+        y, x = (x & z).bit_count(), x ^ ((1 << n) - 1)
+        factor = 1 - (y + 2 * z.bit_count() - (x & z).bit_count()) % 4
+        m, parity = _monomial(n, x, z), 1
+    if len(m) == 2:
+        # c_a = i^(a % 2) X^x_a Z_j on its site j, where c_b's X^x_b has
+        # one X: moving Z_j past it, q = a % 2 + b % 2 + 2
+        q = m[0] % 2 + m[1] % 2 + 2
+        factor *= -2 * (1 - (q - (x & z).bit_count() - 1) % 4)
+    return m, factor, parity
+
+
+def majorana_forms(ops) -> tuple[MajoranaForm, ...] | None:
+    """Each Pauli sum's :class:`MajoranaForm`, or None when a term of one
+    is of any other degree than 0, 2, 2n - 2 or 2n; each distinct ``(x,
+    z)`` among their terms is converted once, for this call only."""
+    term, forms = functools.cache(functools.partial(_term_form, ops[0].n)), []
+    for op in ops:
+        consts, entries = [0.0, 0.0], []
+        for t in op.terms:
+            m, factor, parity = term(t.x, t.z)
+            if len(m) not in (0, 2):
+                return None
+            if m:
+                entries.append((*m, factor * t.coefficient, parity))
+            else:
+                consts[parity] += factor * t.coefficient
+        table = np.array(entries, float).reshape(-1, 4)
+        forms.append(MajoranaForm(op.n, *consts, *table[:, :2].T.astype(
+            np.intp), table[:, 2], table[:, 3] == 1))
+    return tuple(forms)
+
+
+def majorana_form(op: OperatorSum) -> MajoranaForm | None:
+    """:func:`majorana_forms` of one Pauli sum."""
+    return (majorana_forms((op,)) or (None,))[0]
 
 
 def block_form(forms, weights, sign: int) -> tuple[float, np.ndarray]:

@@ -608,13 +608,9 @@ class Tapering:
         return v.reshape(psi.shape)
 
 
-def _bits(mask: int) -> list[int]:
-    return [c for c in range(mask.bit_length()) if mask >> c & 1]
-
-
 def _axes(n: int, mask: int) -> list[int]:
     """The axes of the bits `mask` in a ``(2,)*n`` view of a state."""
-    return [n - 1 - c for c in _bits(mask)]
+    return [n - 1 - c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
 def _odd(n: int, ndim: int, mask: int) -> np.ndarray:
@@ -652,8 +648,10 @@ class _Tableau:
         self.x, self.z, (self.q0, self.q1) = cols[:n], cols[n:-2], cols[-2:]
 
     def row(self, i: int) -> tuple[int, int]:
-        return tuple(sum((col >> i & 1) << c for c, col in enumerate(cols))
-                     for cols in (self.x, self.z))
+        x = z = 0  # shifted in from bit i of each column, the last first
+        for cx, cz in zip(reversed(self.x), reversed(self.z)):
+            x, z = x << 1 | cx >> i & 1, z << 1 | cz >> i & 1
+        return x, z
 
     def rows(self) -> list[tuple[int, int, int]]:
         low = (1 << self.n) - 1
@@ -667,8 +665,10 @@ class _Tableau:
         then CNOTs from each bit of fan_in onto p.  Gates of one kind
         commute, so the inverse reverses the order of the kinds alone."""
         x, z = self.x, self.z
-        for kind in (3, 2, 1, 0) if inverse else (0, 1, 2, 3):
-            for c in _bits((ys, xs & ~(1 << p), xs and 1 << p, fan_in)[kind]):
+        kinds = list(enumerate((ys, xs & ~(1 << p), xs and 1 << p, fan_in)))
+        for kind, m in kinds[::-1] if inverse else kinds:
+            while m:  # c walks the set bits of m
+                c, m = (m & -m).bit_length() - 1, m & (m - 1)
                 if kind == 0:  # S on c
                     z[c] ^= x[c]
                     self.q1 ^= x[c] & (~self.q0 if inverse else self.q0)

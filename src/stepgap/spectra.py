@@ -65,7 +65,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import _blas
-from .majorana import block_form, majorana_form
+from .majorana import block_form, majorana_forms
 from .models import InterpolationPath
 from .pauli import (DENSE_QUBIT_CAP, STATE_QUBIT_CAP, OperatorSum,
                     ProjectorSum, Tapering, taper, weighted_sum)
@@ -333,14 +333,13 @@ class Segment:
 
     @cached_property
     def forms(self) -> tuple | None:
-        """Each operator's :func:`~stepgap.majorana.majorana_form`, where
+        """The operators' :func:`~stepgap.majorana.majorana_forms`, where
         every one has one and ``X^n`` is the one generator, so that each
         block is a parity sector; else None."""
         if len(self.tapering.generators) != 1 \
                 or self.tapering.parity(0) is None:
             return None
-        forms = tuple(map(majorana_form, self.operators))
-        return None if any(f is None for f in forms) else forms
+        return majorana_forms(self.operators)
 
     def sector(self, name: str) -> range:
         """The blocks of sector `name`; refusals as :func:`_check_sector`."""

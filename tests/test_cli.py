@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import stepgap
-from stepgap import cli, dynamics, ec3, verify
+from stepgap import cli, dynamics, ec3, majorana, verify
 from stepgap.analytic import ising_linear_ground_energy
 from stepgap.cli import (EXIT_CONFIG, EXIT_OK, _parse_tau_grid, build_parser,
                          main)
+from stepgap.models import make_path
 from stepgap.pauli import STATE_QUBIT_CAP
 
 
@@ -179,6 +180,27 @@ def test_evolve_takes_json_format_only(tmp_path, capsys):
         main(["evolve", "--family", "ising-stepwise", "--n", "3", "--tau",
               "2", "--format", "csv"])
     assert exc.value.code == EXIT_CONFIG
+
+
+def test_evolve_keeps_no_term_forms_between_calls(tmp_path, capsys,
+                                                  monkeypatch):
+    # each call converts its path's distinct terms once, and afresh: no
+    # cache outlives a call, so a repeated run pays the same set-up
+    calls = []
+    monomial = majorana._monomial
+    monkeypatch.setattr(majorana, "_monomial",
+                        lambda *args: calls.append(args) or monomial(*args))
+    counts = []
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "evolve", "--family", "ising-stepwise",
+                             "--n", "8", "--tau", "5", "--format", "json",
+                             "--out", str(tmp_path / "evo.json"))
+        assert code == EXIT_OK
+        counts.append(len(calls))
+    terms = {(t.x, t.z) for op in make_path("ising-stepwise", n=8).operators
+             for t in op.terms}
+    assert len(terms) < counts[0] <= 2 * len(terms)
+    assert counts[1] == 2 * counts[0]
 
 
 def test_scaling_csv(capsys):

@@ -890,19 +890,35 @@ def covariance(psi: np.ndarray, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d, room", [(3, 1 << 16), (3, 18), (4, 1 << 16),
-                                     (6, 72), (6, 1)])
-def test_component_propagator_is_the_expm_product(d, room):
-    # Rodrigues on three Majoranas, eigh on more; a small room splits the
-    # exponentials into chunks of 2 (and 1), composed in order
+                                     (6, 72), (6, 1), (3, 72), (4, 18)])
+def test_component_propagator_is_the_expm_product(d, room, monkeypatch):
+    # Rodrigues on three Majoranas, eigh on more, each (size, m) stacked:
+    # three components of size d, two sharing m = 2 and one of m = 1, among
+    # one of each size; a small room splits a stack across its components
+    # (72 entries: 8 exponentials of size 3, 4 of size 4) or one
+    # component's exponentials into chunks of 2 (and 1), composed in order
     rng = np.random.default_rng(d + room)
-    a = rng.normal(size=(2, d, d))
-    a -= a.transpose(0, 2, 1)
-    p, h = dynamics._cf4_parameters(3), 0.37
-    want = np.eye(d)
-    for t in p:
-        want = scipy.linalg.expm(h * ((1 - t) * a[0] + t * a[1])) @ want
-    got = dynamics._component_propagator(a, p, h, room)
-    assert np.abs(got - want).max() < 1e-13
+    components = []
+    for size, h, m in [(d, 0.37, 2), (3, 0.21, 3), (d, 1.3, 2), (4, 0.8, 1),
+                       (d, 0.05, 1), (6, 0.6, 2)]:
+        a = rng.normal(size=(2, size, size))
+        components.append((a - a.transpose(0, 2, 1), h, m))
+    stacks = []
+    compose = dynamics._compose
+    monkeypatch.setattr(dynamics, "_compose",
+                        lambda e: stacks.append(e.shape) or compose(e))
+    got = dynamics._propagators(components, room)
+    assert len(got) == len(components)
+    # no stack beyond the room, or one exponential where none fits
+    assert all(np.prod(shape) <= max(room, shape[-1] ** 2)
+               for shape in stacks)
+    groups = {(a.shape[-1], m) for a, _, m in components}
+    assert (len(stacks) == len(groups)) == (room == 1 << 16)
+    for (a, h, m), r in zip(components, got):
+        want = np.eye(len(r))
+        for t in dynamics._cf4_parameters(m):
+            want = scipy.linalg.expm(h * ((1 - t) * a[0] + t * a[1])) @ want
+        assert np.abs(r - want).max() < 1e-13
 
 
 @pytest.mark.parametrize("family", ["ising-linear", "ising-stepwise"])

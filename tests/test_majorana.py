@@ -15,7 +15,7 @@ from test_pauli_reference import parity_fold, reference_dense
 
 from stepgap import spectra
 from stepgap.analytic import ising_linear_min_even_gap
-from stepgap.majorana import block_form, majorana_form
+from stepgap.majorana import block_form, majorana_form, majorana_forms
 from stepgap.models import make_path
 from stepgap.pauli import OperatorSum, PauliString
 from stepgap.spectra import ConvergenceError, Segment, gap_scan
@@ -122,6 +122,50 @@ def test_ising_operators_are_their_forms(family):
     for op in make_path(family, n=5).operators:
         assert np.abs(form_dense(majorana_form(op))
                       - reference_dense(op)).max() < 1e-12
+
+
+@st.composite
+def shared_term_sums(draw):
+    """``(ops, odd)``: two to four Pauli sums on n = 2..7 qubits drawn from
+    one pool of terms, each with its own coefficients: the identity,
+    ``X^n``, fields, bonds, the wrap bond and Majorana pairs with Y
+    factors, some times ``X^n``; where `odd`, one sum also holds ``Z_1
+    X_2``, a product of three Majoranas."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = ["I" * n, "X" * n, "Z" + "I" * (n - 2) + "Z"]
+    pool += ["I" * j + "X" + "I" * (n - 1 - j) for j in range(n)]
+    pool += ["I" * j + "ZZ" + "I" * (n - 2 - j) for j in range(n - 1)]
+    for _ in range(4):
+        label = pair_string(n, *sorted(rng.choice(2 * n, 2, replace=False)))[0]
+        pool += [label, times_parity(label)[0]]
+    ops = [OperatorSum(n, [PauliString.from_label(label, rng.normal())
+                           for label in pool if rng.random() < 0.6]
+                       + [PauliString.identity(n, 0.5)])
+           for _ in range(draw(st.integers(2, 4)))]
+    odd = draw(st.booleans())
+    if odd:
+        k = draw(st.integers(0, len(ops) - 1))
+        ops[k] = ops[k] + PauliString.from_label("ZX" + "I" * (n - 2), 0.4)
+    return ops, odd
+
+
+@settings(max_examples=60)
+@given(shared_term_sums())
+def test_shared_term_forms_are_the_per_operator_forms(case):
+    # one conversion per distinct term, shared by every sum, gives each
+    # sum's own form entry for entry, and None where one has none
+    ops, odd = case
+    shared, alone = majorana_forms(ops), [majorana_form(op) for op in ops]
+    assert (shared is None) == odd == any(f is None for f in alone)
+    for got, want, op in zip(shared or (), alone, ops):
+        assert (got.n, got.const, got.parity_const) == (
+            want.n, want.const, want.parity_const)
+        for key in ("rows", "cols", "values", "parity"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+        if op.n <= 4:
+            assert np.abs(form_dense(got) - reference_dense(op)).max() \
+                < 1e-12
 
 
 @st.composite
